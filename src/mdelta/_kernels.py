@@ -11,6 +11,14 @@ Conventions shared by every kernel:
   emitted j+1 steps earlier (most recent bit = least significant bit).
   "w is a suffix of s" then reads ``code(s) & (2**|w| - 1) == code(w)``
   and rolling a context forward is ``((s << 1) | b) & (2**d - 1)``.
+* The numpy backend counts through a state array, the context code
+  before every position: ``depth`` shifted views of the bits, the past
+  filling the first ``depth`` columns, then one integer ``bincount``.
+* ``log2_prob_batch`` is derived from the count table on every backend,
+  so it differs from a sequential chain-rule sum by rounding only (about
+  1e-9 at n = 65536).  The other kernels stay per-backend; enumerations
+  roll one state per position over all 2**n rows, as (2**n, n) state
+  arrays would cost several times the memory.
 * Enumeration kernels index the 2**n binary sequences by the integer
   whose most significant bit is the first symbol, so results are in
   lexicographic sequence order.
@@ -175,47 +183,29 @@ def _py_count_batch(bits, state0, depth):
     return occ, ones
 
 
+def _np_states(bits, state0, depth):
+    T, n = bits.shape
+    states = np.zeros((T, n), np.int64)
+    if depth == 0:
+        return states
+    past = (int(state0) >> np.arange(depth - 1, -1, -1)) & 1
+    ext = np.concatenate((np.broadcast_to(past.astype(np.uint8), (T, depth)), bits), axis=1)
+    for k in range(depth):  # oldest lag first, one shifted view each
+        states <<= 1
+        states |= ext[:, k : k + n]
+    return states
+
+
 def _np_count_batch(bits, state0, depth):
     T, n = bits.shape
-    m = 1 << depth
-    mask = m - 1 if depth > 0 else 0
-    codes = np.empty((T, n), np.int64)
-    s = np.full(T, state0, np.int64)
-    for i in range(n):
-        codes[:, i] = s
-        s = ((s << 1) | bits[:, i]) & mask
-    flat = np.repeat(np.arange(T, dtype=np.int64) * m, n) + codes.ravel()
-    occ = np.bincount(flat, minlength=T * m).reshape(T, m)
-    ones_f = np.bincount(flat, weights=bits.ravel().astype(np.float64), minlength=T * m)
-    ones = np.rint(ones_f).astype(np.int64).reshape(T, m)
-    return occ.astype(np.int64), ones
-
-
-def _py_log2_prob_batch(lt1, lt0, state0, ell, bits):
-    T, n = bits.shape
-    mask = (1 << ell) - 1 if ell > 0 else 0
-    out = np.empty(T)
-    for t in range(T):
-        s = state0
-        acc = 0.0
-        for i in range(n):
-            b = bits[t, i]
-            acc += lt1[s] if b else lt0[s]
-            s = ((s << 1) | b) & mask
-        out[t] = acc
-    return out
-
-
-def _np_log2_prob_batch(lt1, lt0, state0, ell, bits):
-    T, n = bits.shape
-    mask = (1 << ell) - 1 if ell > 0 else 0
-    s = np.full(T, state0, np.int64)
-    acc = np.zeros(T)
-    for i in range(n):
-        b = bits[:, i]
-        acc += np.where(b == 1, lt1[s], lt0[s])
-        s = ((s << 1) | b) & mask
-    return acc
+    m2 = 2 << depth
+    flat = _np_states(bits, state0, depth)
+    flat <<= 1
+    flat |= bits
+    flat += np.arange(0, T * m2, m2, dtype=np.int64)[:, None]
+    table = np.bincount(flat.ravel(), minlength=T * m2).reshape(T, m2 >> 1, 2)
+    ones = np.ascontiguousarray(table[:, :, 1], dtype=np.int64)
+    return table.sum(axis=2, dtype=np.int64), ones
 
 
 def _py_enum_source_log2(lt1, lt0, state0, ell, n):
@@ -314,8 +304,9 @@ def _np_enum_counts(depth, state0, n):
     ones = np.zeros((N, m), np.int32)
     for i in range(n):
         b = (seq >> (n - 1 - i)) & 1
-        np.add.at(occ, (seq, s), 1)
-        np.add.at(ones, (seq, s), b.astype(np.int32))
+        # one increment per row, so a plain indexed add is exact
+        occ[seq, s] += 1
+        ones[seq, s] += b
         s = ((s << 1) | b) & mask
     return occ, ones
 
@@ -432,7 +423,6 @@ def _np_azuma_failures(u, gamma, kind):
 _NUMPY_IMPL = {
     "sample_batch": _np_sample_batch,
     "count_batch": _np_count_batch,
-    "log2_prob_batch": _np_log2_prob_batch,
     "enum_source_log2": _np_enum_source_log2,
     "enum_ml_log2": _np_enum_ml_log2,
     "enum_kt_log2": _np_enum_kt_log2,
@@ -469,7 +459,6 @@ if HAVE_NUMBA:
     _BACKENDS["numba"] = {
         "sample_batch": _jit(_py_sample_batch),
         "count_batch": _jit(_py_count_batch),
-        "log2_prob_batch": _jit(_py_log2_prob_batch),
         "enum_source_log2": _jit(_py_enum_source_log2),
         "enum_ml_log2": _jit(_py_enum_ml_log2),
         "enum_kt_log2": _jit(_py_enum_kt_log2),
@@ -521,14 +510,21 @@ def sample_batch(theta: np.ndarray, state0: int, ell: int, u: np.ndarray) -> np.
     return _BACKENDS[_ACTIVE]["sample_batch"](theta, state0, ell, u)
 
 
-def count_batch(bits: np.ndarray, state0: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial context counts (occurrences, ones) at the given depth."""
+def _count(bits, state0, depth):
+    # shared by both public dispatchers, so neither traces as the other
     return _BACKENDS[_ACTIVE]["count_batch"](np.ascontiguousarray(bits), state0, depth)
 
 
+def count_batch(bits: np.ndarray, state0: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial context counts (occurrences, ones) at the given depth."""
+    return _count(bits, state0, depth)
+
+
 def log2_prob_batch(lt1, lt0, state0: int, ell: int, bits: np.ndarray) -> np.ndarray:
-    """Per-trial log2 probability given per-state log2 symbol weights."""
-    return _BACKENDS[_ACTIVE]["log2_prob_batch"](lt1, lt0, state0, ell, np.ascontiguousarray(bits))
+    """Per-trial log2 probability given per-state log2 symbol weights,
+    sum_s n_s1 lt1[s] + n_s0 lt0[s] over the depth-ell count table."""
+    occ, ones = _count(bits, state0, ell)
+    return ones @ lt1 + (occ - ones) @ lt0
 
 
 def enum_source_log2(lt1, lt0, state0: int, ell: int, n: int) -> np.ndarray:

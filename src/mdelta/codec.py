@@ -150,6 +150,8 @@ def pack_stream(code_bits, depth: int, n: int) -> bytes:
     """8-byte header (magic, version, depth, n) + big-endian packed bits."""
     if not 0 <= depth < 256:
         raise CodecError(f"depth {depth} does not fit the header")
+    if not 0 <= n < 1 << 32:
+        raise CodecError(f"length {n} does not fit the header")
     header = MAGIC + bytes([VERSION, depth]) + int(n).to_bytes(4, "big")
     payload = np.packbits(as_bits(code_bits)).tobytes()
     return header + payload

@@ -276,10 +276,6 @@ class MarkovSource:
     def theta(self, leaf: str) -> float:
         return self.probs[self.tree.leaves.index(leaf)]
 
-    @property
-    def theta_map(self) -> dict[str, float]:
-        return dict(zip(self.tree.leaves, self.probs))
-
     @cached_property
     def state_theta(self) -> np.ndarray:
         """P(1 | state) for every length-`memory` state code."""
@@ -405,15 +401,6 @@ class MarkovSource:
 # ---------------------------------------------------------------------------
 # empirical aggregated conditionals
 # ---------------------------------------------------------------------------
-
-
-def leaf_counts(source: MarkovSource, table: CountTable) -> np.ndarray:
-    """Occurrences per leaf from a depth-`memory` count table."""
-    if table.depth != source.memory:
-        raise ValueError("count table depth must equal the source memory")
-    return np.bincount(
-        source.tree.state_leaf_index, weights=table.occurrences, minlength=len(source.tree.leaves)
-    )
 
 
 def empirical_aggregate(source: MarkovSource, x, past, w) -> float | None:

@@ -54,6 +54,18 @@ def test_decode_depth_mismatch_fails(tmp_path):
                  "--ell", "3"]) == 2
 
 
+def test_encode_length_outside_header_exits_two(monkeypatch, tmp_path):
+    from mdelta import cli, codec
+
+    # a zero-stride view stands in for a 2^32-bit input file
+    monkeypatch.setattr(cli, "_read_bits_file", lambda path: np.broadcast_to(np.uint8(0), (1 << 32,)))
+    monkeypatch.setattr(codec, "encode", lambda coder, bits: np.zeros(8, np.uint8))
+    enc = tmp_path / "enc.bin"
+    assert main(["encode", "--in", "unused.txt", "--out", str(enc), "--coder", "kt",
+                 "--ell", "0"]) == 2
+    assert not enc.exists()
+
+
 def test_bounds_row_count_and_metadata(tmp_path):
     out = tmp_path / "bounds.csv"
     assert main(["bounds", "--n", "1048576", "--delta", "exp:1", "--ell", "1..12",

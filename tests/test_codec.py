@@ -88,6 +88,14 @@ def test_stream_container_roundtrip():
     assert np.array_equal(decode(coder, unpacked, n), x)
 
 
+def test_stream_length_outside_header_raises_codec_error():
+    code = encode(KTCoder(0), "1011")
+    for n in (-1, 1 << 32):
+        with pytest.raises(CodecError, match="does not fit the header"):
+            pack_stream(code, 0, n)
+    assert unpack_stream(pack_stream(code, 0, (1 << 32) - 1))[2] == (1 << 32) - 1
+
+
 def test_stream_corruption_detected():
     coder = KTCoder(0)
     stream = pack_stream(encode(coder, "1011"), 0, 4)

@@ -104,3 +104,91 @@ def test_enum_orders_sequences_lexicographically():
     out = _kernels.enum_source_log2(lt1, lt0, 0, 1, 3)
     by_hand = math.log2(0.25) + math.log2(1 - 0.75) + math.log2(0.25)
     assert out[0b101] == pytest.approx(by_hand, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# reference checks: the plain-Python kernel bodies, run uncompiled, against
+# the numpy backend (these run whether or not numba is installed)
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def numpy_backend():
+    previous = _kernels.active_backend()
+    _kernels.set_backend("numpy")
+    yield
+    _kernels.set_backend(previous)
+
+
+def all_sequences(n):
+    """The 2^n length-n bit rows in lexicographic order (first bit = MSB)."""
+    seq = np.arange(1 << n)[:, None]
+    return ((seq >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def chain_rule_log2(lt1, lt0, state0, ell, row):
+    mask = (1 << ell) - 1
+    s, acc = state0, 0.0
+    for b in row.tolist():
+        acc += lt1[s] if b else lt0[s]
+        s = ((s << 1) | b) & mask
+    return acc
+
+
+COUNT_CASES = [
+    # (trials, n, depth, state0)
+    (1, 0, 3, 5),  # empty sequence
+    (1, 1, 3, 5),  # single bit
+    (1, 2, 4, 11),  # n < depth: the past fills most contexts
+    (1, 4096, 4, 9),
+    (5, 300, 3, 5),
+    (4, 64, 0, 0),  # depth 0: one context
+    (3, 1, 0, 0),
+    (6, 3, 5, 31),  # T > 1 with n < depth
+    (2, 500, 7, 77),
+]
+
+
+@pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES)
+def test_counts_match_python_reference(numpy_backend, trials, n, depth, state0):
+    bits = np.random.default_rng(n + depth).integers(0, 2, (trials, n)).astype(np.uint8)
+    occ, ones = _kernels.count_batch(bits, state0, depth)
+    ref_occ, ref_ones = _kernels._py_count_batch(bits, state0, depth)
+    assert occ.dtype == ones.dtype == np.int64
+    assert np.array_equal(occ, ref_occ)
+    assert np.array_equal(ones, ref_ones)
+    assert (occ.sum(axis=1) == n).all()
+
+
+@pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES)
+def test_log_prob_matches_chain_rule(numpy_backend, trials, n, depth, state0):
+    rng = np.random.default_rng(100 + n + depth)
+    theta = rng.uniform(0.05, 0.95, 1 << depth)
+    lt1, lt0 = np.log2(theta), np.log2(1 - theta)
+    bits = rng.integers(0, 2, (trials, n)).astype(np.uint8)
+    out = _kernels.log2_prob_batch(lt1, lt0, state0, depth, bits)
+    ref = [chain_rule_log2(lt1, lt0, state0, depth, row) for row in bits]
+    assert out.shape == (trials,)
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_enumeration_matches_python_reference(numpy_backend, depth):
+    state0 = (1 << depth) - 1 if depth else 0
+    gtab, htab = _kernels.kt_tables(12)
+    for n in (0, 1, 3, 12):
+        occ, ones = _kernels._np_enum_counts(depth, state0, n)
+        ref_occ, ref_ones = _kernels._py_count_batch(all_sequences(n), state0, depth)
+        assert np.array_equal(occ, ref_occ)
+        assert np.array_equal(ones, ref_ones)
+        # same counts; the reference sums contexts in another order, so the
+        # floats may differ in the last place
+        np.testing.assert_allclose(
+            _kernels.enum_ml_log2(depth, state0, n), _kernels._py_enum_ml_log2(depth, state0, n),
+            rtol=0, atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            _kernels.enum_kt_log2(depth, state0, n),
+            _kernels._py_enum_kt_log2(depth, state0, n, gtab, htab),
+            rtol=0, atol=1e-12,
+        )
