@@ -86,8 +86,7 @@ def child_seed(root: int, label: str) -> int:
 # add-half probability tables
 # ---------------------------------------------------------------------------
 
-_KT_G = np.zeros(1)
-_KT_H = np.zeros(1)
+_KT_TABLES = (np.zeros(1), np.zeros(1))
 
 
 def kt_tables(nmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -97,13 +96,18 @@ def kt_tables(nmax: int) -> tuple[np.ndarray, np.ndarray]:
     a per-context run with a ones and b zeros contributes
     ``G[a] + G[b] - H[a+b]`` bits, independent of symbol order.
     """
-    global _KT_G, _KT_H
-    if len(_KT_G) <= nmax:
-        size = max(nmax + 1, 2 * len(_KT_G), 1024)
+    global _KT_TABLES
+    tables = _KT_TABLES
+    if len(tables[0]) <= nmax:
+        size = max(nmax + 1, 2 * len(tables[0]), 1024)
         idx = np.arange(size, dtype=np.float64)
-        _KT_G = np.concatenate(([0.0], np.cumsum(np.log2(idx + 0.5))))
-        _KT_H = np.concatenate(([0.0], np.cumsum(np.log2(idx + 1.0))))
-    return _KT_G, _KT_H
+        tables = (
+            np.concatenate(([0.0], np.cumsum(np.log2(idx + 0.5)))),
+            np.concatenate(([0.0], np.cumsum(np.log2(idx + 1.0)))),
+        )
+        # one binding swap, so a thread never sees a new G next to an old H
+        _KT_TABLES = tables
+    return tables
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +315,31 @@ def _np_enum_counts(depth, state0, n):
     return occ, ones
 
 
-def _np_enum_ml_log2(depth, state0, n):
-    occ, ones = _np_enum_counts(depth, state0, n)
+def _ml_log2(occ, ones):
+    # maximized log2 likelihood summed over the last (context) axis, with
+    # 0*log(0) = 0; integer counts feed log2 directly, no float64 copy, and
+    # log2 runs in float64 whatever the width of the integers
     zeros = occ - ones
     safe_occ = np.where(occ > 0, occ, 1)
     safe_one = np.where(ones > 0, ones, 1)
     safe_zero = np.where(zeros > 0, zeros, 1)
-    term = ones * (np.log2(safe_one) - np.log2(safe_occ))
-    term += zeros * (np.log2(safe_zero) - np.log2(safe_occ))
-    return term.sum(axis=1)
+    f8 = np.float64
+    term = ones * (np.log2(safe_one, dtype=f8) - np.log2(safe_occ, dtype=f8))
+    term += zeros * (np.log2(safe_zero, dtype=f8) - np.log2(safe_occ, dtype=f8))
+    return term.sum(axis=-1)
+
+
+def _kt_log2(occ, ones, gtab, htab):
+    # add-half log2 probability summed over the last (context) axis
+    return (gtab[ones] + gtab[occ - ones] - htab[occ]).sum(axis=-1)
+
+
+def _np_enum_ml_log2(depth, state0, n):
+    return _ml_log2(*_np_enum_counts(depth, state0, n))
 
 
 def _np_enum_kt_log2(depth, state0, n, gtab, htab):
-    occ, ones = _np_enum_counts(depth, state0, n)
-    return (gtab[ones] + gtab[occ - ones] - htab[occ]).sum(axis=1)
+    return _kt_log2(*_np_enum_counts(depth, state0, n), gtab, htab)
 
 
 def _py_domination_dist(n, q, seed, randomized):

@@ -12,13 +12,14 @@ Exit codes: 0 success, 1 a verification verdict failed, 2 bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,22 @@ def _parse_ells(text: str) -> list[int]:
 
 def _parse_ns(text: str) -> list[int]:
     return [int(v) for v in text.split(",")]
+
+
+def _depth(text) -> int:
+    """Context depth from the command line or a stream header; capped so
+    that no 2^depth state table can exhaust memory."""
+    depth = int(text)
+    if not 0 <= depth <= redundancy.MAX_SCAN_DEPTH:
+        raise argparse.ArgumentTypeError(f"depth {depth} is outside 0..{redundancy.MAX_SCAN_DEPTH}")
+    return depth
+
+
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"expected a boolean (1/true/yes or 0/false/no), got {text!r}")
+    return word in ("1", "true", "yes")
 
 
 def _config_hash(args: argparse.Namespace) -> str:
@@ -133,6 +150,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     if not getattr(args, "config", None):
         return
     sub = getattr(args, "subparser", parser)
+    actions = {action.dest: action for action in sub._actions}
     for lineno, raw in enumerate(Path(args.config).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,18 +159,15 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise ValueError(f"{args.config}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(dest)
+        if action is None or not hasattr(args, dest):
             continue  # keys for other subcommands are ignored
-        default = sub.get_default(dest)
-        if getattr(args, dest) == default:
-            if isinstance(default, bool):
-                setattr(args, dest, value.lower() in ("1", "true", "yes"))
-            elif isinstance(default, int):
-                setattr(args, dest, int(value))
-            elif isinstance(default, float):
-                setattr(args, dest, float(value))
-            else:
-                setattr(args, dest, value)
+        if getattr(args, dest) == action.default:
+            # the flag's own type and choices, as if the value were typed on the command line
+            value = _parse_bool(value) if isinstance(action.default, bool) else (action.type or str)(value)
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{args.config}:{lineno}: {key} must be one of {', '.join(action.choices)}")
+            setattr(args, dest, value)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +231,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     code, depth, n = codec.unpack_stream(Path(args.infile).read_bytes())
+    _depth(depth)
     if args.ell is not None and args.ell != depth:
         raise codec.CodecError(f"stream says depth {depth}, flags say {args.ell}")
     src = _load_source(args.source) if args.source else None
@@ -258,15 +274,11 @@ def _cmd_redundancy(args) -> int:
         value = redundancy.exact_avg_redundancy(src, past, coder, args.n)
         print(f"exact average redundancy = {value!r} bits")
     else:
-        for i in range(args.trials):
-            trial_seed = _kernels.child_seed(args.seed, f"regret{i}")
-            x = src.sample(past, args.n, seed=trial_seed)
-            lp = src.log_prob(past, x)
-            lq = coder.log2_prob(x)
-            rows.append([trial_seed, args.n, args.ell, lp, lq, lp - lq])
-        regrets = np.array([r[5] for r in rows])
-        se = float(regrets.std(ddof=1) / math.sqrt(len(regrets))) if len(regrets) > 1 else 0.0
-        print(f"mc average redundancy = {float(regrets.mean())!r} +- {se!r} bits ({args.trials} trials)")
+        seed = _kernels.child_seed(args.seed, "regret")
+        est = redundancy.mc_avg_redundancy(src, past, coder, args.n, args.trials, seed=seed)
+        for lp, lq in zip(est.logp.tolist(), est.logq.tolist()):
+            rows.append([seed, args.n, args.ell, lp, lq, lp - lq])
+        print(f"mc average redundancy = {est.mean!r} +- {est.se!r} bits ({args.trials} trials)")
     if args.out:
         _write_csv(args.out, _meta(args), ["seed", "n", "ell", "logp", "logq", "regret"], rows)
         print(f"redundancy: wrote {len(rows)} rows -> {args.out}")
@@ -279,116 +291,67 @@ def _cmd_nml(args) -> int:
     return 0
 
 
-_VERIFY_CHOICES = (
-    "all",
-    "domination",
-    "state-count",
-    "inv-ns",
-    "mse",
-    "azuma",
-    "deviation",
-    "truncation",
-    "chaining",
+class _Task(NamedTuple):
+    """One `verify` row: the harness is named, not bound, so it is looked
+    up in `lemmas` when the task runs."""
+
+    choice: str  # the `verify` argument that selects the task, besides "all"
+    name: str
+    harness: str
+    kwargs: dict
+    seed_label: str
+    trials: tuple[int, int] | None = None  # (default, divisor): (--trials or default) // divisor
+    options: tuple[str, ...] = ()  # command-line options passed through by name
+
+
+def _domination_task(q: float) -> _Task:
+    return _Task("domination", f"domination-q{q}", "verify_domination",
+                 {"n": 12, "q": q, "processes": 200}, f"dom{q}")
+
+
+_VERIFY_TASKS = (
+    *(_domination_task(q) for q in (0.1, 0.3, 0.5)),
+    _Task("state-count", "state-count", "verify_state_count",
+          {"ell": 2, "delta_at": 1 / 16, "n": 2**14}, "state-count", (10**4, 1)),
+    *(_Task("inv-ns", f"inv-ns-ell{e}", "estimate_inv_ns",
+            {"ell": e, "delta_at": 1 / 16, "n": 2**12}, f"inv{e}", (10**4, 1)) for e in (2, 3)),
+    *(_Task("mse", f"mse-ell{e}", "verify_mse",
+            {"ell": e, "delta_at": 1 / 16, "n": 2**12}, f"mse{e}", (10**4, 1)) for e in (2, 3)),
+    _Task("azuma", "azuma-first-passage", "verify_azuma_stopped",
+          {"n": 100, "kind": "first-passage"}, "azuma-fp", (10**6, 1), ("gamma",)),
+    _Task("azuma", "azuma-fixed", "verify_azuma_stopped",
+          {"n": 100, "kind": "fixed"}, "azuma-fixed", (10**6, 5), ("gamma",)),
+    _Task("azuma", "azuma-random", "verify_azuma_stopped",
+          {"n": 100, "kind": "random"}, "azuma-random", (10**6, 5), ("gamma",)),
+    _Task("deviation", "deviation", "verify_deviation",
+          {"ell": 2, "n": 2**12}, "deviation", (10**4, 1), ("delta",)),
+    _Task("truncation", "truncation", "verify_truncation_batch",
+          {"ell": 3, "n": 4096}, "truncation", None, ("count", "delta")),
+    _Task("chaining", "chaining", "verify_chaining_batch",
+          {"ell": 3, "n": 4096}, "chaining", None, ("count", "delta")),
 )
+_VERIFY_CHOICES = ("all", *dict.fromkeys(task.choice for task in _VERIFY_TASKS))
 
 
 def _verify_tasks(args) -> list[tuple[str, object]]:
-    seed = args.seed
-    delta = DeltaSpec.parse(args.delta)
-
-    def sub(label):
-        return _kernels.child_seed(seed, label)
-
-    table = {
-        "domination": lambda q=None: [
-            (
-                f"domination-q{qv}",
-                lambda qv=qv: lemmas.verify_domination(n=12, q=qv, processes=200, seed=sub(f"dom{qv}")),
-            )
-            for qv in ([args.q] if q else [0.1, 0.3, 0.5])
-        ],
-        "state-count": lambda: [
-            (
-                "state-count",
-                lambda: lemmas.verify_state_count(
-                    ell=2, delta_at=1 / 16, n=2**14, trials=args.trials or 10**4, seed=sub("state-count")
-                ),
-            )
-        ],
-        "inv-ns": lambda: [
-            (
-                f"inv-ns-ell{e}",
-                lambda e=e: lemmas.estimate_inv_ns(
-                    ell=e, delta_at=1 / 16, n=2**12, trials=args.trials or 10**4, seed=sub(f"inv{e}")
-                ),
-            )
-            for e in (2, 3)
-        ],
-        "mse": lambda: [
-            (
-                f"mse-ell{e}",
-                lambda e=e: lemmas.verify_mse(
-                    ell=e, delta_at=1 / 16, n=2**12, trials=args.trials or 10**4, seed=sub(f"mse{e}")
-                ),
-            )
-            for e in (2, 3)
-        ],
-        "azuma": lambda: [
-            (
-                "azuma-first-passage",
-                lambda: lemmas.verify_azuma_stopped(
-                    n=100, gamma=args.gamma, trials=args.trials or 10**6, seed=sub("azuma-fp"),
-                    kind="first-passage",
-                ),
-            ),
-            (
-                "azuma-fixed",
-                lambda: lemmas.verify_azuma_stopped(
-                    n=100, gamma=args.gamma, trials=(args.trials or 10**6) // 5, seed=sub("azuma-fixed"),
-                    kind="fixed",
-                ),
-            ),
-            (
-                "azuma-random",
-                lambda: lemmas.verify_azuma_stopped(
-                    n=100, gamma=args.gamma, trials=(args.trials or 10**6) // 5, seed=sub("azuma-random"),
-                    kind="random",
-                ),
-            ),
-        ],
-        "deviation": lambda: [
-            (
-                "deviation",
-                lambda: lemmas.verify_deviation(
-                    ell=2, n=2**12, trials=args.trials or 10**4, seed=sub("deviation"), delta=delta
-                ),
-            )
-        ],
-        "truncation": lambda: [
-            (
-                "truncation",
-                lambda: lemmas.verify_truncation_batch(
-                    count=args.count, ell=3, n=4096, delta=delta, seed=sub("truncation")
-                ),
-            )
-        ],
-        "chaining": lambda: [
-            (
-                "chaining",
-                lambda: lemmas.verify_chaining_batch(
-                    count=args.count, ell=3, n=4096, delta=delta, seed=sub("chaining")
-                ),
-            )
-        ],
-    }
-    if args.lemma == "all":
-        tasks = []
-        for name in ("domination", "state-count", "inv-ns", "mse", "azuma", "deviation", "truncation", "chaining"):
-            tasks.extend(table[name]())
-        return tasks
     if args.lemma == "domination" and args.q is not None:
-        return table["domination"](q=True)
-    return table[args.lemma]()
+        rows = [_domination_task(args.q)]
+    else:
+        rows = [task for task in _VERIFY_TASKS if args.lemma in ("all", task.choice)]
+    options = {"gamma": args.gamma, "count": args.count, "delta": DeltaSpec.parse(args.delta)}
+    tasks = []
+    for task in rows:
+        kwargs = dict(task.kwargs, seed=_kernels.child_seed(args.seed, task.seed_label))
+        if task.trials is not None:
+            default, divisor = task.trials
+            kwargs["trials"] = (default if args.trials is None else args.trials) // divisor
+        kwargs.update((key, options[key]) for key in task.options)
+        tasks.append((task.name, functools.partial(_run_harness, task.harness, kwargs)))
+    return tasks
+
+
+def _run_harness(harness: str, kwargs: dict):
+    return getattr(lemmas, harness)(**kwargs)
 
 
 def _cmd_verify(args) -> int:
@@ -489,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-source", help="draw a source and write its text form")
     p.add_argument("--kind", choices=("hypercube", "continuity"), default="continuity")
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_depth, required=True)
     p.add_argument("--delta", default="exp:1")
     p.add_argument("--delta-at", type=float, default=None, help="hypercube half-width override")
     p.add_argument("--seed", type=int, default=0)
@@ -510,14 +473,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--x", default=None, help="inline bit string")
     p.add_argument("--coder", choices=("kt", "mixture", "nml", "source"), default=None)
-    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--ell", type=_depth, default=0)
     p.set_defaults(func=_cmd_prob, subparser=p)
 
     p = sub.add_parser("encode", help="arithmetic-encode an ASCII bits file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--coder", choices=("kt", "mixture", "nml", "source"), default="kt")
-    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--ell", type=_depth, default=0)
     p.add_argument("--past", default=None)
     p.add_argument("--source", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -527,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--coder", choices=("kt", "mixture", "nml", "source"), default="kt")
-    p.add_argument("--ell", type=int, default=None)
+    p.add_argument("--ell", type=_depth, default=None)
     p.add_argument("--past", default=None)
     p.add_argument("--source", default=None)
     p.add_argument("--seed", type=int, default=0)
@@ -544,7 +507,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("redundancy", help="measure regret of a coder against a source")
     p.add_argument("--source", required=True)
     p.add_argument("--coder", choices=("kt", "mixture", "nml", "source"), default="kt")
-    p.add_argument("--ell", type=int, default=0)
+    p.add_argument("--ell", type=_depth, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--past", default=None)
     p.add_argument("--trials", type=int, default=1000)
@@ -554,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_redundancy, subparser=p)
 
     p = sub.add_parser("nml", help="exact log2 normalizer of maximized likelihoods")
-    p.add_argument("--ell", type=int, required=True)
+    p.add_argument("--ell", type=_depth, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--past", default=None)
     p.set_defaults(func=_cmd_nml, subparser=p)
@@ -589,7 +552,7 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, parser)
         return args.func(args)
-    except (ValueError, IndexError, OSError, codec.CodecError) as exc:
+    except (ValueError, IndexError, OSError, codec.CodecError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,16 +52,8 @@ def _require_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
 
 def ml_log2_from_counts(occ: np.ndarray, ones: np.ndarray) -> np.ndarray | float:
     """Per-context maximized log2 likelihood sum, with 0*log(0) = 0."""
-    occ = np.asarray(occ, dtype=np.float64)
-    ones = np.asarray(ones, dtype=np.float64)
-    zeros = occ - ones
-    safe_occ = np.where(occ > 0, occ, 1.0)
-    safe_one = np.where(ones > 0, ones, 1.0)
-    safe_zero = np.where(zeros > 0, zeros, 1.0)
-    term = ones * (np.log2(safe_one) - np.log2(safe_occ))
-    term += zeros * (np.log2(safe_zero) - np.log2(safe_occ))
-    out = term.sum(axis=-1)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    out = _kernels._ml_log2(np.asarray(occ), np.asarray(ones))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def ml_log2(counts: CountTable) -> float:
@@ -72,10 +64,9 @@ def ml_log2(counts: CountTable) -> float:
 def kt_log2_from_counts(occ: np.ndarray, ones: np.ndarray) -> np.ndarray | float:
     """Add-half mixture log2 probability from count arrays alone."""
     occ = np.asarray(occ)
-    ones = np.asarray(ones)
     gtab, htab = _kernels.kt_tables(int(occ.max(initial=0)))
-    out = (gtab[ones] + gtab[occ - ones] - htab[occ]).sum(axis=-1)
-    return float(out) if np.isscalar(out) or out.ndim == 0 else out
+    out = _kernels._kt_log2(occ, np.asarray(ones), gtab, htab)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .coders import ml_log2_from_counts
 from .delta import DeltaSpec
 from .source import (
     MarkovSource,
+    _chunk_sizes,
     aggregate_moments,
     as_bits,
     log2_empirical_product,
@@ -51,7 +52,6 @@ __all__ = [
 
 EXACT_TOL_LOG = 1e-9
 EXACT_TOL_SUM = 1e-12
-_TRIAL_BUDGET_BYTES = 64 << 20
 _ESCALATION_CAP = 10**7
 
 AZUMA_KINDS = {"fixed": 0, "first-passage": 1, "random": 2}
@@ -96,18 +96,15 @@ def _rate_se(phat: float, trials: int) -> float:
     return math.sqrt(phat * (1.0 - phat) / trials) if trials else 0.0
 
 
-def _chunk_sizes(trials: int, n: int):
-    chunk = max(1, _TRIAL_BUDGET_BYTES // (8 * max(n, 1)))
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        yield t
-        done += t
+def _escalate(run, trials: int | None, min_trials: int = 1):
+    """Run with auto-escalating trial counts until 3*SE <= 20% of the bound.
 
-
-def _escalate(run, trials: int | None):
-    """Run with auto-escalating trial counts until 3*SE <= 20% of the bound."""
+    An explicit trial count must reach `min_trials`: one trial for a rate,
+    two for a sample standard deviation.
+    """
     if trials is not None:
+        if trials < min_trials:
+            raise ValueError(f"trials must be at least {min_trials}, got {trials}")
         return run(trials)
     t = 10**4
     while True:
@@ -194,13 +191,11 @@ def _state_counts(source, past, ell, n, trials, rng, code):
     ones_out = np.empty(trials, np.int64)
     s0 = state_code(past, ell)
     done = 0
-    for t in _chunk_sizes(trials, n):
-        u = rng.random((t, n))
-        bits = _kernels.sample_batch(source.state_theta, s0, ell, u)
+    for bits in source._sample_chunks(past, n, trials, rng):
         occ, ones = _kernels.count_batch(bits, s0, ell)
-        occ_out[done : done + t] = occ[:, code]
-        ones_out[done : done + t] = ones[:, code]
-        done += t
+        occ_out[done : done + len(bits)] = occ[:, code]
+        ones_out[done : done + len(bits)] = ones[:, code]
+        done += len(bits)
     return occ_out, ones_out
 
 
@@ -266,7 +261,7 @@ def estimate_inv_ns(
             extras={"bound_tight": bound_tight, "bound_loose": bound_loose, "se": se},
         )
 
-    return _escalate(run, trials)
+    return _escalate(run, trials, min_trials=2)
 
 
 def verify_mse(
@@ -299,7 +294,7 @@ def verify_mse(
             extras={"theta": theta_s, "inv_ns_mean": float(inv.mean()), "se": se},
         )
 
-    return _escalate(run, trials)
+    return _escalate(run, trials, min_trials=2)
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +408,11 @@ def verify_deviation(
         rng = np.random.default_rng(_kernels.child_seed(seed, "trials"))
         zs = np.empty(t)
         done = 0
-        for size in _chunk_sizes(t, n):
-            u = rng.random((size, n))
-            bits = _kernels.sample_batch(source.state_theta, s0, source.memory, u)
+        for bits in source._sample_chunks(past, n, t, rng):
             occ, ones = _kernels.count_batch(bits, s0, source.memory)
             n_w, n_w1, weighted = aggregate_moments(source, occ, ones, ell)
-            zs[done : done + size] = np.abs(n_w1 - weighted).sum(axis=1)
-            done += size
+            zs[done : done + len(bits)] = np.abs(n_w1 - weighted).sum(axis=1)
+            done += len(bits)
         failures = int((zs > thresh).sum())
         phat = failures / t
         return _make_report(
@@ -465,14 +458,9 @@ def verify_truncation(
     return TruncationCheck(margin, bound_log, bound_linear, margin_ml, ok)
 
 
-def verify_truncation_batch(
-    count: int = 100,
-    ell: int = 3,
-    n: int = 4096,
-    delta: DeltaSpec | None = None,
-    seed: int = 0,
-) -> VerificationReport:
-    """Seeded batch of (source, sample) pairs with memory 2*ell sources."""
+def _exact_batch(lemma, check, excess, count, ell, n, delta, seed) -> VerificationReport:
+    """Run an exact per-sample check over a seeded batch of (source, sample)
+    pairs with memory 2*ell sources; the empirical value is the worst excess."""
     delta = delta if delta is not None else DeltaSpec.parse("exp:1")
     failures = 0
     worst = -math.inf
@@ -480,18 +468,33 @@ def verify_truncation_batch(
         src = random_continuity_source(2 * ell, delta, seed=_kernels.child_seed(seed, f"src{i}"))
         past = "0" * src.memory
         x = src.sample(past, n, seed=_kernels.child_seed(seed, f"x{i}"))
-        check = verify_truncation(src, past, ell, x, delta)
-        worst = max(worst, check.margin - check.bound_log, check.margin_vs_ml - check.bound_linear)
-        if not check.ok:
+        result = check(src, past, ell, x, delta)
+        worst = max(worst, excess(result))
+        if not result.ok:
             failures += 1
     return _make_report(
-        "truncation",
+        lemma,
         {"count": count, "ell": ell, "n": n, "delta": delta.describe(), "seed": seed},
         trials=count,
         failures=failures,
         empirical=worst,
         bound=0.0,
         slack=EXACT_TOL_LOG,
+    )
+
+
+def verify_truncation_batch(
+    count: int = 100,
+    ell: int = 3,
+    n: int = 4096,
+    delta: DeltaSpec | None = None,
+    seed: int = 0,
+) -> VerificationReport:
+    """Seeded batch of truncation checks with memory 2*ell sources."""
+    return _exact_batch(
+        "truncation", verify_truncation,
+        lambda c: max(c.margin - c.bound_log, c.margin_vs_ml - c.bound_linear),
+        count, ell, n, delta, seed,
     )
 
 
@@ -532,23 +535,7 @@ def verify_chaining_batch(
     delta: DeltaSpec | None = None,
     seed: int = 0,
 ) -> VerificationReport:
-    delta = delta if delta is not None else DeltaSpec.parse("exp:1")
-    failures = 0
-    worst = -math.inf
-    for i in range(count):
-        src = random_continuity_source(2 * ell, delta, seed=_kernels.child_seed(seed, f"src{i}"))
-        past = "0" * src.memory
-        x = src.sample(past, n, seed=_kernels.child_seed(seed, f"x{i}"))
-        check = verify_chaining(src, past, ell, x, delta)
-        worst = max(worst, check.margin - check.allowance)
-        if not check.ok:
-            failures += 1
-    return _make_report(
-        "chaining",
-        {"count": count, "ell": ell, "n": n, "delta": delta.describe(), "seed": seed},
-        trials=count,
-        failures=failures,
-        empirical=worst,
-        bound=0.0,
-        slack=EXACT_TOL_LOG,
+    """Seeded batch of chaining checks with memory 2*ell sources."""
+    return _exact_batch(
+        "chaining", verify_chaining, lambda c: c.margin - c.allowance, count, ell, n, delta, seed
     )

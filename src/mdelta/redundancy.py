@@ -14,14 +14,13 @@ means the larger of the two.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .coders import ENUMERATION_CAP, SequentialCoder, _require_cap
 from .delta import DeltaSpec
-from .source import MarkovSource, state_code
+from .source import MarkovSource
 
 __all__ = [
     "MCEstimate",
@@ -67,9 +66,14 @@ def exact_avg_redundancy(
 
 @dataclass(frozen=True)
 class MCEstimate:
+    """Mean and standard error of the regret, with the per-trial log2 p(x)
+    and log2 q(x) in sampling order (trial i is row i of the stream)."""
+
     mean: float
     se: float
     trials: int
+    logp: np.ndarray = field(compare=False, repr=False)
+    logq: np.ndarray = field(compare=False, repr=False)
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return f"{self.mean:.6g} +- {self.se:.2g} ({self.trials} trials)"
@@ -82,30 +86,22 @@ def mc_avg_redundancy(
     n: int,
     trials: int,
     seed: int | None = None,
-    rng=None,
-    chunk: int = 4096,
 ) -> MCEstimate:
     """Monte Carlo mean +- standard error of the regret over sampled sequences."""
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    s0 = state_code(past, source.memory)
-    total = 0.0
-    total_sq = 0.0
+    rng = np.random.default_rng(seed)
+    logp = np.empty(trials)
+    logq = np.empty(trials)
     done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        u = rng.random((t, n))
-        bits = _kernels.sample_batch(source.state_theta, s0, source.memory, u)
-        r = source.log2_prob_batch(past, bits) - coder.log2_prob_batch(bits)
-        total += float(r.sum())
-        total_sq += float((r * r).sum())
-        done += t
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    se = math.sqrt(var / trials)
-    return MCEstimate(mean, se, trials)
+    for bits in source._sample_chunks(past, n, trials, rng):
+        logp[done : done + len(bits)] = source.log2_prob_batch(past, bits)
+        logq[done : done + len(bits)] = coder.log2_prob_batch(bits)
+        done += len(bits)
+    r = logp - logq
+    mean = float(r.sum()) / trials
+    var = max(float((r * r).sum()) / trials - mean * mean, 0.0)
+    return MCEstimate(mean, math.sqrt(var / trials), trials, logp, logq)
 
 
 # ---------------------------------------------------------------------------

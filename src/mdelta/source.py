@@ -48,6 +48,17 @@ __all__ = [
 
 STATIONARY_TOL = 1e-13
 STATIONARY_MAX_ITER = 10**6
+_TRIAL_BUDGET_BYTES = 64 << 20  # float64 uniforms drawn at once for Monte Carlo trials
+
+
+def _chunk_sizes(trials: int, n: int):
+    """Split `trials` rows of n uniforms into chunks under the trial budget."""
+    chunk = max(1, _TRIAL_BUDGET_BYTES // (8 * max(n, 1)))
+    done = 0
+    while done < trials:
+        t = min(chunk, trials - done)
+        yield t
+        done += t
 
 
 class StationaryConvergenceError(RuntimeError):
@@ -321,6 +332,14 @@ class MarkovSource:
             return np.empty(0, np.uint8)
         u = rng.random((1, n))
         return _kernels.sample_batch(self.state_theta, self._past_code(past), self.memory, u)[0]
+
+    def _sample_chunks(self, past, n: int, trials: int, rng):
+        """Yield `trials` length-n samples as (t, n) bit batches, drawing
+        the uniforms from rng row after row under the trial budget."""
+        s0 = self._past_code(past)
+        for t in _chunk_sizes(trials, n):
+            u = rng.random((t, n))
+            yield _kernels.sample_batch(self.state_theta, s0, self.memory, u)
 
     # -- stationary law -----------------------------------------------------
 

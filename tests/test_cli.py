@@ -156,3 +156,139 @@ def test_config_file_supplies_missing_defaults(tmp_path, capsys):
     assert main(["--config", str(cfg), "redundancy", "--source", str(src), "--n", "16",
                  "--ell", "1", "--out", str(out)]) == 0
     assert len(read_data_lines(out)) == 6  # header + 5 trials from config
+
+
+def test_redundancy_regret_rows_are_the_library_estimate(tmp_path):
+    from mdelta import coders, redundancy
+    from mdelta._kernels import child_seed
+    from mdelta.source import parse_source
+
+    src_path = tmp_path / "src.txt"
+    out = tmp_path / "regret.csv"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "2", "--delta-at", "0.1",
+                 "--seed", "8", "--out", str(src_path)]) == 0
+    assert main(["redundancy", "--source", str(src_path), "--coder", "mixture", "--ell", "2",
+                 "--n", "64", "--trials", "30", "--seed", "11", "--out", str(out)]) == 0
+    src = parse_source(src_path.read_text())
+    seed = child_seed(11, "regret")
+    est = redundancy.mc_avg_redundancy(src, "00", coders.MixtureCoder(2, "00", horizon=64), 64, 30, seed=seed)
+    rows = [r.split(",") for r in read_data_lines(out)[1:]]
+    assert {int(r[0]) for r in rows} == {seed}
+    assert [float(r[3]) for r in rows] == est.logp.tolist()
+    assert [float(r[4]) for r in rows] == est.logq.tolist()
+    assert np.mean([float(r[5]) for r in rows]) == est.mean
+
+
+def test_too_few_trials_for_a_standard_error_exit_two(tmp_path):
+    src = tmp_path / "src.txt"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+                 "--seed", "2", "--out", str(src)]) == 0
+    assert main(["redundancy", "--source", str(src), "--n", "16", "--trials", "0"]) == 2
+    assert main(["verify", "mse", "--trials", "1"]) == 2
+    assert main(["verify", "inv-ns", "--trials", "1"]) == 2
+    assert main(["verify", "azuma", "--trials", "0"]) == 2  # 0 is a count, not "unset"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-source", "--out", "unused.txt", "--ell"],
+    ["prob", "--source", "unused.txt", "--x", "01", "--ell"],
+    ["encode", "--in", "unused.txt", "--out", "unused.bin", "--ell"],
+    ["decode", "--in", "unused.bin", "--out", "unused.txt", "--ell"],
+    ["redundancy", "--source", "unused.txt", "--n", "8", "--ell"],
+    ["nml", "--n", "2", "--ell"],
+])
+def test_depth_above_cap_exits_two(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["17"])
+    assert err.value.code == 2
+
+
+def test_stream_header_depth_above_cap_exits_two(tmp_path):
+    from mdelta import codec
+
+    enc = tmp_path / "deep.bin"
+    enc.write_bytes(codec.pack_stream(np.zeros(8, np.uint8), 17, 4))
+    assert main(["decode", "--in", str(enc), "--out", str(tmp_path / "d.txt")]) == 2
+    assert not (tmp_path / "d.txt").exists()
+
+
+def test_config_depth_above_cap_exits_two(tmp_path):
+    src = tmp_path / "src.txt"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+                 "--seed", "2", "--out", str(src)]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ell=17\n")
+    assert main(["--config", str(cfg), "prob", "--source", str(src), "--x", "01", "--coder", "kt",
+                 "--past", "0" * 17]) == 2
+
+
+def test_config_booleans_are_strict(tmp_path):
+    src = tmp_path / "src.txt"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+                 "--seed", "2", "--out", str(src)]) == 0
+    cfg = tmp_path / "run.cfg"
+    argv = ["--config", str(cfg), "redundancy", "--source", str(src), "--n", "8", "--trials", "4",
+            "--out", str(tmp_path / "r.csv")]
+    cfg.write_text("exact=No\n")
+    assert main(argv) == 0
+    assert len(read_data_lines(tmp_path / "r.csv")) == 5  # Monte Carlo rows, not exact
+    cfg.write_text("exact=maybe\n")
+    assert main(argv) == 2
+
+
+def test_config_values_take_the_flag_type_and_choices(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "s.txt"
+    argv = ["--config", str(cfg), "gen-source", "--ell", "1", "--seed", "2", "--out", str(out)]
+    cfg.write_text("kind=hypercube\ndelta-at=0.1\n")  # a float, not the string "0.1"
+    assert main(argv) == 0
+    cfg.write_text("kind=hypercub\ndelta-at=0.1\n")  # a misspelt choice
+    assert main(argv) == 2
+
+
+# `mdelta verify all --seed 7 --trials 64 --count 3`, one row per task:
+# (lemma, params, trials, failures, empirical, bound, slack, verdict)
+VERIFY_ALL_ROWS = [
+    ("domination-q0.1", "n=12;q=0.1;processes=200;seed=9931619591930628934",
+     200, 0, 1.1102230246251565e-15, 0.0, 1e-12, "pass"),
+    ("domination-q0.3", "n=12;q=0.3;processes=200;seed=5944775940779800385",
+     200, 0, 3.6637359812630166e-15, 0.0, 1e-12, "pass"),
+    ("domination-q0.5", "n=12;q=0.5;processes=200;seed=17814577077858178746",
+     200, 0, 4.440892098500626e-16, 0.0, 1e-12, "pass"),
+    ("state-count", "ell=2;delta_at=0.0625;n=16384;state=11;seed=11822541555508041875;k=854.6719160918663",
+     64, 0, 0.0, 6.103515625e-05, 0.0, "pass"),
+    ("inv-ns-ell2", "ell=2;delta_at=0.0625;n=4096;state=11;seed=9886374564974907341",
+     64, 0, 0.0010338483406225635, 0.0078125, 1.3282165151065057e-05, "pass"),
+    ("inv-ns-ell3", "ell=3;delta_at=0.0625;n=4096;state=111;seed=1834076429463931431",
+     64, 0, 0.0019474447186894513, 0.0234375, 4.9425754356936314e-05, "pass"),
+    ("mse-ell2", "ell=2;delta_at=0.0625;n=4096;state=11;seed=7100916563176246484",
+     64, 2, 0.0001777380517730665, 0.0008636248934287309, 9.417812837111747e-05, "pass"),
+    ("mse-ell3", "ell=3;delta_at=0.0625;n=4096;state=111;seed=12795930643750216699",
+     64, 2, 0.00036006781821978803, 0.0018890680759980954, 0.00019467253811380938, "pass"),
+    ("azuma-first-passage", "n=100;gamma=5.0;kind=first-passage;seed=10993054308798450863",
+     64, 0, 0.0, 0.00037266531720786707, 0.0, "pass"),
+    ("azuma-fixed", "n=100;gamma=5.0;kind=fixed;seed=10941010623442224532",
+     12, 0, 0.0, 0.00037266531720786707, 0.0, "pass"),
+    ("azuma-random", "n=100;gamma=5.0;kind=random;seed=18337710090860361467",
+     12, 0, 0.0, 0.00037266531720786707, 0.0, "pass"),
+    ("deviation", "ell=2;n=4096;memory=4;delta=exp:1;seed=5296252838901649008",
+     64, 0, 0.0, 5.820766091346741e-11, 0.0, "pass"),
+    ("truncation", "count=3;ell=3;n=4096;delta=exp:1;seed=12052470049535443406",
+     3, 0, -467.5803423652619, 0.0, 1e-09, "pass"),
+    ("chaining", "count=3;ell=3;n=4096;delta=exp:1;seed=11370570582814665992",
+     3, 0, -69.36701608727587, 0.0, 1e-09, "pass"),
+]
+
+
+def test_verify_all_rows_are_pinned(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "all", "--seed", "7", "--trials", "64", "--count", "3",
+                 "--out", str(out)]) == 0
+    rows = [r.split(",") for r in read_data_lines(out)[1:]]
+    assert len(rows) == len(VERIFY_ALL_ROWS)
+    for row, want in zip(rows, VERIFY_ALL_ROWS):
+        lemma, params, trials, failures, empirical, bound, slack, verdict = want
+        assert row[:4] + row[7:] == [lemma, params, str(trials), str(failures), verdict]
+        # floats within the exact-check tolerances, so another kernel backend also passes
+        got = [float(v) for v in row[4:7]]
+        assert got == pytest.approx([empirical, bound, slack], rel=1e-9, abs=1e-12)

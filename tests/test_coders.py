@@ -158,6 +158,16 @@ def test_ml_per_state_balanced():
     assert ml_log2(count_table("01", "0", 1)) == pytest.approx(math.log2(1 / 4), abs=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float64])
+def test_closed_forms_do_not_depend_on_count_dtype(dtype):
+    occ, ones = np.array([[3, 7, 0, 200], [1, 0, 9, 4]]), np.array([[1, 2, 0, 13], [1, 0, 0, 4]])
+    got_ml = ml_log2_from_counts(occ.astype(dtype), ones.astype(dtype))
+    assert got_ml.tolist() == ml_log2_from_counts(occ, ones).tolist()
+    if dtype is not np.float64:
+        got_kt = kt_log2_from_counts(occ.astype(dtype), ones.astype(dtype))
+        assert got_kt.tolist() == kt_log2_from_counts(occ, ones).tolist()
+
+
 def test_shtarkov_small_values():
     assert shtarkov_sum(0, "", 2).log2_sum == pytest.approx(math.log2(2.5), abs=1e-12)
     assert shtarkov_sum(1, "0", 2).log2_sum == pytest.approx(math.log2(3.25), abs=1e-12)

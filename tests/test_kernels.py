@@ -42,6 +42,34 @@ def test_kt_tables_prefix_sums():
     assert h[4] == pytest.approx(math.log2(24), abs=1e-12)
 
 
+def test_kt_tables_growth_is_thread_safe(monkeypatch):
+    import sys
+    import threading
+
+    want = [t[:301].copy() for t in _kernels.kt_tables(300)]
+    errors = []
+
+    def work():
+        g, h = _kernels.kt_tables(300)
+        if not (np.array_equal(g[:301], want[0]) and np.array_equal(h[:301], want[1])):
+            errors.append((len(g), len(h)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            monkeypatch.setattr(_kernels, "_KT_TABLES", (np.zeros(1), np.zeros(1)))
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == []
+
+
 def test_backend_controls():
     assert _kernels.active_backend() in _kernels.available_backends()
     with pytest.raises(ValueError):

@@ -170,6 +170,20 @@ def test_azuma_validation():
         verify_azuma_stopped(kind="martian", trials=10)
 
 
+@pytest.mark.parametrize("harness", [estimate_inv_ns, verify_mse])
+def test_standard_error_harnesses_need_two_trials(harness):
+    with pytest.raises(ValueError):
+        harness(ell=2, n=256, trials=1, seed=1)
+    assert harness(ell=2, n=256, trials=2, seed=1).trials == 2
+
+
+@pytest.mark.parametrize("harness", [verify_state_count, verify_azuma_stopped, verify_deviation])
+def test_rate_harnesses_need_one_trial(harness):
+    with pytest.raises(ValueError):
+        harness(n=4096, trials=0, seed=1)
+    assert harness(n=4096, trials=1, seed=1).trials == 1
+
+
 def test_azuma_deterministic():
     a = verify_azuma_stopped(n=50, gamma=3.0, trials=5000, seed=9)
     b = verify_azuma_stopped(n=50, gamma=3.0, trials=5000, seed=9)

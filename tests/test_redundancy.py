@@ -97,6 +97,33 @@ def test_mc_se_scaling():
     assert big.se == pytest.approx(small.se / 2, rel=0.2)
 
 
+def test_mc_estimate_carries_per_trial_values():
+    src = random_hypercube_source(2, 0.2, seed=41)
+    coder = MixtureCoder(2, past="00", horizon=64)
+    est = mc_avg_redundancy(src, "00", coder, 64, trials=50, seed=3)
+    assert est.logp.shape == est.logq.shape == (50,)
+    assert est.mean == pytest.approx(float(np.mean(est.logp - est.logq)), abs=1e-12)
+    rng = np.random.default_rng(3)  # trial 0 is row 0 of the seed's stream
+    assert est.logp[0] == pytest.approx(src.log_prob("00", src.sample("00", 64, rng=rng)), abs=1e-9)
+    assert est == mc_avg_redundancy(src, "00", coder, 64, trials=50, seed=3)
+    assert "logp" not in repr(est)
+    with pytest.raises(ValueError):
+        mc_avg_redundancy(src, "00", coder, 64, trials=1, seed=3)
+
+
+def test_mc_chunking_keeps_the_stream(monkeypatch):
+    from mdelta import source
+
+    src = random_hypercube_source(1, 0.2, seed=5)
+    coder = KTCoder(1, past="0")
+    whole = mc_avg_redundancy(src, "0", coder, 32, trials=40, seed=8)
+    monkeypatch.setattr(source, "_TRIAL_BUDGET_BYTES", 8 * 32 * 7)  # chunks of 7 trials
+    chunked = mc_avg_redundancy(src, "0", coder, 32, trials=40, seed=8)
+    assert chunked.logp.tolist() == whole.logp.tolist()
+    assert chunked.logq.tolist() == whole.logq.tolist()
+    assert (chunked.mean, chunked.se) == (whole.mean, whole.se)
+
+
 # ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------
