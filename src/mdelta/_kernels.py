@@ -16,12 +16,14 @@ Conventions shared by every kernel:
   filling the first ``depth`` columns, then one integer ``bincount``.
 * ``log2_prob_batch`` is derived from the count table on every backend,
   so it differs from a sequential chain-rule sum by rounding only (about
-  1e-9 at n = 65536).  The other kernels stay per-backend; enumerations
-  roll one state per position over all 2**n rows, as (2**n, n) state
-  arrays would cost several times the memory.
+  1e-9 at n = 65536).  The other kernels stay per-backend.
 * Enumeration kernels index the 2**n binary sequences by the integer
   whose most significant bit is the first symbol, so results are in
-  lexicographic sequence order.
+  lexicographic sequence order.  The numpy enumerations and path sums
+  walk the prefix tree one level at a time, so level t touches 2**t
+  rows, and add each position's term in sequence order.
+* The numpy sampler runs small batches row by row in plain Python and
+  loops over positions, all rows at once, for larger ones.
 * All randomness enters as pre-drawn uniforms (or an explicit 64-bit
   seed for the hash-derived process generator), which keeps the two
   backends bit-for-bit interchangeable on integer outputs.
@@ -159,10 +161,25 @@ def _py_sample_batch(theta, state0, ell, u):
     return out
 
 
+# fewer rows than this run one by one in plain Python, which beats the loop
+# over positions below about 37 rows whatever n and ell (see CHANGES.md)
+_ROW_LOOP_ROWS = 36
+
+
 def _np_sample_batch(theta, state0, ell, u):
     T, n = u.shape
     mask = (1 << ell) - 1 if ell > 0 else 0
     out = np.empty((T, n), np.uint8)
+    if T < _ROW_LOOP_ROWS:
+        th = theta.tolist()
+        for t in range(T):
+            s, row = int(state0), []
+            for x in u[t].tolist():
+                b = x < th[s]
+                row.append(b)
+                s = ((s << 1) | b) & mask
+            out[t] = row
+        return out
     s = np.full(T, state0, np.int64)
     for i in range(n):
         b = (u[:, i] < theta[s]).astype(np.uint8)
@@ -227,16 +244,22 @@ def _py_enum_source_log2(lt1, lt0, state0, ell, n):
     return out
 
 
+def _np_levels(state0, depth, n):
+    # walk the prefix tree one level at a time: prefix p of level t has the
+    # child rows 2p (bit 0) and 2p+1 (bit 1), so rows stay in lexicographic
+    # order; yields the parent's context state and the bit of every child
+    mask = (1 << depth) - 1
+    s = np.full(1, state0, np.int64)
+    for t in range(n):
+        parent, bit = np.repeat(s, 2), np.arange(2 << t, dtype=np.int64) & 1
+        yield parent, bit
+        s = ((parent << 1) | bit) & mask
+
+
 def _np_enum_source_log2(lt1, lt0, state0, ell, n):
-    N = 1 << n
-    mask = (1 << ell) - 1 if ell > 0 else 0
-    seq = np.arange(N, dtype=np.int64)
-    s = np.full(N, state0, np.int64)
-    acc = np.zeros(N)
-    for i in range(n):
-        b = (seq >> (n - 1 - i)) & 1
-        acc += np.where(b == 1, lt1[s], lt0[s])
-        s = ((s << 1) | b) & mask
+    acc = np.zeros(1)
+    for parent, bit in _np_levels(state0, ell, n):
+        acc = np.repeat(acc, 2) + np.where(bit == 1, lt1[parent], lt0[parent])
     return acc
 
 
@@ -297,22 +320,22 @@ def _py_enum_kt_log2(depth, state0, n, gtab, htab):
     return out
 
 
-def _np_enum_counts(depth, state0, n):
-    # per-sequence count tables; memory (2^n, 2^depth) twice
-    N = 1 << n
+def _np_enum_codes(depth, state0, n):
+    # per-sequence, per-context packed counts occ*(n+1) + ones; the largest
+    # code, n*n + 2n, fits int16 for every n under ENUMERATION_CAP
     m = 1 << depth
-    mask = m - 1 if depth > 0 else 0
-    seq = np.arange(N, dtype=np.int64)
-    s = np.full(N, state0, np.int64)
-    occ = np.zeros((N, m), np.int32)
-    ones = np.zeros((N, m), np.int32)
-    for i in range(n):
-        b = (seq >> (n - 1 - i)) & 1
+    codes = np.zeros((1, m), np.int16)
+    for parent, bit in _np_levels(state0, depth, n):
+        codes = np.repeat(codes, 2, axis=0)
         # one increment per row, so a plain indexed add is exact
-        occ[seq, s] += 1
-        ones[seq, s] += b
-        s = ((s << 1) | b) & mask
-    return occ, ones
+        codes.reshape(-1)[np.arange(0, codes.size, m) + parent] += (bit + (n + 1)).astype(np.int16)
+    return codes
+
+
+def _code_table(n):
+    # the (occ, ones) pair of every code as ((n+1)**2, 1) columns, so the
+    # closed forms give one context term per code (ones > occ never occurs)
+    return np.divmod(np.arange((n + 1) ** 2, dtype=np.int64)[:, None], n + 1)
 
 
 def _ml_log2(occ, ones):
@@ -334,12 +357,14 @@ def _kt_log2(occ, ones, gtab, htab):
     return (gtab[ones] + gtab[occ - ones] - htab[occ]).sum(axis=-1)
 
 
+# the per-code terms come from the same closed forms and are summed over
+# the same context axis, so the gathered values equal a direct evaluation
 def _np_enum_ml_log2(depth, state0, n):
-    return _ml_log2(*_np_enum_counts(depth, state0, n))
+    return _ml_log2(*_code_table(n))[_np_enum_codes(depth, state0, n)].sum(axis=-1)
 
 
 def _np_enum_kt_log2(depth, state0, n, gtab, htab):
-    return _kt_log2(*_np_enum_counts(depth, state0, n), gtab, htab)
+    return _kt_log2(*_code_table(n), gtab, htab)[_np_enum_codes(depth, state0, n)].sum(axis=-1)
 
 
 def _py_domination_dist(n, q, seed, randomized):
@@ -366,22 +391,21 @@ def _py_domination_dist(n, q, seed, randomized):
 
 
 def _np_domination_dist(n, q, seed, randomized):
-    N = 1 << n
-    seq = np.arange(N, dtype=np.int64)
-    prob = np.ones(N)
-    ones = np.zeros(N, np.int64)
-    node = np.ones(N, np.int64)
+    # every history node (heap index 1 .. 2**n - 1) is hashed once; node c
+    # extends node c >> 1 by the bit c & 1 with factor fac[c], and rows 2p,
+    # 2p+1 of each level extend prefix p, so level i reads fac[2**(i+1):]
+    if randomized:
+        with np.errstate(over="ignore"):
+            u = _np_mix_unit(seed ^ (np.arange(1 << n, dtype=np.uint64) * _SM3))
+        p1 = q + (1.0 - q) * u
+    else:
+        p1 = np.full(1 << n, q)
+    fac = np.stack((1.0 - p1, p1), axis=1).ravel()
+    prob = np.ones(1)
+    ones = np.zeros(1, np.int64)
     for i in range(n):
-        b = (seq >> (n - 1 - i)) & 1
-        if randomized:
-            with np.errstate(over="ignore"):
-                u = _np_mix_unit(seed ^ (node.astype(np.uint64) * _SM3))
-            p1 = q + (1.0 - q) * u
-        else:
-            p1 = np.full(N, q)
-        prob *= np.where(b == 1, p1, 1.0 - p1)
-        ones += b
-        node = node * 2 + b
+        prob = np.repeat(prob, 2) * fac[2 << i : 4 << i]
+        ones = np.repeat(ones, 2) + (np.arange(2 << i) & 1)
     return np.bincount(ones, weights=prob, minlength=n + 1)
 
 

@@ -552,7 +552,9 @@ def main(argv=None) -> int:
     try:
         _apply_config(args, parser)
         return args.func(args)
-    except (ValueError, IndexError, OSError, codec.CodecError, argparse.ArgumentTypeError) as exc:
+    except (
+        ValueError, IndexError, OverflowError, OSError, codec.CodecError, argparse.ArgumentTypeError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

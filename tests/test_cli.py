@@ -128,6 +128,9 @@ def test_experiment_rejects_unsorted_n():
 
 def test_validation_errors_exit_two(tmp_path):
     assert main(["bounds", "--n", "64", "--delta", "gauss:1"]) == 2
+    # an n too large to convert to float raises OverflowError
+    assert main(["bounds", "--n", "1" + "0" * 400, "--delta", "exp:1",
+                 "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["sample", "--source", str(tmp_path / "missing.txt"), "--n", "4",
                  "--out", str(tmp_path / "o.txt")]) == 2
 

@@ -205,7 +205,7 @@ def test_enumeration_matches_python_reference(numpy_backend, depth):
     state0 = (1 << depth) - 1 if depth else 0
     gtab, htab = _kernels.kt_tables(12)
     for n in (0, 1, 3, 12):
-        occ, ones = _kernels._np_enum_counts(depth, state0, n)
+        occ, ones = np.divmod(_kernels._np_enum_codes(depth, state0, n), n + 1)
         ref_occ, ref_ones = _kernels._py_count_batch(all_sequences(n), state0, depth)
         assert np.array_equal(occ, ref_occ)
         assert np.array_equal(ones, ref_ones)
@@ -220,3 +220,127 @@ def test_enumeration_matches_python_reference(numpy_backend, depth):
             _kernels._py_enum_kt_log2(depth, state0, n, gtab, htab),
             rtol=0, atol=1e-12,
         )
+
+
+# ---------------------------------------------------------------------------
+# bit-identity checks: the numpy kernels against per-position numpy loops
+# over all rows (the form they had before walking the prefix tree level by
+# level), compared with ==
+# ---------------------------------------------------------------------------
+
+
+def loop_sample(theta, state0, ell, u):
+    T, n = u.shape
+    mask = (1 << ell) - 1
+    out = np.empty((T, n), np.uint8)
+    s = np.full(T, state0, np.int64)
+    for i in range(n):
+        b = (u[:, i] < theta[s]).astype(np.uint8)
+        out[:, i] = b
+        s = ((s << 1) | b) & mask
+    return out
+
+
+def loop_enum_source(lt1, lt0, state0, ell, n):
+    seq = np.arange(1 << n, dtype=np.int64)
+    mask = (1 << ell) - 1
+    s = np.full(1 << n, state0, np.int64)
+    acc = np.zeros(1 << n)
+    for i in range(n):
+        b = (seq >> (n - 1 - i)) & 1
+        acc += np.where(b == 1, lt1[s], lt0[s])
+        s = ((s << 1) | b) & mask
+    return acc
+
+
+def loop_enum_counts(depth, state0, n):
+    seq = np.arange(1 << n, dtype=np.int64)
+    mask = (1 << depth) - 1
+    s = np.full(1 << n, state0, np.int64)
+    occ = np.zeros((1 << n, 1 << depth), np.int32)
+    ones = np.zeros((1 << n, 1 << depth), np.int32)
+    for i in range(n):
+        b = (seq >> (n - 1 - i)) & 1
+        occ[seq, s] += 1
+        ones[seq, s] += b
+        s = ((s << 1) | b) & mask
+    return occ, ones
+
+
+def loop_domination(n, q, seed, randomized):
+    seq = np.arange(1 << n, dtype=np.int64)
+    prob = np.ones(1 << n)
+    ones = np.zeros(1 << n, np.int64)
+    node = np.ones(1 << n, np.int64)
+    for i in range(n):
+        b = (seq >> (n - 1 - i)) & 1
+        if randomized:
+            with np.errstate(over="ignore"):
+                u = _kernels._np_mix_unit(seed ^ (node.astype(np.uint64) * _kernels._SM3))
+            p1 = q + (1.0 - q) * u
+        else:
+            p1 = np.full(1 << n, q)
+        prob *= np.where(b == 1, p1, 1.0 - p1)
+        ones += b
+        node = node * 2 + b
+    return np.bincount(ones, weights=prob, minlength=n + 1)
+
+
+ENUM_NS = (0, 1, 2, 5, 12, 16)
+
+
+def pasts(depth):
+    """Context codes of all-zero, all-one and mixed pasts at this depth."""
+    return sorted({0, (1 << depth) - 1, 0b101 & ((1 << depth) - 1)})
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_enum_source_bit_identical_to_position_loop(numpy_backend, depth):
+    rng = np.random.default_rng(40 + depth)
+    theta = rng.uniform(0.05, 0.95, 1 << depth)
+    lt1, lt0 = np.log2(theta), np.log2(1 - theta)
+    for n in ENUM_NS:
+        for state0 in pasts(depth):
+            out = _kernels.enum_source_log2(lt1, lt0, state0, depth, n)
+            assert np.array_equal(out, loop_enum_source(lt1, lt0, state0, depth, n))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_enum_ml_kt_bit_identical_to_position_loop(numpy_backend, depth):
+    gtab, htab = _kernels.kt_tables(max(ENUM_NS))
+    for n in ENUM_NS:
+        for state0 in pasts(depth):
+            occ, ones = loop_enum_counts(depth, state0, n)
+            codes = _kernels._np_enum_codes(depth, state0, n)
+            assert codes.dtype == np.int16
+            assert np.array_equal(codes, occ * (n + 1) + ones)
+            assert np.array_equal(
+                _kernels.enum_ml_log2(depth, state0, n), _kernels._ml_log2(occ, ones)
+            )
+            assert np.array_equal(
+                _kernels.enum_kt_log2(depth, state0, n),
+                _kernels._kt_log2(occ, ones, gtab, htab),
+            )
+
+
+@pytest.mark.parametrize("randomized", [False, True])
+def test_domination_bit_identical_to_position_loop(numpy_backend, randomized):
+    for n in (0, 1, 2, 5, 12):
+        for q, seed in ((0.1, 0), (0.3, 12345), (0.5, 2**63 + 11)):
+            out = _kernels.domination_dist(n, q, seed, randomized)
+            assert np.array_equal(out, loop_domination(n, q, np.uint64(seed), randomized))
+
+
+ROWS = _kernels._ROW_LOOP_ROWS
+
+
+@pytest.mark.parametrize("trials", [1, ROWS - 1, ROWS, ROWS + 1, 48])
+def test_sample_bit_identical_to_position_loop(numpy_backend, trials):
+    rng = np.random.default_rng(trials)
+    for ell, n in ((0, 300), (1, 257), (3, 2), (4, 0), (6, 1000)):
+        theta = rng.uniform(0.05, 0.95, 1 << ell)
+        u = rng.random((trials, n))
+        for state0 in pasts(ell):
+            out = _kernels.sample_batch(theta, state0, ell, u)
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, loop_sample(theta, state0, ell, u))
