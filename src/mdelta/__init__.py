@@ -7,7 +7,7 @@ codec, closed-form redundancy bound evaluation, and numerical
 verification harnesses for the underlying concentration facts.
 """
 
-from ._kernels import active_backend, available_backends, child_seed, set_backend, splitmix64
+from ._kernels import active_backend, child_seed, splitmix64
 from .codec import CodecError, decode, encode, pack_stream, unpack_stream
 from .coders import (
     ENUMERATION_CAP,

@@ -96,6 +96,12 @@ def _rate_se(phat: float, trials: int) -> float:
     return math.sqrt(phat * (1.0 - phat) / trials) if trials else 0.0
 
 
+def _check_horizon(n: int) -> None:
+    """Every Monte Carlo harness samples sequences of at least one step."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def _escalate(run, trials: int | None, min_trials: int = 1):
     """Run with auto-escalating trial counts until 3*SE <= 20% of the bound.
 
@@ -212,6 +218,7 @@ def verify_state_count(
     """MC check that a near-fair chain rarely starves any one state:
     P(n_s <= threshold) <= 1/n, threshold defaulting to
     n/(2^{ell+1} ell) - sqrt(n log2(n)/(2^ell ell))."""
+    _check_horizon(n)
     source, state, code, past = _hypercube_setup(ell, delta_at, seed, state, source)
     k = threshold if threshold is not None else state_count_threshold(n, ell)
     params = {"ell": ell, "delta_at": delta_at, "n": n, "state": state, "seed": seed, "k": k}
@@ -245,6 +252,7 @@ def estimate_inv_ns(
     """MC estimate of E[1/n_s] (taken as 1 when n_s = 0) against the
     asymptotic ceiling; both the tight constant ell 2^{ell+1}/n and its
     doubled, safer companion are recorded, and the looser one decides."""
+    _check_horizon(n)
     source, state, code, past = _hypercube_setup(ell, delta_at, seed, state, source)
     bound_tight = ell * 2.0 ** (ell + 1) / n
     bound_loose = 2.0 * ell * 2.0 ** (ell + 1) / n
@@ -276,6 +284,7 @@ def verify_mse(
     """MC check that the plug-in estimate n_s1/n_s of a transition
     probability has mean squared error at most min{E[1/n_s], 1}; empty
     states count a worst-case squared error of 1."""
+    _check_horizon(n)
     source, state, code, past = _hypercube_setup(ell, delta_at, seed, state, source)
     theta_s = float(source.state_theta[code])
     params = {"ell": ell, "delta_at": delta_at, "n": n, "state": state, "seed": seed}
@@ -317,6 +326,7 @@ def verify_azuma_stopped(
     first crossing of the gamma sqrt(k) envelope, the adversarial case)
     and "random" (first return of the walk to zero after ten steps).
     """
+    _check_horizon(n)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if kind not in AZUMA_KINDS:
@@ -388,6 +398,7 @@ def verify_deviation(
 ) -> VerificationReport:
     """MC check that the summed deviations z_ell stay under
     log2(n) sqrt(n 2^ell) except with probability 2^ell / n^3."""
+    _check_horizon(n)
     if math.log2(n) < 6:
         raise ValueError("needs log2(n) >= 6, i.e. n >= 64")
     delta = delta if delta is not None else DeltaSpec.parse("exp:1")

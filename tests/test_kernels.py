@@ -3,28 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import mdelta
 from mdelta import _kernels
-
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-
-
-@pytest.fixture
-def both_backends():
-    """Yield a runner that evaluates a kernel call under each backend."""
-    if not _kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    previous = _kernels.active_backend()
-
-    def run(fn, *args):
-        out = {}
-        for name in ("numpy", "numba"):
-            _kernels.set_backend(name)
-            out[name] = fn(*args)
-        return out["numpy"], out["numba"]
-
-    yield run
-    _kernels.set_backend(previous)
-
 
 def test_seed_splitting_is_stable():
     assert _kernels.splitmix64(0) == 16294208416658607535
@@ -70,59 +50,8 @@ def test_kt_tables_growth_is_thread_safe(monkeypatch):
     assert errors == []
 
 
-def test_backend_controls():
-    assert _kernels.active_backend() in _kernels.available_backends()
-    with pytest.raises(ValueError):
-        _kernels.set_backend("fortran")
-
-
-def test_sample_bits_identical_across_backends(both_backends):
-    theta = np.array([0.2, 0.5, 0.7, 0.9])
-    u = np.random.default_rng(0).random((8, 200))
-    a, b = both_backends(_kernels.sample_batch, theta, 3, 2, u)
-    assert np.array_equal(a, b)
-
-
-def test_counts_identical_across_backends(both_backends):
-    bits = np.random.default_rng(1).integers(0, 2, (6, 300)).astype(np.uint8)
-    (occ_a, ones_a), (occ_b, ones_b) = both_backends(_kernels.count_batch, bits, 5, 3)
-    assert np.array_equal(occ_a, occ_b)
-    assert np.array_equal(ones_a, ones_b)
-    assert (occ_a.sum(axis=1) == 300).all()
-
-
-def test_log_prob_close_across_backends(both_backends):
-    rng = np.random.default_rng(2)
-    theta = rng.uniform(0.2, 0.8, 8)
-    lt1, lt0 = np.log2(theta), np.log2(1 - theta)
-    bits = rng.integers(0, 2, (5, 400)).astype(np.uint8)
-    a, b = both_backends(_kernels.log2_prob_batch, lt1, lt0, 2, 3, bits)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-9)
-
-
-def test_enumeration_kernels_close_across_backends(both_backends):
-    rng = np.random.default_rng(3)
-    theta = rng.uniform(0.3, 0.7, 4)
-    lt1, lt0 = np.log2(theta), np.log2(1 - theta)
-    a, b = both_backends(_kernels.enum_source_log2, lt1, lt0, 1, 2, 10)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-9)
-    a, b = both_backends(_kernels.enum_ml_log2, 2, 1, 10)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-9)
-    a, b = both_backends(_kernels.enum_kt_log2, 2, 1, 10)
-    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-9)
-
-
-def test_domination_identical_across_backends(both_backends):
-    a, b = both_backends(_kernels.domination_dist, 10, 0.3, 12345, True)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
-    assert a.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_azuma_identical_across_backends(both_backends):
-    u = np.random.default_rng(4).random((5000, 64))
-    for kind in (0, 1, 2):
-        a, b = both_backends(_kernels.azuma_failures, u, 2.0, kind)
-        assert a == b
+def test_active_backend_is_numpy():
+    assert mdelta.active_backend() == _kernels.active_backend() == "numpy"
 
 
 def test_enum_orders_sequences_lexicographically():
@@ -135,17 +64,9 @@ def test_enum_orders_sequences_lexicographically():
 
 
 # ---------------------------------------------------------------------------
-# reference checks: the plain-Python kernel bodies, run uncompiled, against
-# the numpy backend (these run whether or not numba is installed)
+# reference checks: the kernels against plain-Python loops, one sequence and
+# one position at a time
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture
-def numpy_backend():
-    previous = _kernels.active_backend()
-    _kernels.set_backend("numpy")
-    yield
-    _kernels.set_backend(previous)
 
 
 def all_sequences(n):
@@ -163,6 +84,108 @@ def chain_rule_log2(lt1, lt0, state0, ell, row):
     return acc
 
 
+def _py_count_batch(bits, state0, depth):
+    T, n = bits.shape
+    m = 1 << depth
+    mask = m - 1 if depth > 0 else 0
+    occ = np.zeros((T, m), np.int64)
+    ones = np.zeros((T, m), np.int64)
+    for t in range(T):
+        s = state0
+        for i in range(n):
+            b = bits[t, i]
+            occ[t, s] += 1
+            ones[t, s] += b
+            s = ((s << 1) | b) & mask
+    return occ, ones
+
+
+def _py_enum_ml_log2(depth, state0, n):
+    N = 1 << n
+    m = 1 << depth
+    mask = m - 1 if depth > 0 else 0
+    out = np.empty(N)
+    occ = np.zeros(m, np.int64)
+    ones = np.zeros(m, np.int64)
+    for x in range(N):
+        for j in range(m):
+            occ[j] = 0
+            ones[j] = 0
+        s = state0
+        for i in range(n):
+            b = (x >> (n - 1 - i)) & 1
+            occ[s] += 1
+            ones[s] += b
+            s = ((s << 1) | b) & mask
+        acc = 0.0
+        for j in range(m):
+            nw = occ[j]
+            if nw > 0:
+                a = ones[j]
+                c = nw - a
+                if a > 0:
+                    acc += a * (math.log2(a) - math.log2(nw))
+                if c > 0:
+                    acc += c * (math.log2(c) - math.log2(nw))
+        out[x] = acc
+    return out
+
+
+def _py_enum_kt_log2(depth, state0, n, gtab, htab):
+    N = 1 << n
+    m = 1 << depth
+    mask = m - 1 if depth > 0 else 0
+    out = np.empty(N)
+    occ = np.zeros(m, np.int64)
+    ones = np.zeros(m, np.int64)
+    for x in range(N):
+        for j in range(m):
+            occ[j] = 0
+            ones[j] = 0
+        s = state0
+        for i in range(n):
+            b = (x >> (n - 1 - i)) & 1
+            occ[s] += 1
+            ones[s] += b
+            s = ((s << 1) | b) & mask
+        acc = 0.0
+        for j in range(m):
+            if occ[j] > 0:
+                a = ones[j]
+                acc += gtab[a] + gtab[occ[j] - a] - htab[occ[j]]
+        out[x] = acc
+    return out
+
+
+def _py_azuma_failures(u, gamma, kind):
+    # kind: 0 fixed horizon, 1 first passage over gamma*sqrt(k), 2 zero return
+    T, n = u.shape
+    fails = 0
+    for t in range(T):
+        s = 0
+        if kind == 0:
+            for i in range(n):
+                s += 1 if u[t, i] < 0.5 else -1
+            if abs(s) >= gamma * math.sqrt(n):
+                fails += 1
+        elif kind == 1:
+            for i in range(n):
+                s += 1 if u[t, i] < 0.5 else -1
+                if abs(s) >= gamma * math.sqrt(i + 1.0):
+                    fails += 1
+                    break
+        else:
+            tau = n
+            for i in range(n):
+                s += 1 if u[t, i] < 0.5 else -1
+                if i + 1 >= 10 and s == 0:
+                    tau = i + 1
+                    break
+            if abs(s) >= gamma * math.sqrt(tau):
+                fails += 1
+    return fails
+
+
 COUNT_CASES = [
     # (trials, n, depth, state0)
     (1, 0, 3, 5),  # empty sequence
@@ -178,10 +201,10 @@ COUNT_CASES = [
 
 
 @pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES)
-def test_counts_match_python_reference(numpy_backend, trials, n, depth, state0):
+def test_counts_match_python_reference(trials, n, depth, state0):
     bits = np.random.default_rng(n + depth).integers(0, 2, (trials, n)).astype(np.uint8)
     occ, ones = _kernels.count_batch(bits, state0, depth)
-    ref_occ, ref_ones = _kernels._py_count_batch(bits, state0, depth)
+    ref_occ, ref_ones = _py_count_batch(bits, state0, depth)
     assert occ.dtype == ones.dtype == np.int64
     assert np.array_equal(occ, ref_occ)
     assert np.array_equal(ones, ref_ones)
@@ -189,7 +212,7 @@ def test_counts_match_python_reference(numpy_backend, trials, n, depth, state0):
 
 
 @pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES)
-def test_log_prob_matches_chain_rule(numpy_backend, trials, n, depth, state0):
+def test_log_prob_matches_chain_rule(trials, n, depth, state0):
     rng = np.random.default_rng(100 + n + depth)
     theta = rng.uniform(0.05, 0.95, 1 << depth)
     lt1, lt0 = np.log2(theta), np.log2(1 - theta)
@@ -201,25 +224,43 @@ def test_log_prob_matches_chain_rule(numpy_backend, trials, n, depth, state0):
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_enumeration_matches_python_reference(numpy_backend, depth):
+def test_enumeration_matches_python_reference(depth):
     state0 = (1 << depth) - 1 if depth else 0
     gtab, htab = _kernels.kt_tables(12)
     for n in (0, 1, 3, 12):
         occ, ones = np.divmod(_kernels._np_enum_codes(depth, state0, n), n + 1)
-        ref_occ, ref_ones = _kernels._py_count_batch(all_sequences(n), state0, depth)
+        ref_occ, ref_ones = _py_count_batch(all_sequences(n), state0, depth)
         assert np.array_equal(occ, ref_occ)
         assert np.array_equal(ones, ref_ones)
         # same counts; the reference sums contexts in another order, so the
         # floats may differ in the last place
         np.testing.assert_allclose(
-            _kernels.enum_ml_log2(depth, state0, n), _kernels._py_enum_ml_log2(depth, state0, n),
+            _kernels.enum_ml_log2(depth, state0, n), _py_enum_ml_log2(depth, state0, n),
             rtol=0, atol=1e-12,
         )
         np.testing.assert_allclose(
             _kernels.enum_kt_log2(depth, state0, n),
-            _kernels._py_enum_kt_log2(depth, state0, n, gtab, htab),
+            _py_enum_kt_log2(depth, state0, n, gtab, htab),
             rtol=0, atol=1e-12,
         )
+
+
+AZUMA_CASES = [
+    # (trials, n, gamma); n = 9 never reaches kind 2's return after ten
+    # steps, n = 10 can only return at the last step
+    (5000, 64, 2.0),
+    (300, 9, 1.0),
+    (300, 10, 1.0),
+    (200, 257, 0.5),
+    (1, 1, 1.0),
+]
+
+
+@pytest.mark.parametrize("trials,n,gamma", AZUMA_CASES)
+def test_azuma_matches_python_reference(trials, n, gamma):
+    u = np.random.default_rng(4 + n).random((trials, n))
+    for kind in (0, 1, 2):
+        assert _kernels.azuma_failures(u, gamma, kind) == _py_azuma_failures(u, gamma, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +336,7 @@ def pasts(depth):
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_enum_source_bit_identical_to_position_loop(numpy_backend, depth):
+def test_enum_source_bit_identical_to_position_loop(depth):
     rng = np.random.default_rng(40 + depth)
     theta = rng.uniform(0.05, 0.95, 1 << depth)
     lt1, lt0 = np.log2(theta), np.log2(1 - theta)
@@ -306,7 +347,7 @@ def test_enum_source_bit_identical_to_position_loop(numpy_backend, depth):
 
 
 @pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_enum_ml_kt_bit_identical_to_position_loop(numpy_backend, depth):
+def test_enum_ml_kt_bit_identical_to_position_loop(depth):
     gtab, htab = _kernels.kt_tables(max(ENUM_NS))
     for n in ENUM_NS:
         for state0 in pasts(depth):
@@ -324,7 +365,7 @@ def test_enum_ml_kt_bit_identical_to_position_loop(numpy_backend, depth):
 
 
 @pytest.mark.parametrize("randomized", [False, True])
-def test_domination_bit_identical_to_position_loop(numpy_backend, randomized):
+def test_domination_bit_identical_to_position_loop(randomized):
     for n in (0, 1, 2, 5, 12):
         for q, seed in ((0.1, 0), (0.3, 12345), (0.5, 2**63 + 11)):
             out = _kernels.domination_dist(n, q, seed, randomized)
@@ -335,7 +376,7 @@ ROWS = _kernels._ROW_LOOP_ROWS
 
 
 @pytest.mark.parametrize("trials", [1, ROWS - 1, ROWS, ROWS + 1, 48])
-def test_sample_bit_identical_to_position_loop(numpy_backend, trials):
+def test_sample_bit_identical_to_position_loop(trials):
     rng = np.random.default_rng(trials)
     for ell, n in ((0, 300), (1, 257), (3, 2), (4, 0), (6, 1000)):
         theta = rng.uniform(0.05, 0.95, 1 << ell)

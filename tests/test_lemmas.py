@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -182,6 +183,24 @@ def test_rate_harnesses_need_one_trial(harness):
     with pytest.raises(ValueError):
         harness(n=4096, trials=0, seed=1)
     assert harness(n=4096, trials=1, seed=1).trials == 1
+
+
+MC_HARNESSES = {
+    "state-count": verify_state_count,
+    "inv-ns": estimate_inv_ns,
+    "mse": verify_mse,
+    "deviation": verify_deviation,
+    "azuma-fixed": functools.partial(verify_azuma_stopped, kind="fixed"),
+    "azuma-first-passage": functools.partial(verify_azuma_stopped, kind="first-passage"),
+    "azuma-random": functools.partial(verify_azuma_stopped, kind="random"),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("name", sorted(MC_HARNESSES))
+def test_mc_harnesses_reject_empty_horizon(name, n):
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        MC_HARNESSES[name](n=n, trials=10, seed=1)
 
 
 def test_azuma_deterministic():
