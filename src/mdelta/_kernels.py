@@ -21,8 +21,13 @@ Conventions shared by every kernel:
   lexicographic sequence order.  The enumerations and path sums walk the
   prefix tree one level at a time, so level t touches 2**t rows, and add
   each position's term in sequence order.
-* The sampler runs small batches row by row in plain Python and loops
-  over positions, all rows at once, for larger ones.
+* The sampler runs small batches row by row in plain Python.  Larger
+  ones prefill every bit that is the same in every state (u < min theta
+  is a 1, u >= max theta a 0) and settle the ambiguous draws in between
+  in vectorized rounds until nothing changes, which is the sequential
+  result.  A block with too many ambiguous draws, or whose rounds stop
+  shrinking, hands the rest of the batch to a loop over positions, all
+  rows at once.
 * All randomness enters as pre-drawn uniforms (or an explicit 64-bit
   seed for the hash-derived process generator), so every kernel is a
   deterministic function of its arguments.
@@ -135,14 +140,36 @@ def _np_mix_unit(z):
 # fewer rows than this run one by one in plain Python, which beats the loop
 # over positions below about 37 rows whatever n and ell (see CHANGES.md)
 _ROW_LOOP_ROWS = 36
+# larger batches are settled in blocks of about this many draws, so the
+# pre-pass's scratch arrays stay small whatever T and n
+_SETTLE_DRAWS = 1 << 15
 
 
 def sample_batch(theta: np.ndarray, state0: int, ell: int, u: np.ndarray) -> np.ndarray:
     """Markov-sample a (trials, n) batch of bits from pre-drawn uniforms.
 
-    theta[s] is the probability of a 1 in state s; state0 encodes the
-    past.  Row t is the same whatever the batch size.
+    theta[s] is the probability of a 1 in state s, for the 2**ell states;
+    state0 (in 0 .. 2**ell - 1) encodes the past.  Bit i of a row is
+    ``u[i] < theta[s]`` with s the state before it.  Row t is the same
+    whatever the batch size.
     """
+    T, n = u.shape
+    if T < _ROW_LOOP_ROWS:
+        return _sample_loop(theta, state0, ell, u)
+    out = np.empty((T, n), np.uint8)
+    step = max(1, _SETTLE_DRAWS // max(n, 1))
+    for r in range(0, T, step):
+        bits = _settle(theta, state0, ell, u[r : r + step])
+        if bits is None:  # the loop over positions is as fast: it takes the rest
+            out[r:] = _sample_loop(theta, state0, ell, u[r:])
+            break
+        out[r : r + step] = bits
+    return out
+
+
+def _sample_loop(theta, state0, ell, u):
+    # one row at a time in plain Python for small batches, else one
+    # position at a time over all rows
     T, n = u.shape
     mask = (1 << ell) - 1 if ell > 0 else 0
     out = np.empty((T, n), np.uint8)
@@ -162,6 +189,60 @@ def sample_batch(theta: np.ndarray, state0: int, ell: int, u: np.ndarray) -> np.
         out[:, i] = b
         s = ((s << 1) | b) & mask
     return out
+
+
+def _settle(theta, state0, ell, u):
+    # Exact pre-pass for a block of rows.  A draw u < min(theta) is a 1 and
+    # one with u >= max(theta) a 0 in every state, so every bit is prefilled
+    # with u < min(theta) and only the ambiguous draws in between read their
+    # state, from the ell bits before them.  Round 0 re-evaluates all of
+    # them; each later round only those within ell positions after a bit
+    # that changed.  When a round changes nothing, every bit is u < theta[s]
+    # of the bits before it, so by induction along each row the block is the
+    # sequential result.  Returns None where the loop over positions is as
+    # fast (the measured crossover, see CHANGES.md): when the ambiguous
+    # draws average more than 1/2 per ell positions, or once the rounds stop
+    # shrinking (more re-checks in total than twice the ambiguous draws
+    # +64, or a round re-checking more than half of the last one +256).
+    T, n = u.shape
+    lo, hi = theta.min(), theta.max()
+    w = ell + n
+    ext = np.empty((T, w), np.uint8)  # per row: the past, oldest bit first, then the bits
+    ext[:, :ell] = (state0 >> np.arange(ell - 1, -1, -1)) & 1
+    np.less(u, lo, out=ext[:, ell:], casting="unsafe")
+    amb = np.zeros((T, w), bool)
+    np.logical_and(u >= lo, u < hi, out=amb[:, ell:])
+    pos = np.flatnonzero(amb).astype(np.int32)  # ambiguous draws in row-major order
+    m = pos.size
+    if 2 * ell * m > u.size:
+        return None
+    ua = u[amb[:, ell:]]  # and their uniforms, in the same order
+    succ = np.append(pos, np.iinfo(np.int32).max)  # a sentinel ends every follower walk
+    flat = ext.reshape(-1)
+    check = np.arange(m)
+    budget, last = m + 64, m  # round 0 spends m of the 2m + 64 re-checks
+    while check.size:
+        q = pos[check]
+        s = flat[q - 1].astype(np.intp)
+        for j in range(2, ell + 1):
+            s |= flat[q - j].astype(np.intp) << (j - 1)
+        new = ua[check] < theta[s]
+        hit = new != flat[q]
+        k, end = check[hit], q[hit] + ell
+        flat[q[hit]] = new[hit]
+        # mark the ambiguous draws that follow a changed bit by at most ell
+        mark = np.zeros(m + 1, bool)
+        while k.size:
+            k = k + 1
+            keep = succ[k] <= end
+            k, end = k[keep], end[keep]
+            mark[k] = True
+        check = np.flatnonzero(mark)
+        budget -= check.size
+        if budget < 0 or check.size > last // 2 + 256:
+            return None
+        last = check.size
+    return ext[:, ell:]
 
 
 def _np_states(bits, state0, depth):

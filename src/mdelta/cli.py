@@ -26,7 +26,9 @@ import numpy as np
 from . import __version__, _kernels, codec, coders, lemmas, redundancy
 from .delta import DeltaSpec
 from .source import (
+    ContinuityGenerationError,
     MarkovSource,
+    StationaryConvergenceError,
     as_bits,
     bits_to_str,
     format_source,
@@ -553,7 +555,8 @@ def main(argv=None) -> int:
         _apply_config(args, parser)
         return args.func(args)
     except (
-        ValueError, IndexError, OverflowError, OSError, codec.CodecError, argparse.ArgumentTypeError
+        ValueError, IndexError, OverflowError, OSError, codec.CodecError, argparse.ArgumentTypeError,
+        ContinuityGenerationError, StationaryConvergenceError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

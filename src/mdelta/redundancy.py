@@ -20,7 +20,7 @@ import numpy as np
 
 from .coders import ENUMERATION_CAP, SequentialCoder, _require_cap
 from .delta import DeltaSpec
-from .source import MarkovSource
+from .source import MAX_SCAN_DEPTH, MarkovSource
 
 __all__ = [
     "MCEstimate",
@@ -40,8 +40,6 @@ __all__ = [
     "BoundReport",
     "bound_report",
 ]
-
-MAX_SCAN_DEPTH = 16
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,9 @@ __all__ = [
     "format_source",
 ]
 
+# deepest context depth or source memory accepted anywhere: a 2**16-entry
+# state table stays small, and parsing a deeper tree takes seconds
+MAX_SCAN_DEPTH = 16
 STATIONARY_TOL = 1e-13
 STATIONARY_MAX_ITER = 10**6
 _TRIAL_BUDGET_BYTES = 64 << 20  # float64 uniforms drawn at once for Monte Carlo trials
@@ -338,8 +341,8 @@ class MarkovSource:
         the uniforms from rng row after row under the trial budget."""
         s0 = self._past_code(past)
         for t in _chunk_sizes(trials, n):
-            u = rng.random((t, n))
-            yield _kernels.sample_batch(self.state_theta, s0, self.memory, u)
+            # the uniforms are freed before the bits are yielded
+            yield _kernels.sample_batch(self.state_theta, s0, self.memory, rng.random((t, n)))
 
     # -- stationary law -----------------------------------------------------
 
@@ -670,12 +673,16 @@ def parse_source(text: str) -> MarkovSource:
             if len(parts) != 2 or not parts[1].isdigit():
                 raise ValueError(f"line {lineno}: malformed memory header")
             memory = int(parts[1])
+            if memory > MAX_SCAN_DEPTH:
+                raise ValueError(f"line {lineno}: memory {memory} exceeds the cap {MAX_SCAN_DEPTH}")
             continue
         if memory is None:
             raise ValueError(f"line {lineno}: context row before memory header")
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected `context theta`")
         ctx = "" if parts[0] == _EMPTY_CONTEXT else parts[0]
+        if len(ctx) > memory:
+            raise ValueError(f"line {lineno}: context {parts[0]!r} is longer than memory {memory}")
         if ctx in theta:
             raise ValueError(f"line {lineno}: duplicate context {parts[0]!r}")
         theta[ctx] = float(parts[1])

@@ -6,6 +6,7 @@ import pytest
 
 from mdelta import lemmas
 from mdelta.cli import main
+from mdelta.source import ContinuityGenerationError, StationaryConvergenceError
 
 
 def read_data_lines(path):
@@ -133,6 +134,24 @@ def test_validation_errors_exit_two(tmp_path):
                  "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["sample", "--source", str(tmp_path / "missing.txt"), "--n", "4",
                  "--out", str(tmp_path / "o.txt")]) == 2
+
+
+@pytest.mark.parametrize("error", [
+    ContinuityGenerationError("no admissible source in 200 tries"),
+    StationaryConvergenceError(1e-3, 10),
+])
+def test_generation_errors_exit_two(monkeypatch, tmp_path, capsys, error):
+    from mdelta import cli
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "random_continuity_source", fail)
+    out = tmp_path / "src.txt"
+    assert main(["gen-source", "--kind", "continuity", "--ell", "14", "--delta", "exp:1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
 
 
 def test_unknown_flags_exit_two():

@@ -385,3 +385,104 @@ def test_sample_bit_identical_to_position_loop(trials):
             out = _kernels.sample_batch(theta, state0, ell, u)
             assert out.dtype == np.uint8
             assert np.array_equal(out, loop_sample(theta, state0, ell, u))
+
+
+# batches of at least ROWS rows settle the draws that read their state in
+# vectorized rounds; the thetas below drive both that path and the loop it
+# falls back to, on blocks that split T unevenly
+
+
+def sampler_cases(ell, rng):
+    """(theta, uniforms sampler) pairs: near-fair hypercube thetas (which
+    settle), wide ones (which may give up), ties u == theta[s] with 0 and 1
+    in theta, and all-equal theta (no draw reads its state)."""
+    size = 1 << ell
+    grid = np.array([0.0, 0.25, 0.5, 0.75])
+    return [
+        (0.5 + rng.uniform(-1, 1, size) * 0.03, rng.random),
+        (rng.uniform(0.01, 0.99, size), rng.random),
+        (rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size), lambda shape: rng.choice(grid, shape)),
+        (np.full(size, 0.25), lambda shape: rng.choice(grid, shape)),
+    ]
+
+
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_sample_settled_blocks_bit_identical_to_position_loop(ell, monkeypatch):
+    # 256-draw blocks: n=100 gives 2-row blocks, so every T splits unevenly
+    monkeypatch.setattr(_kernels, "_SETTLE_DRAWS", 256)
+    rng = np.random.default_rng(60 + ell)
+    for theta, draw in sampler_cases(ell, rng):
+        for trials in (36, 37, 48, 200):
+            for n in sorted({1, ell, 100}):
+                u = draw((trials, n))
+                for state0 in range(1 << ell):
+                    out = _kernels.sample_batch(theta, state0, ell, u)
+                    assert out.dtype == np.uint8 and out.shape == (trials, n)
+                    assert np.array_equal(out, loop_sample(theta, state0, ell, u))
+
+
+@pytest.mark.parametrize("ell", [1, 7])
+def test_sample_full_blocks_bit_identical_to_position_loop(ell):
+    # n=2000 gives 16-row blocks at the real block size
+    rng = np.random.default_rng(70 + ell)
+    thetas = [theta for theta, _ in sampler_cases(ell, rng)[:2]]
+    if ell == 1:
+        thetas.append(np.array([0.999, 0.001]))
+    for theta in thetas:
+        for trials in (37, 200):
+            u = rng.random((trials, 2000))
+            for state0 in pasts(ell):
+                assert np.array_equal(
+                    _kernels.sample_batch(theta, state0, ell, u), loop_sample(theta, state0, ell, u)
+                )
+
+
+def test_settle_runs_on_near_fair_theta_and_gives_up_on_dense_ambiguous_draws():
+    rng = np.random.default_rng(80)
+    u = rng.random((16, 4096))
+    near_fair = 0.5 + rng.uniform(-1, 1, 128) / 128
+    bits = _kernels._settle(near_fair, 5, 7, u)
+    assert bits is not None
+    assert np.array_equal(bits, loop_sample(near_fair, 5, 7, u))
+    # every draw but the extremes reads its state, and each one flips the next
+    assert _kernels._settle(np.array([0.999, 0.001]), 0, 1, u) is None
+    # 43 % of the draws read their state: these rounds would settle, but
+    # slower than the loop over positions
+    assert _kernels._settle(np.array([0.47, 0.37, 0.36, 0.78]), 0, 2, u) is None
+
+
+def test_settle_gives_up_when_the_rounds_stop_shrinking():
+    # few enough ambiguous draws to start, laid out so that the rounds stall
+    alternating = np.array([0.999, 0.001])
+    run = np.full((1, 4096), 0.9995)  # a 0 in every state
+    run[0, 100:400] = 0.5  # one 300-draw chain: each round settles one more bit
+    assert _kernels._settle(alternating, 0, 1, run) is None  # total re-checks
+    # theta reads only the bit two back; per 13 positions: two fixed 1s, then
+    # A, B1, B2 that read their state, then fixed 0s.  Round 0 flips A and
+    # B1, round 1 re-checks B1 and B2 (2/3 of round 0) and flips B2 alone,
+    # and round 2 would have nothing left
+    two_back = np.array([0.5, 0.5, 0.75, 0.75])
+    group = [0.1, 0.1, 0.6, 0.6, 0.6] + [0.9] * 8
+    stall = np.tile(group, (8, 315))
+    assert _kernels._settle(two_back, 3, 2, stall) is None  # round 1 > round 0 / 2 + 256
+    for theta, ell, u in ((alternating, 1, run), (two_back, 2, stall)):
+        batch = np.repeat(u, 36 // len(u) + 1, axis=0)
+        assert np.array_equal(_kernels.sample_batch(theta, 0, ell, batch), loop_sample(theta, 0, ell, batch))
+
+
+def test_sample_block_that_gives_up_hands_the_rest_to_the_loop(monkeypatch):
+    monkeypatch.setattr(_kernels, "_SETTLE_DRAWS", 4096)
+    theta = np.array([0.999, 0.001])
+    rng = np.random.default_rng(81)
+    u = rng.random((40, 1024))
+    u[:4] = 0.9995  # the first block has no draw that reads its state
+    shapes, real = [], _kernels._sample_loop
+
+    def loop(theta, state0, ell, u):
+        shapes.append(u.shape)
+        return real(theta, state0, ell, u)
+
+    monkeypatch.setattr(_kernels, "_sample_loop", loop)
+    for state0 in (0, 1):
+        assert np.array_equal(_kernels.sample_batch(theta, state0, 1, u), loop_sample(theta, state0, 1, u))
+    assert shapes == [(36, 1024), (36, 1024)]  # the 4 settled rows are not sampled again

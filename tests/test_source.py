@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -413,6 +414,21 @@ def test_parse_source_rejects_bad_input():
         parse_source("memory 2\n0 0.5\n1 0.5\n")  # header inconsistent with leaves
     with pytest.raises(ValueError):
         parse_source("memory 1\n0 0.5\n0 0.6\n1 0.5\n")  # duplicate context
+    with pytest.raises(ValueError, match="longer than memory 1"):
+        parse_source("memory 1\n0 0.5\n" + "0" * 40 + " 0.5\n")
+
+
+def test_parse_source_caps_memory_before_building_the_tree():
+    from mdelta import redundancy, source
+
+    assert redundancy.MAX_SCAN_DEPTH == source.MAX_SCAN_DEPTH == 16
+    # the comb tree 1, 10, 100, ..., 0^17: a memory-17 source with 18 leaves
+    leaves = ["1" + "0" * k for k in range(17)] + ["0" * 17]
+    text = "memory 17\n" + "".join(f"{w} 0.5\n" for w in leaves)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="memory 17 exceeds the cap 16"):
+        parse_source(text)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_as_bits_validation():
