@@ -359,29 +359,54 @@ def enum_kt_log2(depth: int, state0: int, n: int) -> np.ndarray:
     return _kt_log2(*_code_table(n), gtab, htab)[_np_enum_codes(depth, state0, n)].sum(axis=-1)
 
 
-def domination_dist(n: int, q: float, seed: int, randomized: bool) -> np.ndarray:
-    """Exact distribution of sum(X) for a history-dependent binary process.
+# processes walk in blocks of about this many path weights, so a batch of
+# seeds costs few level passes and every scratch array stays at 64 KB (two
+# processes at n = 12); blocks of 128 KB arrays raised the exact workload's
+# peak RSS by about 1 MB
+_DOMINATION_PATHS = 1 << 13
+
+
+def domination_dist(n: int, q: float, seed, randomized: bool) -> np.ndarray:
+    """Exact distribution of sum(X) for history-dependent binary processes.
 
     Conditionals are q exactly (randomized=False) or hashed per history
     node into [q, 1) (randomized=True); the path sum is exact over all
-    2^n histories.
+    2^n histories.  One int seed gives shape (n+1,); a 1-D sequence of
+    seeds gives one row per seed, each equal to its single-seed result.
     """
-    # every history node (heap index 1 .. 2**n - 1) is hashed once; node c
-    # extends node c >> 1 by the bit c & 1 with factor fac[c], and rows 2p,
-    # 2p+1 of each level extend prefix p, so level i reads fac[2**(i+1):]
-    if randomized:
-        with np.errstate(over="ignore"):
-            u = _np_mix_unit(np.uint64(seed) ^ (np.arange(1 << n, dtype=np.uint64) * _SM3))
-        p1 = q + (1.0 - q) * u
-    else:
-        p1 = np.full(1 << n, q)
-    fac = np.stack((1.0 - p1, p1), axis=1).ravel()
-    prob = np.ones(1)
+    seeds = np.asarray(seed, dtype=np.uint64)
+    single = seeds.ndim == 0
+    seeds = seeds.reshape(-1)
+    # every history node (heap index 1 .. 2**n - 1) is hashed once; row p of
+    # level i is node 2**i + p, and its children are rows 2p (bit 0, factor
+    # 1 - p1) and 2p + 1 (bit 1, factor p1) of level i + 1
+    nodes = np.arange(1 << n, dtype=np.uint64) * _SM3
     ones = np.zeros(1, np.int64)
     for i in range(n):
-        prob = np.repeat(prob, 2) * fac[2 << i : 4 << i]
         ones = np.repeat(ones, 2) + (np.arange(2 << i) & 1)
-    return np.bincount(ones, weights=prob, minlength=n + 1)
+    out = np.empty((seeds.size, n + 1))
+    step = max(1, _DOMINATION_PATHS >> n)
+    for r in range(0, seeds.size, step):
+        block = seeds[r : r + step]
+        if randomized:
+            with np.errstate(over="ignore"):
+                u = _np_mix_unit(block[:, None] ^ nodes)
+            p1 = q + (1.0 - q) * u
+        else:
+            p1 = np.full((block.size, 1 << n), q)
+        p0 = 1.0 - p1
+        prob = np.ones((block.size, 1))
+        for i in range(n):
+            nxt = np.empty((block.size, 2 << i))
+            np.multiply(prob, p0[:, 1 << i : 2 << i], out=nxt[:, 0::2])
+            np.multiply(prob, p1[:, 1 << i : 2 << i], out=nxt[:, 1::2])
+            prob = nxt
+        # offset bins per row; bincount adds each row's paths in order
+        flat = ones + (n + 1) * np.arange(block.size)[:, None]
+        out[r : r + step] = np.bincount(
+            flat.ravel(), weights=prob.ravel(), minlength=block.size * (n + 1)
+        ).reshape(block.size, n + 1)
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

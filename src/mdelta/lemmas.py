@@ -145,19 +145,16 @@ def verify_domination(
         raise ValueError("q must lie in [0, 1]")
     if n > 20:
         raise ValueError("exact path enumeration capped at n <= 20")
+    if processes < 1:
+        raise ValueError(f"processes must be at least 1, got {processes}")
     tails = np.array([binomial_tail(n, q, k) for k in range(n + 1)])
     eq_dist = _kernels.domination_dist(n, q, 0, randomized=False)
     equality_gap = float(np.abs(np.cumsum(eq_dist) - tails).max())
-    worst = -math.inf
-    failures = 0
-    for p in range(processes):
-        pseed = _kernels.child_seed(seed, f"domination-q{q}-proc{p}")
-        dist = _kernels.domination_dist(n, q, pseed, randomized=True)
-        excess = float((np.cumsum(dist) - tails).max())
-        worst = max(worst, excess)
-        if excess > EXACT_TOL_SUM:
-            failures += 1
-    worst = max(worst, equality_gap)
+    pseeds = [_kernels.child_seed(seed, f"domination-q{q}-proc{p}") for p in range(processes)]
+    dists = _kernels.domination_dist(n, q, pseeds, randomized=True)
+    excess = (np.cumsum(dists, axis=1) - tails).max(axis=1)
+    failures = int((excess > EXACT_TOL_SUM).sum())
+    worst = max(float(excess.max()), equality_gap)
     return _make_report(
         "domination",
         {"n": n, "q": q, "processes": processes, "seed": seed},
@@ -472,6 +469,8 @@ def verify_truncation(
 def _exact_batch(lemma, check, excess, count, ell, n, delta, seed) -> VerificationReport:
     """Run an exact per-sample check over a seeded batch of (source, sample)
     pairs with memory 2*ell sources; the empirical value is the worst excess."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     delta = delta if delta is not None else DeltaSpec.parse("exp:1")
     failures = 0
     worst = -math.inf

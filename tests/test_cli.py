@@ -211,6 +211,12 @@ def test_too_few_trials_for_a_standard_error_exit_two(tmp_path):
     assert main(["verify", "azuma", "--trials", "0"]) == 2  # 0 is a count, not "unset"
 
 
+@pytest.mark.parametrize("lemma", ["truncation", "chaining"])
+def test_empty_exact_batch_exits_two(lemma, capsys):
+    assert main(["verify", lemma, "--count", "0"]) == 2
+    assert capsys.readouterr().err == "error: count must be at least 1, got 0\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gen-source", "--out", "unused.txt", "--ell"],
     ["prob", "--source", "unused.txt", "--x", "01", "--ell"],

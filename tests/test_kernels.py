@@ -369,7 +369,16 @@ def test_domination_bit_identical_to_position_loop(randomized):
     for n in (0, 1, 2, 5, 12):
         for q, seed in ((0.1, 0), (0.3, 12345), (0.5, 2**63 + 11)):
             out = _kernels.domination_dist(n, q, seed, randomized)
+            assert out.shape == (n + 1,)
             assert np.array_equal(out, loop_domination(n, q, np.uint64(seed), randomized))
+        # seed batches: one seed, one full block, and a short last block
+        step = max(1, _kernels._DOMINATION_PATHS >> n)
+        seeds = np.random.default_rng(n).integers(0, 2**64, step + 1, dtype=np.uint64)
+        for batch in (seeds[:1], seeds[:step], seeds, list(map(int, seeds[:3]))):
+            out = _kernels.domination_dist(n, 0.3, batch, randomized)
+            assert out.shape == (len(batch), n + 1)
+            for row, seed in zip(out, batch):
+                assert np.array_equal(row, loop_domination(n, 0.3, np.uint64(seed), randomized))
 
 
 ROWS = _kernels._ROW_LOOP_ROWS

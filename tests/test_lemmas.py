@@ -68,6 +68,29 @@ def test_domination_rejects_bad_q():
         verify_domination(q=1.5)
 
 
+@pytest.mark.parametrize("n, q, processes, seed", [(12, 0.3, 32, 4), (8, 0.1, 5, 0), (0, 0.5, 3, 9)])
+def test_domination_batch_matches_one_call_per_process(n, q, processes, seed):
+    # the per-process loop the one batched kernel call replaced
+    tails = np.array([binomial_tail(n, q, k) for k in range(n + 1)])
+    eq_dist = _kernels.domination_dist(n, q, 0, randomized=False)
+    equality_gap = float(np.abs(np.cumsum(eq_dist) - tails).max())
+    worst, failures = -math.inf, 0
+    for p in range(processes):
+        pseed = _kernels.child_seed(seed, f"domination-q{q}-proc{p}")
+        excess = float((np.cumsum(_kernels.domination_dist(n, q, pseed, True)) - tails).max())
+        worst = max(worst, excess)
+        failures += excess > 1e-12
+    rep = verify_domination(n=n, q=q, processes=processes, seed=seed)
+    assert (rep.empirical, rep.failures) == (max(worst, equality_gap), failures)
+    assert rep.extras["equality_gap"] == equality_gap
+
+
+@pytest.mark.parametrize("processes", [0, -3])
+def test_domination_rejects_empty_batches(processes):
+    with pytest.raises(ValueError, match="processes must be at least 1"):
+        verify_domination(n=6, processes=processes)
+
+
 def test_domination_deterministic():
     a = verify_domination(n=8, q=0.1, processes=10, seed=5)
     b = verify_domination(n=8, q=0.1, processes=10, seed=5)
@@ -330,6 +353,13 @@ def test_chaining_batch_passes():
     rep = verify_chaining_batch(count=10, ell=2, n=512, seed=8)
     assert rep.verdict
     assert rep.failures == 0
+
+
+@pytest.mark.parametrize("batch", [verify_truncation_batch, verify_chaining_batch])
+@pytest.mark.parametrize("count", [0, -1])
+def test_exact_batches_reject_empty_counts(batch, count):
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        batch(count=count, ell=2, n=64)
 
 
 def test_report_verdict_consistency_guard():

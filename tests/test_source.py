@@ -1,3 +1,4 @@
+import itertools
 import math
 import time
 
@@ -52,14 +53,55 @@ def test_context_of_uneven_tree():
 
 
 def test_invalid_trees_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="word '01' has 2 leaf suffixes"):
         ContextTree(["1", "01", "00"])  # "1" is a suffix of "01"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="word '00' has 0 leaf suffixes"):
         ContextTree(["11", "01"])  # pasts ending in 0 are uncovered
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate leaves"):
         ContextTree(["0", "0", "1"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty leaf set"):
         ContextTree([])
+    with pytest.raises(ValueError, match="is not a 0/1 string"):
+        ContextTree(["0", "1x"])
+
+
+def string_state_leaf(leaves, memory):
+    """Leaf index of every length-memory word, by suffix matching on strings."""
+    words = (format(c, f"0{memory}b") if memory else "" for c in range(1 << memory))
+    return [next(i for i, s in enumerate(leaves) if w.endswith(s)) for w in words]
+
+
+@pytest.mark.parametrize("leaves", [
+    [""],
+    ["0", "1"],
+    ["1", "10", "00"],
+    ["1", "10", "000", "100"],
+    ["1" + "0" * k for k in range(7)] + ["0" * 7],
+    ["00", "10", "001", "101", "11"],
+])
+def test_state_leaf_index_matches_string_suffixes(leaves):
+    tree = ContextTree(leaves)
+    want = string_state_leaf(tree.leaves, tree.memory)
+    assert tree.state_leaf_index.tolist() == want
+    assert not tree.state_leaf_index.flags.writeable
+
+
+def test_full_tree_is_shared_and_read_only():
+    for ell in range(0, 9):
+        tree = full_tree(ell)
+        assert full_tree(ell) is tree
+        assert not tree.state_leaf_index.flags.writeable
+        assert tree.leaves == tuple("".join(p) for p in itertools.product("01", repeat=ell))
+        assert [int(w, 2) if w else 0 for w in tree.leaves] == list(range(1 << ell))
+    with pytest.raises(ValueError):
+        full_tree(3).state_leaf_index[0] = 1
+
+
+def test_theta_looks_up_leaves_and_rejects_others():
+    src = MarkovSource(ContextTree(["1", "10", "00"]), {"1": 0.2, "10": 0.4, "00": 0.6})
+    assert [src.theta(w) for w in ("1", "10", "00")] == [0.2, 0.4, 0.6]
+    with pytest.raises(ValueError, match="'01' is not a leaf"):
+        src.theta("01")
 
 
 def test_history_too_short():
@@ -300,6 +342,54 @@ def test_truncate_zero_extension_convention():
     cut = src.truncate(1)
     assert cut.theta("1") == 0.4  # parameter of "01"
     assert cut.theta("0") == 0.2  # parameter of "00"
+
+
+def string_truncate(src, ell):
+    """The string-keyed truncation: each depth-ell context takes the
+    parameter of its all-zeros extension."""
+    if ell >= src.memory:
+        return src
+    tree = ContextTree("".join(p) for p in itertools.product("01", repeat=ell))
+    pad = "0" * (src.memory - ell)
+    return MarkovSource(tree, {w: src.theta(src.tree.context_of(pad + w)) for w in tree.leaves})
+
+
+def string_hypercube(ell, half_width, seed):
+    rng = np.random.default_rng(seed)
+    vals = 0.5 + rng.uniform(-half_width, half_width, size=1 << ell)
+    tree = ContextTree("".join(p) for p in itertools.product("01", repeat=ell))
+    return MarkovSource(tree, {w: float(vals[state_code(w, ell) if ell else 0]) for w in tree.leaves})
+
+
+def string_continuity(ell, delta, seed, max_tries=200):
+    rng = np.random.default_rng(seed)
+    tree = ContextTree("".join(p) for p in itertools.product("01", repeat=ell))
+    for _ in range(max_tries):
+        vals = np.array([rng.uniform(0.45, 0.55)])
+        for d in range(ell):
+            band = delta(d) / 3.0
+            u = rng.uniform(-band, band, size=2 * len(vals))
+            vals = np.concatenate([vals, vals]) * (1.0 + u)
+        vals = np.clip(vals, 1e-4, 1.0 - 1e-4)
+        src = MarkovSource(tree, {w: float(vals[state_code(w, ell)]) for w in tree.leaves})
+        if not check_continuity(src, delta):
+            return src
+    raise ContinuityGenerationError("no admissible source")
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_generators_and_truncation_match_string_keyed_construction(ell):
+    delta = DeltaSpec.parse("exp:1")
+    for seed in range(20):
+        src = random_continuity_source(ell, delta, seed=seed)
+        ref = string_continuity(ell, delta, seed)
+        assert src.probs == ref.probs and src.tree == ref.tree
+        for depth in range(ell + 2):
+            cut = src.truncate(depth)
+            want = string_truncate(ref, depth)
+            assert cut.probs == want.probs and cut.tree == want.tree
+        cube = random_hypercube_source(ell, 1 / 8, seed=seed)
+        assert cube.probs == string_hypercube(ell, 1 / 8, seed).probs
 
 
 def test_truncation_ratio_within_band():
