@@ -10,9 +10,11 @@ Conventions shared by every kernel:
   emitted j+1 steps earlier (most recent bit = least significant bit).
   "w is a suffix of s" then reads ``code(s) & (2**|w| - 1) == code(w)``
   and rolling a context forward is ``((s << 1) | b) & (2**d - 1)``.
-* Counting goes through a state array, the context code before every
-  position: ``depth`` shifted views of the bits, the past filling the
-  first ``depth`` columns, then one integer ``bincount``.
+* Counting builds every position's code ``(context << 1) | bit`` from
+  ``depth + 1`` shifted views of the bits, the past filling the first
+  ``depth`` columns, in the narrowest unsigned type that holds it (uint8
+  below depth 8, uint16 below 16, else uint32), then one integer
+  ``bincount`` per row block of about 2**16 positions.
 * ``log2_prob_batch`` is derived from the count table, so it differs
   from a sequential chain-rule sum by rounding only (about 1e-9 at
   n = 65536).
@@ -22,15 +24,19 @@ Conventions shared by every kernel:
   prefix tree one level at a time, so level t touches 2**t rows, and add
   each position's term in sequence order.
 * The sampler runs small batches row by row in plain Python.  Larger
-  ones prefill every bit that is the same in every state (u < min theta
-  is a 1, u >= max theta a 0) and settle the ambiguous draws in between
-  in vectorized rounds until nothing changes, which is the sequential
-  result.  A block with too many ambiguous draws, or whose rounds stop
+  ones go in blocks of about 2**17 draws: each block prefills every bit
+  that is the same in every state (u < min theta is a 1, u >= max theta
+  a 0) and settles the ambiguous draws in between in vectorized rounds
+  until nothing changes, which is the sequential result.  A block with
+  more than one ambiguous draw per 2 ell positions, or whose rounds stop
   shrinking, hands the rest of the batch to a loop over positions, all
-  rows at once.
+  rows at once.  The block loop takes each block's uniforms as it
+  reaches it, so the Monte Carlo chunks draw them from their generator
+  block by block and hold a whole chunk's uniforms only when a block
+  gives up.
 * All randomness enters as pre-drawn uniforms (or an explicit 64-bit
-  seed for the hash-derived process generator), so every kernel is a
-  deterministic function of its arguments.
+  seed for the hash-derived process generator), so every public kernel
+  is a deterministic function of its arguments.
 """
 
 from __future__ import annotations
@@ -141,8 +147,12 @@ def _np_mix_unit(z):
 # over positions below about 37 rows whatever n and ell (see CHANGES.md)
 _ROW_LOOP_ROWS = 36
 # larger batches are settled in blocks of about this many draws, so the
-# pre-pass's scratch arrays stay small whatever T and n
-_SETTLE_DRAWS = 1 << 15
+# pre-pass's scratch arrays and each block's uniforms stay small whatever T
+# and n
+_SETTLE_DRAWS = 1 << 17
+# counting walks row blocks of about this many positions (or one row), so
+# its scratch codes stay small whatever T and n
+_COUNT_POSITIONS = 1 << 16
 
 
 def sample_batch(theta: np.ndarray, state0: int, ell: int, u: np.ndarray) -> np.ndarray:
@@ -153,26 +163,38 @@ def sample_batch(theta: np.ndarray, state0: int, ell: int, u: np.ndarray) -> np.
     ``u[i] < theta[s]`` with s the state before it.  Row t is the same
     whatever the batch size.
     """
-    T, n = u.shape
+    return _sample_rows(theta, state0, ell, u.shape, lambda r, k, head: u[r : r + k])
+
+
+def _sample_rows(theta, state0, ell, shape, draw):
+    # Sample a (T, n) batch whose uniforms come from draw(r, k, head): the
+    # uniforms of rows r .. r + k - 1, asked for in row order.  head is None,
+    # except when a block gives up: it then holds that block's uniforms,
+    # already handed out, and the rows asked for (the rest of the batch)
+    # start with them.  Small batches run row by row in one draw.
+    T, n = shape
     if T < _ROW_LOOP_ROWS:
-        return _sample_loop(theta, state0, ell, u)
+        return _sample_loop(theta, state0, ell, draw(0, T, None))
     out = np.empty((T, n), np.uint8)
     step = max(1, _SETTLE_DRAWS // max(n, 1))
     for r in range(0, T, step):
-        bits = _settle(theta, state0, ell, u[r : r + step])
+        u = draw(r, min(step, T - r), None)
+        bits = _settle(theta, state0, ell, u)
         if bits is None:  # the loop over positions is as fast: it takes the rest
-            out[r:] = _sample_loop(theta, state0, ell, u[r:])
+            u = draw(r, T - r, u)  # and the block's own uniforms are freed
+            _sample_loop(theta, state0, ell, u, out[r:])
             break
-        out[r : r + step] = bits
+        out[r : r + len(u)] = bits
     return out
 
 
-def _sample_loop(theta, state0, ell, u):
+def _sample_loop(theta, state0, ell, u, out=None):
     # one row at a time in plain Python for small batches, else one
-    # position at a time over all rows
+    # position at a time over all rows; writes into out when given
     T, n = u.shape
     mask = (1 << ell) - 1 if ell > 0 else 0
-    out = np.empty((T, n), np.uint8)
+    if out is None:
+        out = np.empty((T, n), np.uint8)
     if T < _ROW_LOOP_ROWS:
         th = theta.tolist()
         for t in range(T):
@@ -245,31 +267,33 @@ def _settle(theta, state0, ell, u):
     return ext[:, ell:]
 
 
-def _np_states(bits, state0, depth):
-    T, n = bits.shape
-    states = np.zeros((T, n), np.int64)
-    if depth == 0:
-        return states
-    past = (int(state0) >> np.arange(depth - 1, -1, -1)) & 1
-    ext = np.concatenate((np.broadcast_to(past.astype(np.uint8), (T, depth)), bits), axis=1)
-    for k in range(depth):  # oldest lag first, one shifted view each
-        states <<= 1
-        states |= ext[:, k : k + n]
-    return states
-
-
 def _count(bits, state0, depth):
-    # shared by both public counting kernels, so neither traces as the other
-    bits = np.ascontiguousarray(bits)
+    # shared by both public counting kernels, so neither traces as the other.
+    # Per row block, every position's code (context << 1) | bit is built in
+    # the narrowest unsigned type that holds depth + 1 bits, one shifted view
+    # of the past and the bits per lag, oldest first; one bincount with an
+    # offset per row then counts the block
     T, n = bits.shape
     m2 = 2 << depth
-    flat = _np_states(bits, state0, depth)
-    flat <<= 1
-    flat |= bits
-    flat += np.arange(0, T * m2, m2, dtype=np.int64)[:, None]
-    table = np.bincount(flat.ravel(), minlength=T * m2).reshape(T, m2 >> 1, 2)
-    ones = np.ascontiguousarray(table[:, :, 1], dtype=np.int64)
-    return table.sum(axis=2, dtype=np.int64), ones
+    code_type = np.uint8 if depth < 8 else np.uint16 if depth < 16 else np.uint32
+    past = (int(state0) >> np.arange(depth - 1, -1, -1)) & 1
+    occ = np.empty((T, m2 >> 1), np.int64)
+    ones = np.empty((T, m2 >> 1), np.int64)
+    step = max(1, _COUNT_POSITIONS // max(n, m2))
+    for r in range(0, T, step):
+        rows = min(step, T - r)
+        ext = np.empty((rows, depth + n), np.uint8)
+        ext[:, :depth] = past
+        ext[:, depth:] = bits[r : r + rows]
+        codes = ext[:, :n].astype(code_type)
+        for k in range(1, depth + 1):
+            codes <<= 1
+            codes |= ext[:, k : k + n]
+        codes = codes + np.arange(0, rows * m2, m2, dtype=np.intp)[:, None]
+        table = np.bincount(codes.ravel(), minlength=rows * m2).reshape(rows, m2 >> 1, 2)
+        np.add(table[:, :, 0], table[:, :, 1], out=occ[r : r + rows])
+        ones[r : r + rows] = table[:, :, 1]
+    return occ, ones
 
 
 def count_batch(bits: np.ndarray, state0: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
@@ -281,6 +305,11 @@ def log2_prob_batch(lt1, lt0, state0: int, ell: int, bits: np.ndarray) -> np.nda
     """Per-trial log2 probability given per-state log2 symbol weights,
     sum_s n_s1 lt1[s] + n_s0 lt0[s] over the depth-ell count table."""
     occ, ones = _count(bits, state0, ell)
+    return _source_log2(occ, ones, lt1, lt0)
+
+
+def _source_log2(occ, ones, lt1, lt0):
+    # log2 probability of (trials, 2**ell) count tables under per-state weights
     return ones @ lt1 + (occ - ones) @ lt0
 
 
@@ -421,8 +450,9 @@ def azuma_failures(u: np.ndarray, gamma: float, kind: int) -> int:
     kind 2 at the first return to zero after ten steps (else at n).
     """
     T, n = u.shape
-    steps = np.where(u < 0.5, 1, -1)
-    cs = np.cumsum(steps, axis=1)
+    # |S_k| <= k, so int8 steps and an int16 walk hold every n < 2**15
+    steps = np.where(u < 0.5, np.int8(1), np.int8(-1))
+    cs = np.cumsum(steps, axis=1, dtype=np.int16 if n < 1 << 15 else np.int64)
     k = np.arange(1, n + 1)
     if kind == 0:
         return int((np.abs(cs[:, -1]) >= gamma * math.sqrt(n)).sum())

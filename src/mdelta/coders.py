@@ -148,7 +148,11 @@ class KTCoder(SequentialCoder):
         return float(kt_log2_from_counts(occ[0], ones[0]))
 
     def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
-        occ, ones = _kernels.count_batch(bits, self._state0, self.depth)
+        return self.log2_prob_counts(*_kernels.count_batch(bits, self._state0, self.depth))
+
+    def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """Per-trial log2 q from depth-`depth` count tables of whole
+        sequences, counted from the coder's past."""
         return np.asarray(kt_log2_from_counts(occ, ones))
 
     def log2_prob_all(self, n: int) -> np.ndarray:
@@ -171,6 +175,7 @@ class MixtureCoder(SequentialCoder):
         self.depth = depth
         self.horizon = horizon
         self._kt = KTCoder(depth, past)
+        self._state0 = self._kt._state0
         self.reset()
 
     def reset(self) -> None:
@@ -207,7 +212,14 @@ class MixtureCoder(SequentialCoder):
     def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
         if bits.shape[1] != self.horizon:
             raise ValueError(f"mixture coder is defined on length-{self.horizon} sequences")
-        return np.asarray(self._mix(self._kt.log2_prob_batch(bits)))
+        return self.log2_prob_counts(*_kernels.count_batch(bits, self._state0, self.depth))
+
+    def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """Per-trial log2 q from depth-`depth` count tables of whole
+        length-`horizon` sequences, counted from the coder's past."""
+        if (occ.sum(axis=-1) != self.horizon).any():
+            raise ValueError(f"mixture coder is defined on length-{self.horizon} sequences")
+        return np.asarray(self._mix(self._kt.log2_prob_counts(occ, ones)))
 
     def log2_prob_all(self, n: int) -> np.ndarray:
         if n != self.horizon:
@@ -241,6 +253,11 @@ class SourceCoder(SequentialCoder):
 
     def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
         return self.source.log2_prob_batch(self._past, bits)
+
+    def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """Per-trial log2 q from depth-`depth` count tables of whole
+        sequences, counted from the coder's past."""
+        return self.source.log2_prob_counts(occ, ones)
 
     def log2_prob_all(self, n: int) -> np.ndarray:
         _require_cap(n)

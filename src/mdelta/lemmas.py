@@ -22,6 +22,7 @@ from .coders import ml_log2_from_counts
 from .delta import DeltaSpec
 from .source import (
     MarkovSource,
+    _check_horizon,
     _chunk_sizes,
     aggregate_moments,
     as_bits,
@@ -94,12 +95,6 @@ def _make_report(lemma, params, trials, failures, empirical, bound, slack, **kw)
 
 def _rate_se(phat: float, trials: int) -> float:
     return math.sqrt(phat * (1.0 - phat) / trials) if trials else 0.0
-
-
-def _check_horizon(n: int) -> None:
-    """Every Monte Carlo harness samples sequences of at least one step."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
 
 
 def _escalate(run, trials: int | None, min_trials: int = 1):

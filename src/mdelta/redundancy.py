@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .coders import ENUMERATION_CAP, SequentialCoder, _require_cap
 from .delta import DeltaSpec
-from .source import MAX_SCAN_DEPTH, MarkovSource
+from .source import MAX_SCAN_DEPTH, MarkovSource, _check_horizon, _fold, as_bits, state_code
 
 __all__ = [
     "MCEstimate",
@@ -85,21 +86,47 @@ def mc_avg_redundancy(
     trials: int,
     seed: int | None = None,
 ) -> MCEstimate:
-    """Monte Carlo mean +- standard error of the regret over sampled sequences."""
+    """Monte Carlo mean +- standard error of the regret over sampled sequences.
+
+    Coders that score count tables (KT, mixture, source) share one count
+    of each chunk with the source, taken at the larger of the two depths
+    from the past and summed down to each depth, when the coder's own past
+    is the tail of that past; any other coder scores the bits.
+    """
+    _check_horizon(n)
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
+    shared = _shared_count(source, past, coder)
     rng = np.random.default_rng(seed)
     logp = np.empty(trials)
     logq = np.empty(trials)
     done = 0
     for bits in source._sample_chunks(past, n, trials, rng):
-        logp[done : done + len(bits)] = source.log2_prob_batch(past, bits)
-        logq[done : done + len(bits)] = coder.log2_prob_batch(bits)
+        rows = slice(done, done + len(bits))
+        if shared is None:
+            logp[rows] = source.log2_prob_batch(past, bits)
+            logq[rows] = coder.log2_prob_batch(bits)
+        else:
+            occ, ones = _kernels.count_batch(bits, shared, max(source.memory, coder.depth))
+            logp[rows] = source.log2_prob_counts(_fold(occ, source.memory), _fold(ones, source.memory))
+            logq[rows] = coder.log2_prob_counts(_fold(occ, coder.depth), _fold(ones, coder.depth))
         done += len(bits)
     r = logp - logq
     mean = float(r.sum()) / trials
     var = max(float((r * r).sum()) / trials - mean * mean, 0.0)
     return MCEstimate(mean, math.sqrt(var / trials), trials, logp, logq)
+
+
+def _shared_count(source: MarkovSource, past, coder: SequentialCoder) -> int | None:
+    """Context code of the past at max(memory, coder depth) when one count
+    table serves both the source and the coder, else None."""
+    if not hasattr(coder, "log2_prob_counts"):
+        return None
+    depth = max(source.memory, coder.depth)
+    if len(as_bits(past)) < depth:
+        return None
+    code = state_code(past, depth)
+    return code if code & ((1 << coder.depth) - 1) == coder._state0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,12 @@ STATIONARY_MAX_ITER = 10**6
 _TRIAL_BUDGET_BYTES = 64 << 20  # float64 uniforms drawn at once for Monte Carlo trials
 
 
+def _check_horizon(n: int) -> None:
+    """Every Monte Carlo estimate samples sequences of at least one step."""
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+
+
 def _chunk_sizes(trials: int, n: int):
     """Split `trials` rows of n uniforms into chunks under the trial budget."""
     chunk = max(1, _TRIAL_BUDGET_BYTES // (8 * max(n, 1)))
@@ -252,12 +258,15 @@ class CountTable:
         """Collapse to a shallower depth by summing sibling rows."""
         if not 0 <= depth <= self.depth:
             raise ValueError("can only aggregate to a shallower depth")
-        shape = (1 << (self.depth - depth), 1 << depth)
-        return CountTable(
-            depth,
-            self.occurrences.reshape(shape).sum(axis=0),
-            self.ones.reshape(shape).sum(axis=0),
-        )
+        return CountTable(depth, _fold(self.occurrences, depth), _fold(self.ones, depth))
+
+
+def _fold(counts: np.ndarray, depth: int) -> np.ndarray:
+    """Sum the trailing 2**D context axis of (possibly batched) counts down
+    to the 2**depth contexts of their low `depth` bits, for depth <= D."""
+    top = counts.shape[-1].bit_length() - 1
+    shape = counts.shape[:-1] + (1 << (top - depth), 1 << depth)
+    return counts.reshape(shape).sum(axis=-2)
 
 
 def count_table(x, past, depth: int) -> CountTable:
@@ -289,13 +298,15 @@ class MarkovSource:
             missing = [s for s in tree.leaves if s not in theta]
             if missing:
                 raise ValueError(f"theta missing for leaves {missing}")
-            probs = tuple(float(theta[s]) for s in tree.leaves)
-        else:
-            probs = tuple(float(v) for v in theta)
-            if len(probs) != len(tree.leaves):
-                raise ValueError("theta length does not match leaf count")
-        if any(not 0.0 < p < 1.0 for p in probs):
+            theta = [theta[s] for s in tree.leaves]
+        elif not isinstance(theta, np.ndarray):
+            theta = list(theta)
+        vals = np.asarray(theta, dtype=np.float64)
+        if vals.shape != (len(tree.leaves),):
+            raise ValueError("theta length does not match leaf count")
+        if not ((vals > 0.0) & (vals < 1.0)).all():
             raise ValueError("every transition probability must lie strictly in (0, 1)")
+        probs = tuple(vals.tolist())
         object.__setattr__(self, "tree", tree)
         object.__setattr__(self, "probs", probs)
 
@@ -341,6 +352,11 @@ class MarkovSource:
         lt1, lt0 = self._log_tables
         return _kernels.log2_prob_batch(lt1, lt0, self._past_code(past), self.memory, bits)
 
+    def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """Per-trial log2 probability from depth-`memory` count tables, the
+        same closed form log2_prob_batch takes after counting."""
+        return _kernels._source_log2(occ, ones, *self._log_tables)
+
     def log2_prob_all(self, past, n: int) -> np.ndarray:
         """log2 probability of every length-n sequence (lexicographic)."""
         lt1, lt0 = self._log_tables
@@ -359,11 +375,25 @@ class MarkovSource:
 
     def _sample_chunks(self, past, n: int, trials: int, rng):
         """Yield `trials` length-n samples as (t, n) bit batches, drawing
-        the uniforms from rng row after row under the trial budget."""
+        the uniforms from rng row after row under the trial budget.
+
+        The sampler draws them one settle block at a time, so a chunk's
+        uniforms are never held at once unless a block gives up; every
+        bit and the rng state afterwards equal one sample_batch call on
+        rng.random((trials, n)).
+        """
         s0 = self._past_code(past)
+
+        def draw(r, k, head):
+            if head is None:
+                return rng.random((k, n))
+            u = np.empty((k, n))
+            u[: len(head)] = head
+            rng.random(out=u[len(head) :])
+            return u
+
         for t in _chunk_sizes(trials, n):
-            # the uniforms are freed before the bits are yielded
-            yield _kernels.sample_batch(self.state_theta, s0, self.memory, rng.random((t, n)))
+            yield _kernels._sample_rows(self.state_theta, s0, self.memory, (t, n), draw)
 
     # -- stationary law -----------------------------------------------------
 
@@ -493,11 +523,8 @@ def aggregate_moments(
         raise ValueError("count arrays must span a power-of-two state space")
     if depth > count_depth or count_depth < source.memory:
         raise ValueError("count depth must cover both the target depth and the memory")
-    shape = occ.shape[:-1] + (1 << (count_depth - depth), 1 << depth)
-    n_w = occ.reshape(shape).sum(axis=-2)
-    n_w1 = ones.reshape(shape).sum(axis=-2)
-    weighted = (occ * expanded_theta(source, count_depth)).reshape(shape).sum(axis=-2)
-    return n_w, n_w1, weighted
+    weighted = _fold(occ * expanded_theta(source, count_depth), depth)
+    return _fold(occ, depth), _fold(ones, depth), weighted
 
 
 def log2_empirical_product(n_w: np.ndarray, n_w1: np.ndarray, weighted: np.ndarray) -> float:
@@ -542,11 +569,16 @@ def check_continuity(
     common suffixes are checked too, each pair is tested against the
     running minimum of delta up to its longest common suffix.
     """
+    return list(_continuity_violations(source, delta, tol))
+
+
+def _continuity_violations(source, delta, tol):
+    # the violations of check_continuity, in its order, built one at a time
+    # so that a caller testing for any can stop at the first
     L = source.memory
     if L == 0:
-        return []
+        return
     dmin = _prefix_min_delta(delta, L - 1)
-    violations: list[ContinuityViolation] = []
     if source.tree.is_full():
         th = source.state_theta
         leaves = source.tree.leaves
@@ -565,17 +597,15 @@ def check_continuity(
                     r_lo = int(view[:, col].argmin())
                     c_hi = (r_hi << d) | int(col)
                     c_lo = (r_lo << d) | int(col)
-                    violations.append(
-                        ContinuityViolation(
-                            leaves[int(idx[c_hi])],
-                            leaves[int(idx[c_lo])],
-                            _code_to_string(int(col), d),
-                            symbol,
-                            float(excess[col]),
-                            float(dmin[d]),
-                        )
+                    yield ContinuityViolation(
+                        leaves[int(idx[c_hi])],
+                        leaves[int(idx[c_lo])],
+                        _code_to_string(int(col), d),
+                        symbol,
+                        float(excess[col]),
+                        float(dmin[d]),
                     )
-        return violations
+        return
     # general (non-full) trees: direct pairwise scan
     leaves = source.tree.leaves
     for i, s1 in enumerate(leaves):
@@ -590,8 +620,7 @@ def check_continuity(
                 b = source.theta(s2) if symbol else 1.0 - source.theta(s2)
                 excess = max(a / b, b / a) - 1.0
                 if excess > allowed + tol:
-                    violations.append(ContinuityViolation(s1, s2, w, symbol, excess, allowed))
-    return violations
+                    yield ContinuityViolation(s1, s2, w, symbol, excess, allowed)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +683,7 @@ def random_continuity_source(
             vals = np.concatenate([vals, vals]) * (1.0 + u)
         vals = np.clip(vals, 1e-4, 1.0 - 1e-4)
         src = MarkovSource(tree, vals.tolist())
-        if not check_continuity(src, delta):
+        if next(_continuity_violations(src, delta, 1e-12), None) is None:
             return src
     raise ContinuityGenerationError(
         f"no admissible source after {max_tries} draws; band budget too wide for {delta.describe()}"

@@ -201,6 +201,17 @@ def test_redundancy_regret_rows_are_the_library_estimate(tmp_path):
     assert np.mean([float(r[5]) for r in rows]) == est.mean
 
 
+def test_redundancy_empty_horizon_exits_two(tmp_path, capsys):
+    src = tmp_path / "src.txt"
+    out = tmp_path / "regret.csv"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+                 "--seed", "2", "--out", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["redundancy", "--source", str(src), "--n", "0", "--trials", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n must be at least 1, got 0\n"
+    assert not out.exists()
+
+
 def test_too_few_trials_for_a_standard_error_exit_two(tmp_path):
     src = tmp_path / "src.txt"
     assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",

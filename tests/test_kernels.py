@@ -211,6 +211,27 @@ def test_counts_match_python_reference(trials, n, depth, state0):
     assert (occ.sum(axis=1) == n).all()
 
 
+@pytest.mark.parametrize("depth", [7, 8, 15, 16])
+def test_counts_match_python_reference_at_code_width_edges(depth):
+    # codes (context << 1) | bit need depth + 1 bits: uint8 up to depth 7,
+    # uint16 up to 15, uint32 at 16; all-one rows after an all-one past
+    # reach the largest code.  Row blocks split 240 rows of 300 positions
+    # at depths 7 and 8, and hold one row each at 15 and 16
+    rng = np.random.default_rng(90 + depth)
+    top = (1 << depth) - 1
+    for trials in (1, 3, 240) if depth < 9 else (1, 3):
+        for n in sorted({0, 1, depth - 1, 300}):
+            bits = rng.integers(0, 2, (trials, n)).astype(np.uint8)
+            bits[0] = 1
+            for state0 in (top, 0b1011):
+                occ, ones = _kernels.count_batch(bits, state0, depth)
+                # Python ints in the reference: uint8 bits would wrap its state
+                ref_occ, ref_ones = _py_count_batch(bits.astype(np.int64), state0, depth)
+                assert occ.dtype == ones.dtype == np.int64
+                assert np.array_equal(occ, ref_occ)
+                assert np.array_equal(ones, ref_ones)
+
+
 @pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES)
 def test_log_prob_matches_chain_rule(trials, n, depth, state0):
     rng = np.random.default_rng(100 + n + depth)
@@ -261,6 +282,17 @@ def test_azuma_matches_python_reference(trials, n, gamma):
     u = np.random.default_rng(4 + n).random((trials, n))
     for kind in (0, 1, 2):
         assert _kernels.azuma_failures(u, gamma, kind) == _py_azuma_failures(u, gamma, kind)
+
+
+def test_azuma_walk_width_holds_the_longest_walks():
+    # a walk of n < 2**15 steps fits int16; one more step needs int64
+    for n in ((1 << 15) - 1, 1 << 15):
+        u = np.full((3, n), 0.25)  # every step +1
+        u[1] = 0.75  # every step -1
+        u[2] = np.random.default_rng(n).random(n)
+        for kind in (0, 1, 2):
+            for gamma in (1.0, 0.999 * math.sqrt(n)):
+                assert _kernels.azuma_failures(u, gamma, kind) == _py_azuma_failures(u, gamma, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +519,9 @@ def test_sample_block_that_gives_up_hands_the_rest_to_the_loop(monkeypatch):
     u[:4] = 0.9995  # the first block has no draw that reads its state
     shapes, real = [], _kernels._sample_loop
 
-    def loop(theta, state0, ell, u):
+    def loop(theta, state0, ell, u, out=None):
         shapes.append(u.shape)
-        return real(theta, state0, ell, u)
+        return real(theta, state0, ell, u, out)
 
     monkeypatch.setattr(_kernels, "_sample_loop", loop)
     for state0 in (0, 1):

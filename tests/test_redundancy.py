@@ -124,6 +124,69 @@ def test_mc_chunking_keeps_the_stream(monkeypatch):
     assert (chunked.mean, chunked.se) == (whole.mean, whole.se)
 
 
+def two_count_estimate(src, past, coder, n, trials, seed):
+    """The per-trial values with the source and the coder each scoring the bits."""
+    rng = np.random.default_rng(seed)
+    logp, logq = [], []
+    for bits in src._sample_chunks(past, n, trials, rng):
+        logp.append(src.log2_prob_batch(past, bits))
+        logq.append(coder.log2_prob_batch(bits))
+    return np.concatenate(logp), np.concatenate(logq)
+
+
+# (memory, coder depth, past, coder past): depths below, at and above the
+# memory, a memory-0 source, and a coder past that is the tail of the past
+SHARED_COUNT_CASES = [(4, 2, "0110", None), (2, 4, "0110", None), (3, 3, "101", None),
+                      (0, 3, "110", None), (3, 0, "101", None), (2, 1, "0110", "0")]
+
+
+@pytest.mark.parametrize("memory,depth,past,coder_past", SHARED_COUNT_CASES)
+def test_mc_shared_count_equals_two_counts(memory, depth, past, coder_past, monkeypatch):
+    from mdelta.source import MarkovSource as Source
+
+    def no_bits(*args):
+        raise AssertionError("the source scored the bits")
+
+    src = random_hypercube_source(memory, 0.2, seed=memory + 10 * depth)
+    n, trials = 200, 70
+    coders = [KTCoder(depth, coder_past or past), MixtureCoder(depth, coder_past or past, horizon=n)]
+    if coder_past is None:
+        coders.append(SourceCoder(src, past))
+    for seed, coder in enumerate(coders):
+        logp, logq = two_count_estimate(src, past, coder, n, trials, seed)
+        with monkeypatch.context() as m:
+            m.setattr(Source, "log2_prob_batch", no_bits)
+            est = mc_avg_redundancy(src, past, coder, n, trials, seed=seed)
+        assert est.logp.tobytes() == logp.tobytes()
+        assert est.logq.tobytes() == logq.tobytes()
+        assert est.mean == float((logp - logq).sum()) / trials
+
+
+def test_mc_falls_back_to_two_counts(monkeypatch):
+    # a coder past that is not the tail of the past, a past shorter than the
+    # coder depth, and a coder that scores sequences only (NML)
+    src = random_hypercube_source(2, 0.2, seed=3)
+    n, trials = 10, 40
+    for past, coder in (("01", KTCoder(1, "0")), ("01", KTCoder(3, "101")), ("11", NMLCoder(2, "11", horizon=n)),
+                        ("10", MixtureCoder(2, "11", horizon=n))):
+        calls = []
+        real = type(coder).log2_prob_batch
+        monkeypatch.setattr(type(coder), "log2_prob_batch", lambda self, bits: calls.append(1) or real(self, bits))
+        est = mc_avg_redundancy(src, past, coder, n, trials, seed=2)
+        assert calls == [1]  # one chunk, scored from its bits
+        logp, logq = two_count_estimate(src, past, coder, n, trials, 2)
+        assert est.logp.tobytes() == logp.tobytes()
+        assert est.logq.tobytes() == logq.tobytes()
+        monkeypatch.undo()
+
+
+def test_mc_rejects_an_empty_horizon():
+    src = random_hypercube_source(1, 0.2, seed=1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^n must be at least 1, got {n}$"):
+            mc_avg_redundancy(src, "0", KTCoder(1, "0"), n, 10, seed=1)
+
+
 # ---------------------------------------------------------------------------
 # closed-form bounds
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdelta import _kernels
 from mdelta.delta import DeltaSpec
 from mdelta.source import (
     ContextTree,
@@ -104,6 +105,22 @@ def test_theta_looks_up_leaves_and_rejects_others():
         src.theta("01")
 
 
+def test_theta_is_validated_and_kept_as_python_floats():
+    tree = full_tree(2)
+    want = (0.125, 0.25, 0.5, 0.75)
+    for theta in (list(want), np.array(want), np.array(want, np.float32), iter(want),
+                  {"00": 0.125, "01": 0.25, "10": 0.5, "11": 0.75}):
+        src = MarkovSource(tree, theta)
+        assert src.probs == want and all(type(p) is float for p in src.probs)
+    for bad in ([0.5, 0.5, 0.5, 0.0], [0.5, 0.5, 0.5, 1.0], [0.5, 0.5, 0.5, float("nan")], [2.0] * 4):
+        with pytest.raises(ValueError, match=r"^every transition probability must lie strictly in \(0, 1\)$"):
+            MarkovSource(tree, bad)
+    with pytest.raises(ValueError, match="^theta length does not match leaf count$"):
+        MarkovSource(tree, [0.5] * 3)
+    with pytest.raises(ValueError, match=r"^theta missing for leaves \['11'\]$"):
+        MarkovSource(tree, {"00": 0.5, "01": 0.5, "10": 0.5})
+
+
 def test_history_too_short():
     tree = full_tree(3)
     with pytest.raises(ValueError):
@@ -182,6 +199,61 @@ def test_sample_biased_source_mostly_ones():
     src = MarkovSource(full_tree(0), {"": 0.999})
     bits = src.sample("", 100, seed=5)
     assert bits.sum() >= 95  # P(fewer) is a vanishing binomial tail
+
+
+def sample_chunks_and_state(src, past, n, trials, seed):
+    rng = np.random.default_rng(seed)
+    chunks = list(src._sample_chunks(past, n, trials, rng))
+    return chunks, rng.bit_generator.state
+
+
+def one_batch_and_state(src, past, n, trials, seed):
+    rng = np.random.default_rng(seed)
+    bits = _kernels.sample_batch(src.state_theta, state_code(past, src.memory), src.memory, rng.random((trials, n)))
+    return bits, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trials", [1, 35, 36, 300])
+def test_sample_chunks_equal_one_sample_batch(trials, monkeypatch):
+    # chunks of 120 rows (the last one short), 4096-draw settle blocks of
+    # 8 rows; the near-fair source settles, the alternating one gives up in
+    # its first block
+    from mdelta import source as source_mod
+
+    monkeypatch.setattr(source_mod, "_TRIAL_BUDGET_BYTES", 8 * 512 * 120)
+    monkeypatch.setattr(_kernels, "_SETTLE_DRAWS", 4096)
+    near_fair = random_hypercube_source(3, 0.05, seed=4)
+    alternating = MarkovSource(full_tree(1), [0.999, 0.001])
+    for src in (near_fair, alternating):
+        past = "1" * src.memory
+        chunks, state = sample_chunks_and_state(src, past, 512, trials, 9)
+        assert [len(c) for c in chunks] == [min(120, trials - r) for r in range(0, trials, 120)]
+        bits, want = one_batch_and_state(src, past, 512, trials, 9)
+        assert np.array_equal(np.concatenate(chunks), bits)
+        assert state == want
+
+
+def test_sample_chunks_block_giving_up_mid_chunk_keeps_the_stream(monkeypatch):
+    # the third block of each chunk gives up: the loop over positions takes
+    # that block's uniforms, already drawn, and the rest of the chunk
+    from mdelta import source as source_mod
+
+    monkeypatch.setattr(source_mod, "_TRIAL_BUDGET_BYTES", 8 * 512 * 120)
+    monkeypatch.setattr(_kernels, "_SETTLE_DRAWS", 4096)
+    calls, real = [], _kernels._settle
+
+    def settle(theta, state0, ell, u):
+        calls.append(len(u))
+        return None if len(calls) % 3 == 0 else real(theta, state0, ell, u)
+
+    monkeypatch.setattr(_kernels, "_settle", settle)
+    src = random_hypercube_source(3, 0.05, seed=5)
+    chunks, state = sample_chunks_and_state(src, "010", 512, 250, 3)
+    assert calls == [8, 8, 8] * 2  # chunks of 120, 120 and 10 rows; the last runs row by row
+    monkeypatch.setattr(_kernels, "_settle", real)
+    bits, want = one_batch_and_state(src, "010", 512, 250, 3)
+    assert np.array_equal(np.concatenate(chunks), bits)
+    assert state == want
 
 
 def test_sample_empty():
@@ -471,6 +543,25 @@ def test_check_continuity_loose_cap_passes():
     src = MarkovSource(full_tree(1), {"0": 0.35, "1": 0.65})
     spec = DeltaSpec("table", values=(5.0,), cap0=5.0)
     assert not check_continuity(src, spec)
+
+
+def test_check_continuity_is_the_lazy_walk_in_full():
+    # random_continuity_source stops the same walk at its first violation
+    from mdelta.source import _continuity_violations
+
+    delta = DeltaSpec.parse("exp:1")
+    rng = np.random.default_rng(7)
+    sources = [MarkovSource(full_tree(ell), rng.uniform(0.3, 0.7, 1 << ell).tolist()) for ell in (1, 3, 6)]
+    uneven = ContextTree(["1", "10", "000", "100"])
+    sources.append(MarkovSource(uneven, [0.2, 0.5, 0.6, 0.9]))
+    sources.append(random_continuity_source(4, delta, seed=1))
+    for src in sources:
+        full = check_continuity(src, delta)
+        walk = _continuity_violations(src, delta, 1e-12)
+        assert next(walk, None) == (full[0] if full else None)
+        assert full[1:] == list(walk)
+    assert check_continuity(sources[2], delta)  # a failing full tree and uneven tree are covered
+    assert check_continuity(sources[3], delta)
 
 
 def test_generation_error_when_budget_infeasible():
