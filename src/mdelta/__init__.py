@@ -11,6 +11,7 @@ from ._kernels import active_backend, child_seed, splitmix64
 from .codec import CodecError, decode, encode, pack_stream, unpack_stream
 from .coders import (
     ENUMERATION_CAP,
+    CountCoder,
     KTCoder,
     MixtureCoder,
     NMLCoder,

@@ -288,7 +288,8 @@ def _cmd_redundancy(args) -> int:
 
 
 def _cmd_nml(args) -> int:
-    result = coders.shtarkov_sum(args.ell, args.past or "", args.n)
+    past = args.past if args.past is not None else "0" * args.ell
+    result = coders.shtarkov_sum(args.ell, past, args.n)
     print(repr(result.log2_sum))
     return 0
 
@@ -358,12 +359,8 @@ def _run_harness(harness: str, kwargs: dict):
 
 def _cmd_verify(args) -> int:
     tasks = _verify_tasks(args)
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda t: t[1](), tasks))
-    else:
-        reports = [fn() for _, fn in tasks]
+    with ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
+        reports = list(pool.map(lambda t: t[1](), tasks))
     rows = []
     all_ok = True
     for (name, _), rep in zip(tasks, reports):
@@ -395,6 +392,8 @@ def _cmd_experiment(args) -> int:
     ns = _parse_ns(args.n)
     if sorted(ns) != ns:
         raise ValueError("--n values must be increasing for redundancy-vs-n")
+    if args.sources < 1:
+        raise ValueError("sources must be at least 1")
     rows = []
     means = []
 

@@ -6,9 +6,11 @@ probabilities are strictly inside (0,1) and the pair (p0, p1) sums to 1
 exactly by construction, so a coder doubles as the probability model of
 the arithmetic codec.
 
-Fast paths: the add-half (KT) product depends only on per-context
-counts, so whole-sequence and whole-batch log probabilities reduce to
-table lookups over count tables rather than replaying the sequence.
+Count-scored coders (KT, mixture, known source) derive from
+`CountCoder`: their code length is a closed form of the per-context
+counts of the whole sequence, so each defines only `log2_prob_counts`,
+and single-sequence and batched log probabilities both count the bits
+and apply it rather than replaying the sequence.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .source import CountTable, MarkovSource, as_bits, count_table, state_code
+from .source import CountTable, MarkovSource, as_bits, state_code
 
 __all__ = [
+    "CountCoder",
     "KTCoder",
     "MixtureCoder",
     "SourceCoder",
@@ -93,15 +96,7 @@ class SequentialCoder:
         return 1.0 - p1, p1
 
     def log2_prob(self, x) -> float:
-        """log2 q(x) by replaying the coder from a fresh state."""
-        self.reset()
-        acc = 0.0
-        for b in as_bits(x):
-            p1 = self.prob_one()
-            acc += math.log2(p1 if b else 1.0 - p1)
-            self.push(int(b))
-        self.reset()
-        return acc
+        raise NotImplementedError
 
     def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
         return np.array([self.log2_prob(row) for row in bits])
@@ -110,7 +105,26 @@ class SequentialCoder:
         raise NotImplementedError
 
 
-class KTCoder(SequentialCoder):
+class CountCoder(SequentialCoder):
+    """A coder whose log2 q(x) is a closed form of the depth-`depth`
+    context counts of x, rolled from the context code `state0` of its
+    past; subclasses define that closed form as `log2_prob_counts`."""
+
+    state0: int
+
+    def log2_prob(self, x) -> float:
+        return float(self.log2_prob_batch(as_bits(x)[None, :])[0])
+
+    def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
+        return self.log2_prob_counts(*_kernels.count_batch(bits, self.state0, self.depth))
+
+    def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        """Per-trial log2 q from (trials, 2**depth) count tables of whole
+        sequences, counted from the coder's past."""
+        raise NotImplementedError
+
+
+class KTCoder(CountCoder):
     """Per-context add-half rule: q(1 | history) = (a + 1/2) / (a + b + 1)
 
     with (a, b) the 1/0 counts seen so far in the current depth-`depth`
@@ -119,15 +133,14 @@ class KTCoder(SequentialCoder):
 
     def __init__(self, depth: int, past=""):
         self.depth = depth
-        self._state0 = state_code(past, depth)
-        self._past = past
+        self.state0 = state_code(past, depth)
         self.reset()
 
     def reset(self) -> None:
         m = 1 << self.depth
         self._ones = np.zeros(m, np.int64)
         self._occ = np.zeros(m, np.int64)
-        self._state = self._state0
+        self._state = self.state0
 
     def prob_one(self) -> float:
         s = self._state
@@ -140,27 +153,15 @@ class KTCoder(SequentialCoder):
         mask = (1 << self.depth) - 1 if self.depth else 0
         self._state = ((s << 1) | bit) & mask
 
-    def log2_prob(self, x) -> float:
-        bits = as_bits(x)
-        if bits.size == 0:
-            return 0.0
-        occ, ones = _kernels.count_batch(bits[None, :], self._state0, self.depth)
-        return float(kt_log2_from_counts(occ[0], ones[0]))
-
-    def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
-        return self.log2_prob_counts(*_kernels.count_batch(bits, self._state0, self.depth))
-
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """Per-trial log2 q from depth-`depth` count tables of whole
-        sequences, counted from the coder's past."""
         return np.asarray(kt_log2_from_counts(occ, ones))
 
     def log2_prob_all(self, n: int) -> np.ndarray:
         _require_cap(n)
-        return _kernels.enum_kt_log2(self.depth, self._state0, n)
+        return _kernels.enum_kt_log2(self.depth, self.state0, n)
 
 
-class MixtureCoder(SequentialCoder):
+class MixtureCoder(CountCoder):
     """Half-half mixture of the add-half coder with the uniform law on
     {0,1}^n: q(x) = (q_kt(x) + 2^-n) / 2, realized sequentially.
 
@@ -175,7 +176,7 @@ class MixtureCoder(SequentialCoder):
         self.depth = depth
         self.horizon = horizon
         self._kt = KTCoder(depth, past)
-        self._state0 = self._kt._state0
+        self.state0 = self._kt.state0
         self.reset()
 
     def reset(self) -> None:
@@ -203,20 +204,7 @@ class MixtureCoder(SequentialCoder):
     def _mix(self, log_qkt):
         return np.logaddexp2(log_qkt, -float(self.horizon)) - 1.0
 
-    def log2_prob(self, x) -> float:
-        bits = as_bits(x)
-        if bits.size != self.horizon:
-            raise ValueError(f"mixture coder is defined on length-{self.horizon} sequences")
-        return float(self._mix(self._kt.log2_prob(bits)))
-
-    def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
-        if bits.shape[1] != self.horizon:
-            raise ValueError(f"mixture coder is defined on length-{self.horizon} sequences")
-        return self.log2_prob_counts(*_kernels.count_batch(bits, self._state0, self.depth))
-
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """Per-trial log2 q from depth-`depth` count tables of whole
-        length-`horizon` sequences, counted from the coder's past."""
         if (occ.sum(axis=-1) != self.horizon).any():
             raise ValueError(f"mixture coder is defined on length-{self.horizon} sequences")
         return np.asarray(self._mix(self._kt.log2_prob_counts(occ, ones)))
@@ -228,18 +216,18 @@ class MixtureCoder(SequentialCoder):
         return np.asarray(self._mix(self._kt.log2_prob_all(n)))
 
 
-class SourceCoder(SequentialCoder):
+class SourceCoder(CountCoder):
     """Codes with the exact conditionals of a known source (zero regret)."""
 
     def __init__(self, source: MarkovSource, past=""):
         self.source = source
         self.depth = source.memory
-        self._state0 = state_code(past, self.depth)
+        self.state0 = state_code(past, self.depth)
         self._past = past
         self.reset()
 
     def reset(self) -> None:
-        self._state = self._state0
+        self._state = self.state0
 
     def prob_one(self) -> float:
         return float(self.source.state_theta[self._state])
@@ -248,15 +236,7 @@ class SourceCoder(SequentialCoder):
         mask = (1 << self.depth) - 1 if self.depth else 0
         self._state = ((self._state << 1) | bit) & mask
 
-    def log2_prob(self, x) -> float:
-        return self.source.log_prob(self._past, x)
-
-    def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
-        return self.source.log2_prob_batch(self._past, bits)
-
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """Per-trial log2 q from depth-`depth` count tables of whole
-        sequences, counted from the coder's past."""
         return self.source.log2_prob_counts(occ, ones)
 
     def log2_prob_all(self, n: int) -> np.ndarray:
@@ -351,9 +331,6 @@ class NMLCoder(SequentialCoder):
         if bits.size != self.horizon:
             raise ValueError(f"NML coder is defined on length-{self.horizon} sequences")
         return float(np.log2(self._probs[self._index(bits)]))
-
-    def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
-        return np.array([self.log2_prob(row) for row in bits])
 
     def log2_prob_all(self, n: int) -> np.ndarray:
         if n != self.horizon:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .coders import ENUMERATION_CAP, SequentialCoder, _require_cap
+from .coders import ENUMERATION_CAP, CountCoder, SequentialCoder, _require_cap
 from .delta import DeltaSpec
 from .source import MAX_SCAN_DEPTH, MarkovSource, _check_horizon, _fold, as_bits, state_code
 
@@ -120,13 +120,13 @@ def mc_avg_redundancy(
 def _shared_count(source: MarkovSource, past, coder: SequentialCoder) -> int | None:
     """Context code of the past at max(memory, coder depth) when one count
     table serves both the source and the coder, else None."""
-    if not hasattr(coder, "log2_prob_counts"):
+    if not isinstance(coder, CountCoder):
         return None
     depth = max(source.memory, coder.depth)
     if len(as_bits(past)) < depth:
         return None
     code = state_code(past, depth)
-    return code if code & ((1 << coder.depth) - 1) == coder._state0 else None
+    return code if code & ((1 << coder.depth) - 1) == coder.state0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -341,12 +341,7 @@ class MarkovSource:
 
     def log_prob(self, past, x) -> float:
         """log2 probability of x given the past, by the chain rule."""
-        bits = as_bits(x)
-        if bits.size == 0:
-            return 0.0
-        lt1, lt0 = self._log_tables
-        out = _kernels.log2_prob_batch(lt1, lt0, self._past_code(past), self.memory, bits[None, :])
-        return float(out[0])
+        return float(self.log2_prob_batch(past, as_bits(x)[None, :])[0])
 
     def log2_prob_batch(self, past, bits: np.ndarray) -> np.ndarray:
         lt1, lt0 = self._log_tables
@@ -435,21 +430,17 @@ class MarkovSource:
         """Stationary-weighted P(1 | recent history ends with w).
 
         For |w| >= memory this is just the leaf parameter; otherwise it
-        averages the parameters of the leaves extending w by their
-        stationary mass.
+        averages the parameters of every length-`memory` state ending in
+        w by their stationary mass, so a leaf shorter than w counts for
+        each state it covers.
         """
         w = bits_to_str(as_bits(w)) if not isinstance(w, str) else w
         if len(w) >= self.memory:
             return self.theta(self.tree.context_of(w))
-        members = [i for i, s in enumerate(self.tree.leaves) if s.endswith(w)]
-        if not members:
-            raise ValueError(f"no leaf extends context {w!r}; conditional undefined")
-        mass = self.leaf_stationary()
-        den = float(mass[members].sum())
-        if den <= 0.0:
+        mass, weighted = _aggregate_at(self, self.stationary(), w)
+        if mass <= 0.0:
             raise ValueError(f"context {w!r} has zero stationary mass")
-        num = float(sum(mass[i] * self.probs[i] for i in members))
-        return num / den
+        return weighted / mass
 
     # -- truncation ---------------------------------------------------------
 
@@ -463,11 +454,6 @@ class MarkovSource:
         # the all-zeros extension of the depth-ell code c is state c
         return MarkovSource(full_tree(ell), self.state_theta[: 1 << ell].tolist())
 
-    # -- text form ----------------------------------------------------------
-
-    def to_text(self) -> str:
-        return format_source(self)
-
 
 # ---------------------------------------------------------------------------
 # empirical aggregated conditionals
@@ -475,7 +461,8 @@ class MarkovSource:
 
 
 def empirical_aggregate(source: MarkovSource, x, past, w) -> float | None:
-    """Count-weighted average of leaf parameters over the leaves extending w.
+    """Count-weighted average of P(1 | state) over the length-`memory`
+    states ending in w, the states counted along the sample.
 
     Returns None when w never occurs in the sample (callers skip such
     contexts); for |w| >= memory the leaf parameter is returned
@@ -484,19 +471,17 @@ def empirical_aggregate(source: MarkovSource, x, past, w) -> float | None:
     w = bits_to_str(as_bits(w)) if not isinstance(w, str) else w
     if len(w) >= source.memory:
         return source.theta(source.tree.context_of(w))
-    table = count_table(x, past, source.memory)
+    n_w, weighted = _aggregate_at(source, count_table(x, past, source.memory).occurrences, w)
+    return weighted / n_w if n_w else None
+
+
+def _aggregate_at(source: MarkovSource, weights: np.ndarray, w: str) -> tuple[float, float]:
+    """Total weight of the length-`memory` states ending in w, and that
+    total weighted by P(1 | state): the column of w in aggregate_moments
+    for per-state weights such as counts or the stationary law."""
     k = len(w)
-    shape = (1 << (source.memory - k), 1 << k)
-    col = state_code(w, k) if k else 0
-    n_w = int(table.occurrences.reshape(shape)[:, col].sum())
-    if n_w == 0:
-        return None
-    counts_leaf = np.bincount(
-        source.tree.state_leaf_index, weights=table.occurrences, minlength=len(source.tree.leaves)
-    )
-    members = [i for i, s in enumerate(source.tree.leaves) if s.endswith(w)]
-    num = float(sum(counts_leaf[i] * source.probs[i] for i in members))
-    return num / n_w
+    col = state_code(w, k)
+    return float(_fold(weights, k)[col]), float(_fold(weights * source.state_theta, k)[col])
 
 
 def expanded_theta(source: MarkovSource, depth: int) -> np.ndarray:

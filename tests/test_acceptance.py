@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Runtime limits are enforced on steady-state execution; the autouse
-fixture warms the JIT kernels once so compilation time is not billed to
-any criterion.
+fixture calls every kernel once so first-call set-up (lazy imports and
+cached tables) is not billed to any criterion.
 """
 
 import math
@@ -23,7 +23,7 @@ EXP1 = DeltaSpec.parse("exp:1")
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # touch every kernel once so timed sections never include JIT compilation
+    # touch every kernel once so timed sections never include first-call set-up
     theta = np.array([0.4, 0.6])
     u = np.random.default_rng(0).random((2, 8))
     bits = _kernels.sample_batch(theta, 0, 1, u)

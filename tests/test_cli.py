@@ -19,6 +19,13 @@ def test_nml_prints_exact_value(capsys):
     assert abs(float(out) - math.log2(2.5)) < 1e-12
 
 
+def test_nml_past_defaults_to_zeros(capsys):
+    assert main(["nml", "--ell", "2", "--n", "3"]) == 0
+    assert main(["nml", "--ell", "2", "--n", "3", "--past", "00"]) == 0
+    default, zeros = capsys.readouterr().out.split()
+    assert default == zeros
+
+
 def test_gen_sample_prob_pipeline(tmp_path, capsys):
     src = tmp_path / "src.txt"
     bits = tmp_path / "bits.txt"
@@ -104,6 +111,15 @@ def test_verify_csv_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_verify_rows_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MDELTA_THREADS", threads)
+        outs.append(tmp_path / f"t{threads}.csv")
+        assert main(["verify", "azuma", "--seed", "3", "--trials", "200", "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_verify_exit_code_on_failure(monkeypatch, tmp_path):
     failing = lemmas.VerificationReport(
         "domination", {}, 1, 1, empirical=1.0, bound=0.0, slack=0.0, verdict=False
@@ -125,6 +141,13 @@ def test_experiment_rows_and_schema(tmp_path):
 
 def test_experiment_rejects_unsorted_n():
     assert main(["experiment", "redundancy-vs-n", "--n", "1024,256"]) == 2
+
+
+def test_experiment_rejects_no_sources(tmp_path, capsys):
+    out = tmp_path / "exp.csv"
+    assert main(["experiment", "redundancy-vs-n", "--n", "256", "--sources", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: sources must be at least 1\n"
+    assert not out.exists()
 
 
 def test_validation_errors_exit_two(tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mdelta._kernels import count_batch
 from mdelta.coders import (
     ENUMERATION_CAP,
     KTCoder,
@@ -15,7 +16,7 @@ from mdelta.coders import (
     ml_log2_from_counts,
     shtarkov_sum,
 )
-from mdelta.source import MarkovSource, count_table, full_tree, random_hypercube_source
+from mdelta.source import MarkovSource, count_table, full_tree, random_hypercube_source, state_code
 
 
 def all_sequences(n):
@@ -139,6 +140,40 @@ def test_mixture_horizon_errors():
         coder.log2_prob("101")
     with pytest.raises(ValueError):
         MixtureCoder(0, horizon=0)
+
+
+@pytest.mark.parametrize("n", [0, 5, 9])
+def test_mixture_rejects_the_wrong_length_at_every_entry_point(n):
+    coder = MixtureCoder(2, "00", horizon=8)
+    bits = np.ones((1, n), np.uint8)
+    counts = count_batch(bits, 0, 2)
+    for score in (lambda: coder.log2_prob(bits[0]), lambda: coder.log2_prob_batch(bits),
+                  lambda: coder.log2_prob_counts(*counts)):
+        with pytest.raises(ValueError, match="length-8 sequences"):
+            score()
+
+
+# ---------------------------------------------------------------------------
+# code lengths of the count-scored models
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("depth", range(8))
+def test_count_scored_code_lengths_are_one_closed_form(depth):
+    # single-sequence, batched and count-table scores are the same value, bit for bit
+    src = random_hypercube_source(depth, 0.2, seed=depth)
+    rng = np.random.default_rng(depth)
+    for past in ("0000000", "1111111", "0110100"):
+        for n in (0, 1, 4096):
+            x = (rng.random(n) < 0.4).astype(np.uint8)
+            counts = count_batch(x[None, :], state_code(past, depth), depth)
+            models = [KTCoder(depth, past), SourceCoder(src, past)]
+            models += [MixtureCoder(depth, past, horizon=n)] if n else []
+            for coder in models:
+                want = coder.log2_prob_counts(*counts)[0]
+                assert coder.log2_prob(x) == coder.log2_prob_batch(x[None, :])[0] == want
+            want = src.log2_prob_counts(*counts)[0]
+            assert src.log_prob(past, x) == src.log2_prob_batch(past, x[None, :])[0] == want
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,33 @@ def test_aggregation_mass_consistency():
         assert total == pytest.approx(float(cols), abs=1e-12)
 
 
+def shallow_leaf_source():
+    # leaf 0 covers every history ending in 10, so both of its states 010
+    # and 110 have theta 0.2 although no leaf ends in 10
+    return MarkovSource(ContextTree(["0", "01", "011", "111"]), [0.2, 0.4, 0.6, 0.8])
+
+
+@pytest.mark.parametrize("w", ["", "0", "1", "00", "01", "10", "11"])
+def test_aggregates_average_every_state_ending_in_w(w):
+    src = shallow_leaf_source()
+    past = "000"
+    x = src.sample(past, 500, seed=4)
+    occ = count_table(x, past, 3).occurrences
+    pi, th = src.stationary(), src.state_theta
+    ending = [s for s in range(8) if s & ((1 << len(w)) - 1) == state_code(w, len(w))]
+    stationary = sum(pi[s] * th[s] for s in ending) / sum(pi[s] for s in ending)
+    empirical = sum(occ[s] * th[s] for s in ending) / sum(occ[s] for s in ending)
+    assert src.aggregate_conditional(w) == pytest.approx(stationary, abs=1e-12)
+    assert empirical_aggregate(src, x, past, w) == pytest.approx(empirical, abs=1e-12)
+
+
+def test_aggregates_under_a_shorter_leaf_are_its_theta():
+    src = shallow_leaf_source()
+    x = src.sample("000", 500, seed=4)
+    assert src.aggregate_conditional("10") == pytest.approx(0.2, abs=1e-12)
+    assert empirical_aggregate(src, x, "000", "10") == pytest.approx(0.2, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # empirical aggregated conditionals
 # ---------------------------------------------------------------------------
