@@ -20,9 +20,14 @@ Conventions shared by every kernel:
   n = 65536).
 * Enumeration kernels index the 2**n binary sequences by the integer
   whose most significant bit is the first symbol, so results are in
-  lexicographic sequence order.  The enumerations and path sums walk the
-  prefix tree one level at a time, so level t touches 2**t rows, and add
-  each position's term in sequence order.
+  lexicographic sequence order.  The source enumeration and the
+  domination path sums walk the prefix tree one level at a time, so
+  level t touches 2**t rows, and add each position's term in sequence
+  order.  The ML and KT enumerations walk the first n//2 bits from the
+  past and the rest from each context state those prefixes end in, keep
+  each half's distinct per-context count rows, and sum the context terms
+  once per distinct (prefix, suffix) pair, each pair summed as its
+  whole-sequence row would be, so every value is the same float.
 * The sampler runs small batches row by row in plain Python.  Larger
   ones go in blocks of about 2**17 draws: each block prefills every bit
   that is the same in every state (u < min theta is a 1, u >= max theta
@@ -318,14 +323,16 @@ def _source_log2(occ, ones, lt1, lt0):
 # ---------------------------------------------------------------------------
 
 
-def _np_levels(state0, depth, n):
-    # walk the prefix tree one level at a time: prefix p of level t has the
-    # child rows 2p (bit 0) and 2p+1 (bit 1), so rows stay in lexicographic
-    # order; yields the parent's context state and the bit of every child
+def _np_levels(states, depth, n):
+    # walk the prefix trees of the start states one level at a time: prefix
+    # p of level t has the child rows 2p (bit 0) and 2p+1 (bit 1), so each
+    # start's rows stay in lexicographic order, one block per start in the
+    # order given; yields the parent's context state and the bit of every child
     mask = (1 << depth) - 1
-    s = np.full(1, state0, np.int64)
-    for t in range(n):
-        parent, bit = np.repeat(s, 2), np.arange(2 << t, dtype=np.int64) & 1
+    s = np.asarray(states, np.int64).reshape(-1)
+    for _ in range(n):
+        parent = np.repeat(s, 2)
+        bit = np.arange(parent.size, dtype=np.int64) & 1
         yield parent, bit
         s = ((parent << 1) | bit) & mask
 
@@ -338,16 +345,62 @@ def enum_source_log2(lt1, lt0, state0: int, ell: int, n: int) -> np.ndarray:
     return acc
 
 
-def _np_enum_codes(depth, state0, n):
-    # per-sequence, per-context packed counts occ*(n+1) + ones; the largest
-    # code, n*n + 2n, fits int16 for every n under ENUMERATION_CAP
+def _np_walk_codes(depth, states, n, stride):
+    # per-context packed counts occ*stride + ones of every length-n
+    # continuation of each start state, rows as _np_levels orders them
     m = 1 << depth
-    codes = np.zeros((1, m), np.int16)
-    for parent, bit in _np_levels(state0, depth, n):
+    codes = np.zeros((len(states), m), np.int16)
+    for parent, bit in _np_levels(states, depth, n):
         codes = np.repeat(codes, 2, axis=0)
         # one increment per row, so a plain indexed add is exact
-        codes.reshape(-1)[np.arange(0, codes.size, m) + parent] += (bit + (n + 1)).astype(np.int16)
+        codes.reshape(-1)[np.arange(0, codes.size, m) + parent] += (bit + stride).astype(np.int16)
     return codes
+
+
+def _np_half_codes(depth, state0, n):
+    # the first n//2 bits walked from the past, the rest from each state
+    # those prefixes end in; packed with stride n + 1, sequence
+    # a * 2**(n - n//2) + c has the codes prefix[a] + suffix[k, c] where
+    # starts[k] == end[a].  The largest code, n*n + 2n, fits int16 for every
+    # n under ENUMERATION_CAP
+    h = n // 2
+    prefix = _np_walk_codes(depth, [state0], h, n + 1)
+    # prefix a ends in the state of the past followed by the h bits of a
+    end = ((state0 << h) | np.arange(1 << h)) & ((1 << depth) - 1)
+    starts = np.flatnonzero(np.bincount(end, minlength=1 << depth))
+    suffix = _np_walk_codes(depth, starts, n - h, n + 1)
+    return prefix, end, starts, suffix.reshape(starts.size, 1 << (n - h), 1 << depth)
+
+
+def _distinct_rows(rows):
+    # the distinct rows of a 2-D integer array in lexicographic order, and
+    # the index of each row among them: np.unique(rows, axis=0,
+    # return_inverse=True) without importing numpy.ma
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows.take(order, axis=0)
+    new = np.ones(len(rows), bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    index = np.empty(len(rows), np.intp)
+    index[order] = np.cumsum(new) - 1
+    return ordered.compress(new, axis=0), index
+
+
+def _np_enum_sum(term, depth, state0, n):
+    # term[code] summed over contexts for every sequence, in lexicographic
+    # order.  Sequences that end their prefix in the same state share one
+    # grid: it is evaluated once per distinct (prefix, suffix) pair of code
+    # rows, each summed over the context axis as a whole-sequence row would
+    # be, and scattered back to every sequence with that pair
+    prefix, end, starts, suffix = _np_half_codes(depth, state0, n)
+    out = np.empty((len(prefix), suffix.shape[1]))
+    for s, rows_c in zip(starts, suffix):
+        rows = np.flatnonzero(end == s)
+        ua, ia = _distinct_rows(prefix.take(rows, axis=0))
+        uc, ic = _distinct_rows(rows_c)
+        # intp indices, which take uses without a conversion pass
+        grid = term.take(ua.astype(np.intp)[:, None] + uc.astype(np.intp)).sum(axis=-1)
+        out[rows] = grid.take(ic, axis=1)[ia]
+    return out.reshape(-1)
 
 
 def _code_table(n):
@@ -379,13 +432,13 @@ def _kt_log2(occ, ones, gtab, htab):
 # the same context axis, so the gathered values equal a direct evaluation
 def enum_ml_log2(depth: int, state0: int, n: int) -> np.ndarray:
     """Per-sequence maximized log2 probability over depth-d Markov models."""
-    return _ml_log2(*_code_table(n))[_np_enum_codes(depth, state0, n)].sum(axis=-1)
+    return _np_enum_sum(_ml_log2(*_code_table(n)), depth, state0, n)
 
 
 def enum_kt_log2(depth: int, state0: int, n: int) -> np.ndarray:
     """Per-sequence add-half mixture log2 probability at the given depth."""
     gtab, htab = kt_tables(n)
-    return _kt_log2(*_code_table(n), gtab, htab)[_np_enum_codes(depth, state0, n)].sum(axis=-1)
+    return _np_enum_sum(_kt_log2(*_code_table(n), gtab, htab), depth, state0, n)
 
 
 # processes walk in blocks of about this many path weights, so a batch of

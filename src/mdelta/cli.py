@@ -247,7 +247,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_bounds(args) -> int:
     delta = DeltaSpec.parse(args.delta)
-    ells = _parse_ells(args.ell) if args.ell else list(redundancy.default_ell_range(args.n))
+    ells = _parse_ells(args.ell) if args.ell else None
     report = redundancy.bound_report(args.n, delta, ells)
     rows = [
         [args.n, r.ell, report.delta, r.lower, r.upper_truncation, r.upper_refined, r.r_ell, r.clamped]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .source import CountTable, MarkovSource, as_bits, state_code
+from .source import ENUMERATION_CAP, CountTable, MarkovSource, _require_cap, as_bits, state_code
 
 __all__ = [
     "CountCoder",
@@ -36,17 +36,6 @@ __all__ = [
     "shtarkov_sum",
     "ENUMERATION_CAP",
 ]
-
-ENUMERATION_CAP = 20
-
-
-def _require_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
-    if n > cap:
-        raise ValueError(
-            f"exhaustive enumeration over 2^{n} sequences refused (cap n <= {cap}); "
-            "use the Monte Carlo estimators instead"
-        )
-
 
 # ---------------------------------------------------------------------------
 # closed forms from count tables
@@ -240,7 +229,6 @@ class SourceCoder(CountCoder):
         return self.source.log2_prob_counts(occ, ones)
 
     def log2_prob_all(self, n: int) -> np.ndarray:
-        _require_cap(n)
         return self.source.log2_prob_all(self._past, n)
 
 

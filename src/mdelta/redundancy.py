@@ -253,8 +253,7 @@ def _prescribed_ell(n: int, delta: DeltaSpec, regime: str) -> float | None:
 def optimal_ell(n: int, delta: DeltaSpec, regime: str = "refined", ells=None) -> EllChoice:
     """Rounded closed-form prescription (clipped to the scan range) plus the
     exhaustive scan optimum of the matching bound."""
-    if n < 4:
-        raise ValueError("need n >= 4")
+    _check_horizon(n, 4)
     if regime not in _REGIMES:
         raise ValueError(f"unknown regime {regime!r} (use lower, truncation or refined)")
     ells = list(ells) if ells is not None else list(default_ell_range(n))
@@ -311,6 +310,7 @@ def _row_clamped(n: int, ell: int, delta: DeltaSpec) -> bool:
 
 def bound_report(n: int, delta: DeltaSpec, ells=None) -> BoundReport:
     """Evaluate every bound on a depth grid and locate the optima."""
+    _check_horizon(n, 2)  # the default grid needs ceil(log2 n) >= 1
     ells = list(ells) if ells is not None else list(default_ell_range(n))
     rows = []
     for ell in ells:

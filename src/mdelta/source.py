@@ -55,10 +55,25 @@ STATIONARY_MAX_ITER = 10**6
 _TRIAL_BUDGET_BYTES = 64 << 20  # float64 uniforms drawn at once for Monte Carlo trials
 
 
-def _check_horizon(n: int) -> None:
-    """Every Monte Carlo estimate samples sequences of at least one step."""
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+# longest horizon enumerated exhaustively (2^n sequences)
+ENUMERATION_CAP = 20
+
+
+def _check_horizon(n: int, least: int = 1) -> None:
+    """Reject a horizon under `least`; every Monte Carlo estimate samples
+    sequences of at least one step, the default."""
+    if n < least:
+        raise ValueError(f"n must be at least {least}, got {n}")
+
+
+def _require_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
+    """The one range check of every exhaustive enumeration: 0 <= n <= cap."""
+    _check_horizon(n, 0)
+    if n > cap:
+        raise ValueError(
+            f"exhaustive enumeration over 2^{n} sequences refused (cap n <= {cap}); "
+            "use the Monte Carlo estimators instead"
+        )
 
 
 def _chunk_sizes(trials: int, n: int):
@@ -354,6 +369,7 @@ class MarkovSource:
 
     def log2_prob_all(self, past, n: int) -> np.ndarray:
         """log2 probability of every length-n sequence (lexicographic)."""
+        _require_cap(n)
         lt1, lt0 = self._log_tables
         return _kernels.enum_source_log2(lt1, lt0, self._past_code(past), self.memory, n)
 
@@ -361,6 +377,7 @@ class MarkovSource:
 
     def sample(self, past, n: int, seed: int | None = None, rng=None) -> np.ndarray:
         """Draw n bits continuing the past; deterministic given the seed."""
+        _check_horizon(n, 0)
         if rng is None:
             rng = np.random.default_rng(seed)
         if n == 0:

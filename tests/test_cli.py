@@ -235,6 +235,31 @@ def test_redundancy_empty_horizon_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["redundancy", "--exact", "--n", "-2"], "n must be at least 0, got -2"),
+    (["nml", "--ell", "1", "--n", "-1"], "n must be at least 0, got -1"),
+    (["sample", "--n", "-3"], "n must be at least 0, got -3"),
+    (["bounds", "--n", "0", "--delta", "exp:1"], "n must be at least 2, got 0"),
+    (["bounds", "--n", "1", "--delta", "exp:1"], "n must be at least 2, got 1"),
+    (["bounds", "--n", "1", "--delta", "exp:1", "--ell", "1"], "n must be at least 2, got 1"),
+])
+def test_out_of_range_n_exits_two(tmp_path, capsys, argv, message):
+    src = tmp_path / "src.txt"
+    out = tmp_path / "out.txt"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+                 "--seed", "2", "--out", str(src)]) == 0
+    capsys.readouterr()
+    if argv[0] in ("redundancy", "sample"):
+        argv = argv + ["--source", str(src)]
+    if argv[0] != "nml":
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_too_few_trials_for_a_standard_error_exit_two(tmp_path):
     src = tmp_path / "src.txt"
     assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",

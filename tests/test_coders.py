@@ -214,6 +214,27 @@ def test_shtarkov_refuses_above_cap():
         shtarkov_sum(0, "", ENUMERATION_CAP + 1)
 
 
+def test_enumerations_refuse_a_negative_horizon():
+    src = random_hypercube_source(1, 0.2, seed=1)
+    calls = [
+        lambda n: shtarkov_sum(1, "0", n),
+        lambda n: NMLCoder(1, "0", horizon=n),
+        lambda n: KTCoder(1, "0").log2_prob_all(n),
+        lambda n: SourceCoder(src, "0").log2_prob_all(n),
+        lambda n: src.log2_prob_all("0", n),
+    ]
+    for call in calls:
+        for n in (-1, -5):
+            with pytest.raises(ValueError, match=f"^n must be at least 0, got {n}$"):
+                call(n)
+    # n = 0 is the one empty sequence, of probability 1
+    assert shtarkov_sum(1, "0", 0).log2_sum == 0.0
+    assert KTCoder(1, "0").log2_prob_all(0).tolist() == [0.0]
+    assert src.log2_prob_all("0", 0).tolist() == [0.0]
+    with pytest.raises(ValueError, match="refused"):
+        src.log2_prob_all("0", ENUMERATION_CAP + 1)
+
+
 def test_ml_dominates_every_source():
     rng = np.random.default_rng(11)
     n = 10

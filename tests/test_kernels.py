@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -67,6 +70,15 @@ def test_enum_orders_sequences_lexicographically():
 # reference checks: the kernels against plain-Python loops, one sequence and
 # one position at a time
 # ---------------------------------------------------------------------------
+
+
+def half_walk_codes(depth, state0, n):
+    """Whole-sequence packed codes rebuilt from the two half walks: each
+    prefix's code plus the code of every suffix walked from its end state."""
+    prefix, end, starts, suffix = _kernels._np_half_codes(depth, state0, n)
+    assert prefix.dtype == suffix.dtype == np.int16
+    assert np.array_equal(starts, np.unique(end))
+    return (prefix[:, None] + suffix[np.searchsorted(starts, end)]).reshape(-1, 1 << depth)
 
 
 def all_sequences(n):
@@ -249,7 +261,7 @@ def test_enumeration_matches_python_reference(depth):
     state0 = (1 << depth) - 1 if depth else 0
     gtab, htab = _kernels.kt_tables(12)
     for n in (0, 1, 3, 12):
-        occ, ones = np.divmod(_kernels._np_enum_codes(depth, state0, n), n + 1)
+        occ, ones = np.divmod(half_walk_codes(depth, state0, n), n + 1)
         ref_occ, ref_ones = _py_count_batch(all_sequences(n), state0, depth)
         assert np.array_equal(occ, ref_occ)
         assert np.array_equal(ones, ref_ones)
@@ -384,9 +396,7 @@ def test_enum_ml_kt_bit_identical_to_position_loop(depth):
     for n in ENUM_NS:
         for state0 in pasts(depth):
             occ, ones = loop_enum_counts(depth, state0, n)
-            codes = _kernels._np_enum_codes(depth, state0, n)
-            assert codes.dtype == np.int16
-            assert np.array_equal(codes, occ * (n + 1) + ones)
+            assert np.array_equal(half_walk_codes(depth, state0, n), occ * (n + 1) + ones)
             assert np.array_equal(
                 _kernels.enum_ml_log2(depth, state0, n), _kernels._ml_log2(occ, ones)
             )
@@ -394,6 +404,64 @@ def test_enum_ml_kt_bit_identical_to_position_loop(depth):
                 _kernels.enum_kt_log2(depth, state0, n),
                 _kernels._kt_log2(occ, ones, gtab, htab),
             )
+
+
+# ---------------------------------------------------------------------------
+# the ML and KT enumerations against the whole-tree walk they replaced: every
+# sequence's packed code row built level by level, each code's context term
+# gathered and summed over the context axis, compared with ==
+# ---------------------------------------------------------------------------
+
+
+def tree_enum_codes(depth, state0, n):
+    m = 1 << depth
+    mask = m - 1
+    s = np.full(1, state0, np.int64)
+    codes = np.zeros((1, m), np.int16)
+    for t in range(n):
+        parent, bit = np.repeat(s, 2), np.arange(2 << t, dtype=np.int64) & 1
+        codes = np.repeat(codes, 2, axis=0)
+        codes.reshape(-1)[np.arange(0, codes.size, m) + parent] += (bit + (n + 1)).astype(np.int16)
+        s = ((parent << 1) | bit) & mask
+    return codes
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+def test_enum_ml_kt_bit_identical_to_whole_tree_walk(depth):
+    for n in (0, 1, 2, 5, 12, 16, 17) + ((20,) if depth <= 2 else ()):
+        gtab, htab = _kernels.kt_tables(n)
+        occ, ones = _kernels._code_table(n)
+        for state0 in pasts(depth):
+            codes = tree_enum_codes(depth, state0, n)
+            ml = _kernels._ml_log2(occ, ones)[codes].sum(axis=-1)
+            assert np.array_equal(_kernels.enum_ml_log2(depth, state0, n), ml)
+            kt = _kernels._kt_log2(occ, ones, gtab, htab)[codes].sum(axis=-1)
+            assert np.array_equal(_kernels.enum_kt_log2(depth, state0, n), kt)
+
+
+def test_distinct_rows_match_unique():
+    rng = np.random.default_rng(9)
+    for shape in ((1, 1), (7, 1), (300, 4), (64, 16)):
+        rows = rng.integers(0, 3, shape).astype(np.int16)
+        distinct, index = _kernels._distinct_rows(rows)
+        ref, ref_index = np.unique(rows, axis=0, return_inverse=True)
+        assert np.array_equal(distinct, ref)
+        assert np.array_equal(index, ref_index.reshape(-1))
+        assert np.array_equal(distinct[index], rows)
+
+
+def test_enumeration_does_not_import_numpy_ma():
+    # np.unique(axis=0) imports numpy.ma, which costs about 1 MB of RSS
+    code = (
+        "import sys\n"
+        "from mdelta import coders, redundancy, source\n"
+        "src = source.random_hypercube_source(2, 0.1, seed=1)\n"
+        "coders.shtarkov_sum(2, '01', 12)\n"
+        "redundancy.exact_avg_redundancy(src, '01', coders.KTCoder(2, '01'), 12)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 @pytest.mark.parametrize("randomized", [False, True])

@@ -293,10 +293,25 @@ def test_optimal_ell_lower_regime_exp():
 
 
 def test_optimal_ell_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^n must be at least 4, got 2$"):
         optimal_ell(2, DeltaSpec.parse("exp:1"))
     with pytest.raises(ValueError):
         optimal_ell(2**10, DeltaSpec.parse("exp:1"), "sideways")
+
+
+def test_bound_report_needs_two_steps():
+    spec = DeltaSpec.parse("exp:1")
+    for n in (1, 0, -4):
+        for ells in (None, [1]):
+            with pytest.raises(ValueError, match=f"^n must be at least 2, got {n}$"):
+                bound_report(n, spec, ells)
+    assert [r.ell for r in bound_report(2, spec).rows] == [1]
+
+
+def test_exact_avg_redundancy_refuses_a_negative_horizon():
+    src = random_hypercube_source(1, 0.2, seed=1)
+    with pytest.raises(ValueError, match="^n must be at least 0, got -2$"):
+        exact_avg_redundancy(src, "0", KTCoder(1, "0"), -2)
 
 
 def test_bound_report_shape_and_clamps():

@@ -260,6 +260,11 @@ def test_sample_empty():
     assert fair().sample("", 0, seed=1).size == 0
 
 
+def test_sample_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="^n must be at least 0, got -3$"):
+        fair().sample("", -3, seed=1)
+
+
 def test_empirical_state_frequencies_match_stationary():
     src = random_hypercube_source(2, 1 / 16, seed=3)
     n = 10**6
