@@ -23,11 +23,16 @@ Conventions shared by every kernel:
   lexicographic sequence order.  The source enumeration and the
   domination path sums walk the prefix tree one level at a time, so
   level t touches 2**t rows, and add each position's term in sequence
-  order.  The ML and KT enumerations walk the first n//2 bits from the
-  past and the rest from each context state those prefixes end in, keep
-  each half's distinct per-context count rows, and sum the context terms
-  once per distinct (prefix, suffix) pair, each pair summed as its
-  whole-sequence row would be, so every value is the same float.
+  order.  Past the first ell levels a prefix's source state is its last
+  ell bits, periodic in the row with period 2**ell, so each source level
+  adds the two 2**ell-entry tables to the last level seen as
+  (-1, 2**ell) and writes the sums straight into the next level's
+  strided bit-0 and bit-1 rows, without a gather.  The ML and KT
+  enumerations walk the first n//2 bits from the past and the rest from
+  each context state those prefixes end in, keep each half's distinct
+  per-context count rows, and sum the context terms once per distinct
+  (prefix, suffix) pair, each pair summed as its whole-sequence row
+  would be, so every value is the same float.
 * The sampler runs small batches row by row in plain Python.  Larger
   ones go in blocks of about 2**17 draws: each block prefills every bit
   that is the same in every state (u < min theta is a 1, u >= max theta
@@ -324,10 +329,11 @@ def _source_log2(occ, ones, lt1, lt0):
 
 
 def _np_levels(states, depth, n):
-    # walk the prefix trees of the start states one level at a time: prefix
-    # p of level t has the child rows 2p (bit 0) and 2p+1 (bit 1), so each
-    # start's rows stay in lexicographic order, one block per start in the
-    # order given; yields the parent's context state and the bit of every child
+    # the level walk behind _np_walk_codes: walk the prefix trees of the
+    # start states one level at a time: prefix p of level t has the child
+    # rows 2p (bit 0) and 2p+1 (bit 1), so each start's rows stay in
+    # lexicographic order, one block per start in the order given; yields
+    # the parent's context state and the bit of every child
     mask = (1 << depth) - 1
     s = np.asarray(states, np.int64).reshape(-1)
     for _ in range(n):
@@ -339,9 +345,25 @@ def _np_levels(states, depth, n):
 
 def enum_source_log2(lt1, lt0, state0: int, ell: int, n: int) -> np.ndarray:
     """log2 probability of every length-n sequence, lexicographic order."""
+    # prefix p of t bits is in state ((state0 << t) | p) & mask, which is
+    # p & mask once t >= ell: the states of a level repeat with period
+    # k = min(2**t, 2**ell).  Prefix p = q*k + r has the children 2p + b,
+    # row (q, r, b) of the next level seen as (-1, k, 2), so each level adds
+    # the k-state tables to acc seen as (-1, k) and writes both children's
+    # columns in place; the first ell levels gather their k tables
+    mask = (1 << ell) - 1
     acc = np.zeros(1)
-    for parent, bit in _np_levels(state0, ell, n):
-        acc = np.repeat(acc, 2) + np.where(bit == 1, lt1[parent], lt0[parent])
+    for t in range(n):
+        k = min(1 << t, mask + 1)
+        if t < ell:
+            s = ((state0 << t) | np.arange(k)) & mask
+            l1, l0 = lt1[s], lt0[s]
+        else:
+            l1, l0 = lt1, lt0
+        rows = np.empty(2 << t).reshape(-1, k, 2)
+        np.add(acc.reshape(-1, k), l0, out=rows[:, :, 0])
+        np.add(acc.reshape(-1, k), l1, out=rows[:, :, 1])
+        acc = rows.reshape(-1)
     return acc
 
 

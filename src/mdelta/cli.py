@@ -271,18 +271,19 @@ def _cmd_redundancy(args) -> int:
     src = _load_source(args.source)
     past = args.past if args.past is not None else "0" * max(src.memory, args.ell)
     coder = _build_coder(args.coder, args.ell, past, args.n, src)
-    rows = []
     if args.exact:
         value = redundancy.exact_avg_redundancy(src, past, coder, args.n)
+        header, rows = ["n", "ell", "exact_avg_redundancy"], [[args.n, args.ell, value]]
         print(f"exact average redundancy = {value!r} bits")
     else:
         seed = _kernels.child_seed(args.seed, "regret")
         est = redundancy.mc_avg_redundancy(src, past, coder, args.n, args.trials, seed=seed)
-        for lp, lq in zip(est.logp.tolist(), est.logq.tolist()):
-            rows.append([seed, args.n, args.ell, lp, lq, lp - lq])
+        header = ["seed", "n", "ell", "logp", "logq", "regret"]
+        rows = [[seed, args.n, args.ell, lp, lq, lp - lq]
+                for lp, lq in zip(est.logp.tolist(), est.logq.tolist())]
         print(f"mc average redundancy = {est.mean!r} +- {est.se!r} bits ({args.trials} trials)")
     if args.out:
-        _write_csv(args.out, _meta(args), ["seed", "n", "ell", "logp", "logq", "regret"], rows)
+        _write_csv(args.out, _meta(args), header, rows)
         print(f"redundancy: wrote {len(rows)} rows -> {args.out}")
     return 0
 

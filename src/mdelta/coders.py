@@ -262,11 +262,12 @@ def shtarkov_sum(
     _require_cap(n, cap)
     ml = _kernels.enum_ml_log2(depth, state_code(past, depth), n)
     # stable summation: the values lie in (0, 1], no rescaling needed
-    total = float(np.exp2(ml).sum())
+    np.exp2(ml, out=ml)
+    total = float(ml.sum())
     log2_sum = math.log2(total)
     probs = None
     if return_probs:
-        probs = np.exp2(ml) / total
+        probs = ml / total
     return ShtarkovResult(log2_sum, n, depth, probs)
 
 

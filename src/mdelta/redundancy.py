@@ -60,7 +60,11 @@ def exact_avg_redundancy(
     _require_cap(n, cap)
     lp = source.log2_prob_all(past, n)
     lq = coder.log2_prob_all(n)
-    return float(np.sum(np.exp2(lp) * (lp - lq)))
+    # reduced in lp, a fresh array; lq may be one the coder keeps
+    d = lp - lq
+    np.exp2(lp, out=lp)
+    lp *= d
+    return float(lp.sum())
 
 
 @dataclass(frozen=True)

@@ -224,6 +224,22 @@ def test_redundancy_regret_rows_are_the_library_estimate(tmp_path):
     assert np.mean([float(r[5]) for r in rows]) == est.mean
 
 
+@pytest.mark.parametrize("coder", ["kt", "mixture", "source"])
+def test_redundancy_exact_writes_its_value(tmp_path, capsys, coder):
+    src = tmp_path / "src.txt"
+    out = tmp_path / "exact.csv"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "2", "--delta-at", "0.1",
+                 "--seed", "5", "--out", str(src)]) == 0
+    capsys.readouterr()
+    assert main(["redundancy", "--exact", "--source", str(src), "--coder", coder, "--ell", "2",
+                 "--n", "10", "--out", str(out)]) == 0
+    printed, wrote = capsys.readouterr().out.splitlines()
+    value = printed.removeprefix("exact average redundancy = ").removesuffix(" bits")
+    assert wrote == f"redundancy: wrote 1 rows -> {out}"
+    assert read_data_lines(out) == ["n,ell,exact_avg_redundancy", f"10,2,{value}"]
+    assert repr(float(value)) == value
+
+
 def test_redundancy_empty_horizon_exits_two(tmp_path, capsys):
     src = tmp_path / "src.txt"
     out = tmp_path / "regret.csv"

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -379,12 +380,14 @@ def pasts(depth):
     return sorted({0, (1 << depth) - 1, 0b101 & ((1 << depth) - 1)})
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4, 5, 6])
 def test_enum_source_bit_identical_to_position_loop(depth):
+    # at depths 4-6 the small ENUM_NS end before the context fills;
+    # n = 17 at depth 4 adds an odd number of levels after it fills
     rng = np.random.default_rng(40 + depth)
     theta = rng.uniform(0.05, 0.95, 1 << depth)
     lt1, lt0 = np.log2(theta), np.log2(1 - theta)
-    for n in ENUM_NS:
+    for n in ENUM_NS + ((17,) if depth == 4 else ()):
         for state0 in pasts(depth):
             out = _kernels.enum_source_log2(lt1, lt0, state0, depth, n)
             assert np.array_equal(out, loop_enum_source(lt1, lt0, state0, depth, n))
@@ -462,6 +465,30 @@ def test_enumeration_does_not_import_numpy_ma():
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def traced_peak(call):
+    """tracemalloc peak in bytes of one call, after a warm call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_source_enumeration_peak_memory():
+    # one level array and its parent, not a handful of 2**n-row temporaries
+    # per level (3.6 MB at this shape before the strided level writes)
+    from mdelta import coders, redundancy, source
+
+    theta = np.random.default_rng(4).uniform(0.05, 0.95, 16)
+    lt1, lt0 = np.log2(theta), np.log2(1 - theta)
+    assert traced_peak(lambda: _kernels.enum_source_log2(lt1, lt0, 15, 4, 16)) < 1.25e6
+    src = source.random_hypercube_source(4, 0.05, seed=3)
+    coder = coders.KTCoder(2, "01")
+    assert traced_peak(lambda: redundancy.exact_avg_redundancy(src, "0101", coder, 16)) < 2e6
 
 
 @pytest.mark.parametrize("randomized", [False, True])

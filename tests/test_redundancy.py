@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mdelta.coders import KTCoder, MixtureCoder, NMLCoder, SourceCoder
+from mdelta import _kernels
+from mdelta.coders import KTCoder, MixtureCoder, NMLCoder, SequentialCoder, SourceCoder, shtarkov_sum
 from mdelta.delta import DeltaSpec
 from mdelta.redundancy import (
     BoundReport,
@@ -20,7 +21,7 @@ from mdelta.redundancy import (
     refined_upper_bound,
     regret_bits,
 )
-from mdelta.source import MarkovSource, full_tree, random_hypercube_source
+from mdelta.source import MarkovSource, full_tree, random_hypercube_source, state_code
 
 
 def fair():
@@ -72,6 +73,53 @@ def test_gibbs_nonnegativity():
     n = 10
     for coder in (KTCoder(1, "00"), MixtureCoder(2, "00", horizon=n), NMLCoder(1, "00", horizon=n)):
         assert exact_avg_redundancy(src, "00", coder, n) >= -1e-12
+
+
+class StoredTableCoder(SequentialCoder):
+    """A coder whose log2_prob_all hands out the array it keeps."""
+
+    def __init__(self, table):
+        self.depth = 0
+        self.table = table
+
+    def log2_prob_all(self, n):
+        return self.table
+
+
+def test_exact_redundancy_leaves_a_stored_coder_table_alone():
+    src = random_hypercube_source(2, 0.15, seed=9)
+    table = KTCoder(1, "0").log2_prob_all(10)
+    kept = table.copy()
+    coder = StoredTableCoder(table)
+    first = exact_avg_redundancy(src, "00", coder, 10)
+    assert np.array_equal(table, kept)
+    assert exact_avg_redundancy(src, "00", coder, 10) == first
+
+
+def test_exact_redundancy_equals_the_out_of_place_sum():
+    src = random_hypercube_source(2, 0.15, seed=9)
+    n = 12
+    coders = (
+        KTCoder(1, "00"),
+        KTCoder(3, "100"),
+        MixtureCoder(2, "00", horizon=n),
+        SourceCoder(src, "00"),
+        SourceCoder(random_hypercube_source(3, 0.1, seed=4), "100"),
+        NMLCoder(1, "00", horizon=n),
+    )
+    for coder in coders:
+        lp = src.log2_prob_all("00", n)
+        lq = coder.log2_prob_all(n)
+        assert exact_avg_redundancy(src, "00", coder, n) == float(np.sum(np.exp2(lp) * (lp - lq)))
+
+
+@pytest.mark.parametrize("depth,past", [(0, ""), (1, "1"), (2, "01"), (3, "110")])
+def test_shtarkov_probs_equal_the_out_of_place_quotient(depth, past):
+    ml = _kernels.enum_ml_log2(depth, state_code(past, depth), 12)
+    total = float(np.exp2(ml).sum())
+    result = shtarkov_sum(depth, past, 12, return_probs=True)
+    assert result.log2_sum == math.log2(total)
+    assert np.array_equal(result.probs, np.exp2(ml) / total)
 
 
 def test_mc_agrees_with_exact():
