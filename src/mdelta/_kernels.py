@@ -36,14 +36,17 @@ Conventions shared by every kernel:
 * The sampler runs small batches row by row in plain Python.  Larger
   ones go in blocks of about 2**17 draws: each block prefills every bit
   that is the same in every state (u < min theta is a 1, u >= max theta
-  a 0) and settles the ambiguous draws in between in vectorized rounds
-  until nothing changes, which is the sequential result.  A block with
-  more than one ambiguous draw per 2 ell positions, or whose rounds stop
-  shrinking, hands the rest of the batch to a loop over positions, all
-  rows at once.  The block loop takes each block's uniforms as it
-  reaches it, so the Monte Carlo chunks draw them from their generator
-  block by block and hold a whole chunk's uniforms only when a block
-  gives up.
+  a 0) and settles the ambiguous draws in between run by run.  A run is
+  a maximal sequence of ambiguous draws, each within ell positions of
+  the one before; pass k evaluates the k-th draw of every run, whose ell
+  bits before it are final by then, so each draw is evaluated once and
+  the block is the sequential result.  A block hands the rest of the
+  batch to a loop over positions, all rows at once, when its longest run
+  times the blocks left exceeds a third of the row length: a pass costs
+  about three of that loop's positions.
+  The block loop takes each block's uniforms as it reaches it, so the
+  Monte Carlo chunks draw them from their generator block by block and
+  hold a whole chunk's uniforms only when a block gives up.
 * All randomness enters as pre-drawn uniforms (or an explicit 64-bit
   seed for the hash-derived process generator), so every public kernel
   is a deterministic function of its arguments.
@@ -157,9 +160,13 @@ def _np_mix_unit(z):
 # over positions below about 37 rows whatever n and ell (see CHANGES.md)
 _ROW_LOOP_ROWS = 36
 # larger batches are settled in blocks of about this many draws, so the
-# pre-pass's scratch arrays and each block's uniforms stay small whatever T
+# prefill's scratch arrays and each block's uniforms stay small whatever T
 # and n
 _SETTLE_DRAWS = 1 << 17
+# one settle pass costs about as much as this many positions of the loop
+# over positions, a block's own set-up included (the crossover measured over
+# ell 1-7, T 36-2048 and n 256-16384, see CHANGES.md)
+_SETTLE_PASS_POSITIONS = 3
 # counting walks row blocks of about this many positions (or one row), so
 # its scratch codes stay small whatever T and n
 _COUNT_POSITIONS = 1 << 16
@@ -181,16 +188,16 @@ def _sample_rows(theta, state0, ell, shape, draw):
     # uniforms of rows r .. r + k - 1, asked for in row order.  head is None,
     # except when a block gives up: it then holds that block's uniforms,
     # already handed out, and the rows asked for (the rest of the batch)
-    # start with them.  Small batches run row by row in one draw.
+    # start with them.
     T, n = shape
     if T < _ROW_LOOP_ROWS:
-        return _sample_loop(theta, state0, ell, draw(0, T, None))
+        return _row_loop(theta, state0, ell, draw(0, T, None))
     out = np.empty((T, n), np.uint8)
     step = max(1, _SETTLE_DRAWS // max(n, 1))
     for r in range(0, T, step):
         u = draw(r, min(step, T - r), None)
-        bits = _settle(theta, state0, ell, u)
-        if bits is None:  # the loop over positions is as fast: it takes the rest
+        bits = _settle(theta, state0, ell, u, -(-(T - r) // step))
+        if bits is None:  # the loop over positions is cheaper: it takes the rest
             u = draw(r, T - r, u)  # and the block's own uniforms are freed
             _sample_loop(theta, state0, ell, u, out[r:])
             break
@@ -198,82 +205,86 @@ def _sample_rows(theta, state0, ell, shape, draw):
     return out
 
 
-def _sample_loop(theta, state0, ell, u, out=None):
-    # one row at a time in plain Python for small batches, else one
-    # position at a time over all rows; writes into out when given
+def _row_loop(theta, state0, ell, u):
+    # one row at a time in plain Python
+    mask = (1 << ell) - 1
+    out = np.empty(u.shape, np.uint8)
+    th = theta.tolist()
+    for t in range(len(u)):
+        s, row = int(state0), []
+        for x in u[t].tolist():
+            b = x < th[s]
+            row.append(b)
+            s = ((s << 1) | b) & mask
+        out[t] = row
+    return out
+
+
+def _sample_loop(theta, state0, ell, u, out):
+    # one position at a time over all rows, into out
     T, n = u.shape
-    mask = (1 << ell) - 1 if ell > 0 else 0
-    if out is None:
-        out = np.empty((T, n), np.uint8)
-    if T < _ROW_LOOP_ROWS:
-        th = theta.tolist()
-        for t in range(T):
-            s, row = int(state0), []
-            for x in u[t].tolist():
-                b = x < th[s]
-                row.append(b)
-                s = ((s << 1) | b) & mask
-            out[t] = row
-        return out
+    mask = (1 << ell) - 1
     s = np.full(T, state0, np.int64)
     for i in range(n):
         b = (u[:, i] < theta[s]).astype(np.uint8)
         out[:, i] = b
         s = ((s << 1) | b) & mask
-    return out
 
 
-def _settle(theta, state0, ell, u):
+def _settle(theta, state0, ell, u, blocks):
     # Exact pre-pass for a block of rows.  A draw u < min(theta) is a 1 and
     # one with u >= max(theta) a 0 in every state, so every bit is prefilled
-    # with u < min(theta) and only the ambiguous draws in between read their
-    # state, from the ell bits before them.  Round 0 re-evaluates all of
-    # them; each later round only those within ell positions after a bit
-    # that changed.  When a round changes nothing, every bit is u < theta[s]
-    # of the bits before it, so by induction along each row the block is the
-    # sequential result.  Returns None where the loop over positions is as
-    # fast (the measured crossover, see CHANGES.md): when the ambiguous
-    # draws average more than 1/2 per ell positions, or once the rounds stop
-    # shrinking (more re-checks in total than twice the ambiguous draws
-    # +64, or a round re-checking more than half of the last one +256).
+    # with u < min(theta); only the ambiguous draws in between read their
+    # state.  A run is a maximal sequence of ambiguous draws, each within
+    # ell positions of the one before; each row starts with its ell past
+    # columns, so no run crosses into the next row.  Pass k evaluates the
+    # k-th draw of every run that has one: the ell bits before it are then
+    # final (prefilled, the past, or earlier draws of its run), so each
+    # draw is evaluated once and the block is the sequential result.
+    # Returns None, before any draw is evaluated, where the loop over
+    # positions is cheaper for the rest of the batch (blocks blocks, this
+    # one included): when the longest run's passes, each worth
+    # _SETTLE_PASS_POSITIONS positions, times the blocks left outweigh the
+    # n positions.  A pass carries each run's state forward in a fixed
+    # number of steps, so its cost does not grow with ell.
     T, n = u.shape
     lo, hi = theta.min(), theta.max()
-    w = ell + n
-    ext = np.empty((T, w), np.uint8)  # per row: the past, oldest bit first, then the bits
+    ext = np.empty((T, ell + n), np.uint8)  # per row: the past, oldest bit first, then the bits
     ext[:, :ell] = (state0 >> np.arange(ell - 1, -1, -1)) & 1
     np.less(u, lo, out=ext[:, ell:], casting="unsafe")
-    amb = np.zeros((T, w), bool)
-    np.logical_and(u >= lo, u < hi, out=amb[:, ell:])
-    pos = np.flatnonzero(amb).astype(np.int32)  # ambiguous draws in row-major order
-    m = pos.size
-    if 2 * ell * m > u.size:
+    at = np.flatnonzero((u >= lo) & (u < hi))  # ambiguous draws in row-major order
+    if not at.size:
+        return ext[:, ell:]
+    pos = at + ell * (at // n + 1)  # and where they sit in ext
+    gap = np.empty_like(pos)  # from the draw before; the first one starts a run
+    gap[0] = ell + 1
+    np.subtract(pos[1:], pos[:-1], out=gap[1:])
+    first = np.flatnonzero(gap > ell)  # each run's first draw
+    size = np.diff(first, append=pos.size)
+    longest = int(size.max())
+    if blocks * longest * _SETTLE_PASS_POSITIONS > n:
         return None
-    ua = u[amb[:, ell:]]  # and their uniforms, in the same order
-    succ = np.append(pos, np.iinfo(np.int32).max)  # a sentinel ends every follower walk
     flat = ext.reshape(-1)
-    check = np.arange(m)
-    budget, last = m + 64, m  # round 0 spends m of the 2m + 64 re-checks
-    while check.size:
-        q = pos[check]
-        s = flat[q - 1].astype(np.intp)
-        for j in range(2, ell + 1):
-            s |= flat[q - j].astype(np.intp) << (j - 1)
-        new = ua[check] < theta[s]
-        hit = new != flat[q]
-        k, end = check[hit], q[hit] + ell
-        flat[q[hit]] = new[hit]
-        # mark the ambiguous draws that follow a changed bit by at most ell
-        mark = np.zeros(m + 1, bool)
-        while k.size:
-            k = k + 1
-            keep = succ[k] <= end
-            k, end = k[keep], end[keep]
-            mark[k] = True
-        check = np.flatnonzero(mark)
-        budget -= check.size
-        if budget < 0 or check.size > last // 2 + 256:
-            return None
-        last = check.size
+    # each draw's state from the prefilled bits, where the ambiguous ones
+    # read 0; the earlier draws of its run are or-ed in as they settle
+    s = flat[pos - 1].astype(np.intp)
+    for j in range(2, ell + 1):
+        s |= flat[pos - j].astype(np.intp) << (j - 1)
+    ua = np.take(u, at)
+    gap -= 1
+    mask = (1 << ell) - 1
+    # runs by decreasing size, so the runs with a k-th draw lead
+    first = first[np.argsort(-size)]
+    alive = np.cumsum(np.bincount(size, minlength=longest + 1)[::-1])[::-1]
+    bits = np.empty(pos.size, bool)
+    carry = np.zeros(first.size, np.intp)  # per run: its last draw's state with that draw's bit shifted in
+    for k in range(longest):
+        i = first[: alive[k + 1]] + k
+        si = s[i] | ((carry[: i.size] << gap[i]) & mask)
+        b = ua[i] < theta[si]
+        bits[i] = b
+        carry = (si << 1) | b
+    flat[pos] = bits
     return ext[:, ell:]
 
 

@@ -389,9 +389,12 @@ class MarkovSource:
         """Yield `trials` length-n samples as (t, n) bit batches, drawing
         the uniforms from rng row after row under the trial budget.
 
-        The sampler draws them one settle block at a time, so a chunk's
-        uniforms are never held at once unless a block gives up; every
-        bit and the rng state afterwards equal one sample_batch call on
+        The sampler draws them one settle block at a time.  A chunk's
+        uniforms are held at once only when a block hands the rest of the
+        chunk to the loop over positions (theta spread wide enough that
+        its runs of state-dependent draws are long); the rest is then
+        drawn after that block's own uniforms.  Every bit and the rng
+        state afterwards equal one sample_batch call on
         rng.random((trials, n)).
         """
         s0 = self._past_code(past)

@@ -224,3 +224,24 @@ def test_criterion_9_end_to_end_dominance(capsys):
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         report(9, ok, "; ".join(lines), elapsed)
+
+
+def test_kt_alone_meets_the_bound_and_its_ceiling_at_criterion_9_shapes():
+    # criterion 9 scores the mixture, whose regret on these near-fair
+    # sources is the uniform half's plus 1 bit, so it passes whatever its KT
+    # half does; KT alone, on criterion 9's first 10 sources per n, sits
+    # well under the paper bound and under the per-state ceiling
+    # 2^ell (log2(n)/2 + 2), which holds for every sequence
+    trials = 48
+    for n in (2**10, 2**12, 2**14):
+        choice = optimal_ell(n, EXP1, "refined")
+        ell, bound = choice.scanned, choice.scanned_value
+        past = "0" * ell
+        ceiling = 2.0**ell * (0.5 * math.log2(n) + 2)
+        for i in range(10):
+            src = random_hypercube_source(ell, EXP1(ell), seed=_kernels.child_seed(91, f"n{n}-src{i}"))
+            est = mc_avg_redundancy(
+                src, past, KTCoder(ell, past), n, trials, seed=_kernels.child_seed(91, f"n{n}-mc{i}")
+            )
+            assert est.mean <= bound + 5.0 * est.se
+            assert est.mean <= ceiling

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +151,20 @@ def test_experiment_rejects_no_sources(tmp_path, capsys):
     assert main(["experiment", "redundancy-vs-n", "--n", "256", "--sources", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: sources must be at least 1\n"
     assert not out.exists()
+
+
+def run_module(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "mdelta", *args], env=env, capture_output=True, text=True)
+
+
+def test_python_dash_m_runs_the_cli_and_keeps_its_exit_code():
+    ok = run_module("--help")
+    assert ok.returncode == 0
+    assert ok.stdout.startswith("usage: mdelta")
+    bad = run_module("bounds", "--n", "0", "--delta", "exp:1")
+    assert bad.returncode == 2
+    assert bad.stderr == "error: n must be at least 2, got 0\n"
 
 
 def test_validation_errors_exit_two(tmp_path):

@@ -524,8 +524,8 @@ def test_sample_bit_identical_to_position_loop(trials):
 
 
 # batches of at least ROWS rows settle the draws that read their state in
-# vectorized rounds; the thetas below drive both that path and the loop it
-# falls back to, on blocks that split T unevenly
+# run order; the thetas below drive both that path and the loop it hands
+# the rest of the batch to, on blocks that split T unevenly
 
 
 def sampler_cases(ell, rng):
@@ -573,37 +573,140 @@ def test_sample_full_blocks_bit_identical_to_position_loop(ell):
                 )
 
 
+def longest_run(theta, ell, u):
+    """Size of the longest run of ambiguous draws (min theta <= u < max
+    theta), each within ell positions of the one before, in any row."""
+    lo, hi = theta.min(), theta.max()
+    best = 0
+    for row in u.tolist():
+        last, size = None, 0
+        for i, x in enumerate(row):
+            if lo <= x < hi:
+                size = size + 1 if last is not None and i - last <= ell else 1
+                last, best = i, max(best, size)
+    return best
+
+
+def most_settled_blocks(theta, ell, u):
+    """The most blocks left at which a block of u still settles: the
+    passes of its longest run, times the blocks left, may not outweigh
+    its n positions."""
+    return u.shape[1] // (longest_run(theta, ell, u) * _kernels._SETTLE_PASS_POSITIONS)
+
+
 def test_settle_runs_on_near_fair_theta_and_gives_up_on_dense_ambiguous_draws():
     rng = np.random.default_rng(80)
     u = rng.random((16, 4096))
     near_fair = 0.5 + rng.uniform(-1, 1, 128) / 128
-    bits = _kernels._settle(near_fair, 5, 7, u)
+    bits = _kernels._settle(near_fair, 5, 7, u, 1)
     assert bits is not None
     assert np.array_equal(bits, loop_sample(near_fair, 5, 7, u))
-    # every draw but the extremes reads its state, and each one flips the next
-    assert _kernels._settle(np.array([0.999, 0.001]), 0, 1, u) is None
-    # 43 % of the draws read their state: these rounds would settle, but
-    # slower than the loop over positions
-    assert _kernels._settle(np.array([0.47, 0.37, 0.36, 0.78]), 0, 2, u) is None
+    # every draw but the extremes reads its state: each row is one run
+    assert _kernels._settle(np.array([0.999, 0.001]), 0, 1, u, 1) is None
+    # 43 % of the draws read their state, in short runs: the block settles
+    # alone and gives up once enough blocks are left
+    dense = np.array([0.47, 0.37, 0.36, 0.78])
+    most = most_settled_blocks(dense, 2, u)
+    assert most >= 8
+    assert np.array_equal(_kernels._settle(dense, 0, 2, u, most), loop_sample(dense, 0, 2, u))
+    assert _kernels._settle(dense, 0, 2, u, most + 1) is None
 
 
-def test_settle_gives_up_when_the_rounds_stop_shrinking():
-    # few enough ambiguous draws to start, laid out so that the rounds stall
+def test_settle_gives_up_when_the_longest_run_outweighs_the_loop():
     alternating = np.array([0.999, 0.001])
     run = np.full((1, 4096), 0.9995)  # a 0 in every state
-    run[0, 100:400] = 0.5  # one 300-draw chain: each round settles one more bit
-    assert _kernels._settle(alternating, 0, 1, run) is None  # total re-checks
-    # theta reads only the bit two back; per 13 positions: two fixed 1s, then
-    # A, B1, B2 that read their state, then fixed 0s.  Round 0 flips A and
-    # B1, round 1 re-checks B1 and B2 (2/3 of round 0) and flips B2 alone,
-    # and round 2 would have nothing left
+    run[0, 100:400] = 0.5  # one 300-draw run, each draw flipping the next
+    assert longest_run(alternating, 1, run) == 300
+    most = most_settled_blocks(alternating, 1, run)
+    assert np.array_equal(_kernels._settle(alternating, 0, 1, run, most), loop_sample(alternating, 0, 1, run))
+    assert _kernels._settle(alternating, 0, 1, run, most + 1) is None
+    # theta reads only the bit two back; per 13 positions: two fixed 1s,
+    # then A, B1, B2 that read their state, then fixed 0s: runs of 3
     two_back = np.array([0.5, 0.5, 0.75, 0.75])
     group = [0.1, 0.1, 0.6, 0.6, 0.6] + [0.9] * 8
     stall = np.tile(group, (8, 315))
-    assert _kernels._settle(two_back, 3, 2, stall) is None  # round 1 > round 0 / 2 + 256
+    assert longest_run(two_back, 2, stall) == 3
+    most = most_settled_blocks(two_back, 2, stall)
+    assert np.array_equal(_kernels._settle(two_back, 3, 2, stall, most), loop_sample(two_back, 3, 2, stall))
+    assert _kernels._settle(two_back, 3, 2, stall, most + 1) is None
     for theta, ell, u in ((alternating, 1, run), (two_back, 2, stall)):
         batch = np.repeat(u, 36 // len(u) + 1, axis=0)
         assert np.array_equal(_kernels.sample_batch(theta, 0, ell, batch), loop_sample(theta, 0, ell, batch))
+
+
+class LookupCounter(np.ndarray):
+    """A theta that counts the states looked up in it."""
+
+    def __getitem__(self, index):
+        out = np.asarray(self)[index]
+        self.lookups += np.size(out)
+        return out
+
+
+def settle_cases():
+    """(name, theta, ell, uniforms): hand-made rows at ell = 2, a block
+    with no ambiguous draw, ell = 0, and near-fair runs at ell = 7."""
+    rng = np.random.default_rng(82)
+    # theta[s] for s = 0 .. 3: u = 0.3 is a 1 unless s = 0, u = 0.5 a 1 when
+    # the bit two back is, u = 0.7 a 1 only at s = 3; 0.1 and 0.9 are fixed
+    spread = np.array([0.2, 0.4, 0.6, 0.8])
+    edges = np.array([
+        # a first draw that reads only the past, then a run that ends in
+        # the row's last column
+        [0.3, 0.5, 0.9, 0.9, 0.9, 0.1, 0.9, 0.9, 0.9, 0.5, 0.3, 0.7],
+        # a run that starts in the first column again: it reads the past,
+        # not the run that ended the row before
+        [0.5, 0.7, 0.3, 0.5, 0.9, 0.9, 0.9, 0.1, 0.1, 0.7, 0.9, 0.5],
+        [0.1, 0.9, 0.9, 0.1, 0.1, 0.9, 0.9, 0.9, 0.1, 0.9, 0.1, 0.9],
+    ])
+    near_fair = 0.5 + rng.uniform(-1, 1, 128) / 16
+    return [
+        ("edges", spread, 2, edges),
+        ("none", spread, 2, np.tile(edges[2], (4, 1))),
+        ("ell0", np.array([0.3]), 0, rng.random((40, 50))),
+        ("ell7", near_fair, 7, rng.random((4, 600))),
+    ]
+
+
+@pytest.mark.parametrize("case", settle_cases(), ids=lambda case: case[0])
+def test_settle_evaluates_each_ambiguous_draw_once(case):
+    _, theta, ell, u = case
+    lo, hi = theta.min(), theta.max()
+    for state0 in range(1 << ell) if ell < 3 else pasts(ell):
+        counted = theta.view(LookupCounter)
+        counted.lookups = 0
+        bits = _kernels._settle(counted, state0, ell, u, 1)
+        assert np.array_equal(bits, loop_sample(theta, state0, ell, u))
+        assert counted.lookups == np.count_nonzero((u >= lo) & (u < hi))
+        if case[0] == "edges":
+            # the first draw of each row reads the past alone
+            assert bits[0, 0] == (state0 != 0)
+            assert bits[1, 0] == state0 >> 1
+
+
+@pytest.mark.parametrize("rows", [512, 1024])
+def test_wide_theta_at_ell_1_settles_every_block(rows, monkeypatch):
+    # about 47 % of the draws read their state, in runs of a few dozen at
+    # most: settling every block costs no more than the loop over positions
+    # (about 0.6x of it at 1024 rows, level at 512; BENCH_settle.json)
+    calls = {"settle": 0, "loop": 0}
+    settle, loop = _kernels._settle, _kernels._sample_loop
+
+    def counted_settle(*args):
+        calls["settle"] += 1
+        return settle(*args)
+
+    def counted_loop(*args):
+        calls["loop"] += 1
+        return loop(*args)
+
+    monkeypatch.setattr(_kernels, "_settle", counted_settle)
+    monkeypatch.setattr(_kernels, "_sample_loop", counted_loop)
+    theta = np.array([0.26, 0.73])
+    u = np.random.default_rng(rows).random((rows, 4096))
+    bits = _kernels.sample_batch(theta, 1, 1, u)
+    assert calls == {"settle": rows // 32, "loop": 0}
+    assert np.array_equal(bits, loop_sample(theta, 1, 1, u))
 
 
 def test_sample_block_that_gives_up_hands_the_rest_to_the_loop(monkeypatch):

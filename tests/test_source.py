@@ -242,14 +242,16 @@ def test_sample_chunks_block_giving_up_mid_chunk_keeps_the_stream(monkeypatch):
     monkeypatch.setattr(_kernels, "_SETTLE_DRAWS", 4096)
     calls, real = [], _kernels._settle
 
-    def settle(theta, state0, ell, u):
-        calls.append(len(u))
-        return None if len(calls) % 3 == 0 else real(theta, state0, ell, u)
+    def settle(theta, state0, ell, u, blocks):
+        calls.append((len(u), blocks))
+        return None if len(calls) % 3 == 0 else real(theta, state0, ell, u, blocks)
 
     monkeypatch.setattr(_kernels, "_settle", settle)
     src = random_hypercube_source(3, 0.05, seed=5)
     chunks, state = sample_chunks_and_state(src, "010", 512, 250, 3)
-    assert calls == [8, 8, 8] * 2  # chunks of 120, 120 and 10 rows; the last runs row by row
+    # chunks of 120, 120 and 10 rows, 15 blocks of 8 rows each in the first
+    # two; the last chunk runs row by row
+    assert calls == [(8, 15), (8, 14), (8, 13)] * 2
     monkeypatch.setattr(_kernels, "_settle", real)
     bits, want = one_batch_and_state(src, "010", 512, 250, 3)
     assert np.array_equal(np.concatenate(chunks), bits)
