@@ -13,8 +13,11 @@ Conventions shared by every kernel:
 * Counting builds every position's code ``(context << 1) | bit`` from
   ``depth + 1`` shifted views of the bits, the past filling the first
   ``depth`` columns, in the narrowest unsigned type that holds it (uint8
-  below depth 8, uint16 below 16, else uint32), then one integer
-  ``bincount`` per row block of about 2**16 positions.
+  below depth 8, uint16 below 16, else uint32), doubling the codes by
+  adds rather than ``<<`` (numpy runs ``<<`` on uint8 and uint16 element
+  by element, an add vectorized: about 14x faster on uint8 under numpy
+  2.4), then one integer ``bincount`` per row block of about 2**16
+  positions.
 * ``log2_prob_batch`` is derived from the count table, so it differs
   from a sequential chain-rule sum by rounding only (about 1e-9 at
   n = 65536).
@@ -293,7 +296,11 @@ def _count(bits, state0, depth):
     # Per row block, every position's code (context << 1) | bit is built in
     # the narrowest unsigned type that holds depth + 1 bits, one shifted view
     # of the past and the bits per lag, oldest first; one bincount with an
-    # offset per row then counts the block
+    # offset per row then counts the block.  Codes are doubled by adding
+    # them to themselves: numpy's << on uint8 and uint16 runs element by
+    # element, the add is vectorized (numpy 2.4 on a 2-core x86_64: 0.08
+    # against 0.006 ms per 2**17 uint8 codes), and for unsigned codes the
+    # two are the same integer
     T, n = bits.shape
     m2 = 2 << depth
     code_type = np.uint8 if depth < 8 else np.uint16 if depth < 16 else np.uint32
@@ -308,7 +315,7 @@ def _count(bits, state0, depth):
         ext[:, depth:] = bits[r : r + rows]
         codes = ext[:, :n].astype(code_type)
         for k in range(1, depth + 1):
-            codes <<= 1
+            np.add(codes, codes, out=codes)
             codes |= ext[:, k : k + n]
         codes = codes + np.arange(0, rows * m2, m2, dtype=np.intp)[:, None]
         table = np.bincount(codes.ravel(), minlength=rows * m2).reshape(rows, m2 >> 1, 2)

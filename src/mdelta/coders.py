@@ -21,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .source import ENUMERATION_CAP, CountTable, MarkovSource, _require_cap, as_bits, state_code
+from .source import (
+    ENUMERATION_CAP,
+    CountTable,
+    MarkovSource,
+    _require_cap,
+    as_bit_rows,
+    as_bits,
+    state_code,
+)
 
 __all__ = [
     "CountCoder",
@@ -105,7 +113,7 @@ class CountCoder(SequentialCoder):
         return float(self.log2_prob_batch(as_bits(x)[None, :])[0])
 
     def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
-        return self.log2_prob_counts(*_kernels.count_batch(bits, self.state0, self.depth))
+        return self.log2_prob_counts(*_kernels.count_batch(as_bit_rows(bits), self.state0, self.depth))
 
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """Per-trial log2 q from (trials, 2**depth) count tables of whole

@@ -35,6 +35,7 @@ __all__ = [
     "ContinuityGenerationError",
     "StationaryConvergenceError",
     "as_bits",
+    "as_bit_rows",
     "bits_to_str",
     "state_code",
     "full_tree",
@@ -107,17 +108,37 @@ class ContinuityGenerationError(RuntimeError):
 
 
 def as_bits(x) -> np.ndarray:
-    """Normalize a bit sequence (str of 0/1, iterable, or array) to uint8."""
+    """Normalize a bit sequence (str of 0/1, iterable, or array) to uint8.
+
+    Any value other than exactly 0 or 1 (2, -1, 1.5, 256, "1") raises
+    ValueError; booleans are bits."""
     if isinstance(x, str):
         if any(ch not in "01" for ch in x):
             raise ValueError(f"bit string may contain only 0/1, got {x!r}")
         return np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
-    arr = np.asarray(x, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise ValueError("bit sequence must be one-dimensional")
-    if arr.size and arr.max() > 1:
-        raise ValueError("bit sequence may contain only 0/1")
-    return arr
+    return _exact_bits(x, 1, "bit sequence")
+
+
+def as_bit_rows(bits) -> np.ndarray:
+    """Normalize a (trials, n) batch of bit rows to uint8, rejecting any
+    value other than exactly 0 or 1 with ValueError, as as_bits does."""
+    return _exact_bits(bits, 2, "bit rows")
+
+
+def _exact_bits(x, ndim: int, what: str) -> np.ndarray:
+    # x as a uint8 array of ndim dimensions; uint8 and bool input is
+    # checked in one pass, anything else is compared with 0 and 1 before
+    # the cast, so no value wraps or truncates into a bit
+    arr = np.asarray(x)
+    if arr.ndim != ndim:
+        raise ValueError(f"{what} must have {ndim} dimension(s), got {arr.ndim}")
+    if arr.dtype in (np.uint8, np.bool_):
+        ok = not arr.size or arr.max() <= 1
+    else:
+        ok = bool(((arr == 0) | (arr == 1)).all())
+    if not ok:
+        raise ValueError(f"{what} may contain only 0/1")
+    return arr.astype(np.uint8, copy=False)
 
 
 def bits_to_str(bits) -> str:
@@ -360,7 +381,7 @@ class MarkovSource:
 
     def log2_prob_batch(self, past, bits: np.ndarray) -> np.ndarray:
         lt1, lt0 = self._log_tables
-        return _kernels.log2_prob_batch(lt1, lt0, self._past_code(past), self.memory, bits)
+        return _kernels.log2_prob_batch(lt1, lt0, self._past_code(past), self.memory, as_bit_rows(bits))
 
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """Per-trial log2 probability from depth-`memory` count tables, the

@@ -176,6 +176,19 @@ def test_count_scored_code_lengths_are_one_closed_form(depth):
             assert src.log_prob(past, x) == src.log2_prob_batch(past, x[None, :])[0] == want
 
 
+@pytest.mark.parametrize("rows", [[[0, 2, 1, 0], [0, 0, 0, 0]], [[0, 2, 1, 0]], [[0, 1], [1, -1]], [0, 1]])
+def test_batch_scores_reject_rows_that_are_not_bits(rows):
+    # a 2 used to spill into the next row's count bins (row 1 scored -5.19
+    # against its own -1.87) and a single bad row failed inside a reshape
+    src = random_hypercube_source(1, 0.2, seed=0)
+    bits = np.array(rows)
+    for score in (KTCoder(1, "0").log2_prob_batch, SourceCoder(src, "0").log2_prob_batch):
+        with pytest.raises(ValueError, match="bit rows"):
+            score(bits)
+    with pytest.raises(ValueError, match="bit rows"):
+        src.log2_prob_batch("0", bits)
+
+
 # ---------------------------------------------------------------------------
 # maximized likelihood and the exact minimax oracle
 # ---------------------------------------------------------------------------

@@ -491,6 +491,15 @@ def test_source_enumeration_peak_memory():
     assert traced_peak(lambda: redundancy.exact_avg_redundancy(src, "0101", coder, 16)) < 2e6
 
 
+@pytest.mark.parametrize("shape", [(256, 4096, 4), (48, 16384, 7)])
+def test_count_peak_memory(shape):
+    # row blocks of narrow codes: about 0.8 MB at both shapes, where a single
+    # (T, n) int64 array of codes or states would take 6-8 MB
+    T, n, depth = shape
+    bits = (np.random.default_rng(depth).random((T, n)) < 0.5).astype(np.uint8)
+    assert traced_peak(lambda: _kernels.count_batch(bits, 1, depth)) < 1.5e6
+
+
 @pytest.mark.parametrize("randomized", [False, True])
 def test_domination_bit_identical_to_position_loop(randomized):
     for n in (0, 1, 2, 5, 12):

@@ -652,3 +652,13 @@ def test_as_bits_validation():
         as_bits("01x1")
     with pytest.raises(ValueError):
         as_bits([0, 2, 1])
+    for bits in ([True, False, True], np.array([1, 0, 1]), [1.0, 0.0, 1.0], np.array([1, 0, 1], np.uint8)):
+        assert as_bits(bits).dtype == np.uint8
+        assert bits_to_str(as_bits(bits)) == "101"
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.5], np.array([0, 256]), [0, -1], ["0", "1"]])
+def test_as_bits_rejects_values_that_are_not_exactly_0_or_1(x):
+    # 1.5 used to truncate to 1, 256 to wrap to 0, and -1 raised OverflowError
+    with pytest.raises(ValueError, match="only 0/1"):
+        as_bits(x)
