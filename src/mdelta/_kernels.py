@@ -96,12 +96,15 @@ def child_seed(root: int, label: str) -> int:
     """Derive a task seed from a 64-bit root seed and a task label.
 
     root XOR fnv1a64(label), then splitmix64.  Used for all seed
-    splitting so that independent tasks never share a stream.
+    splitting so that independent tasks never share a stream.  A root
+    outside 0 .. 2**64 - 1 raises ValueError rather than aliasing another.
     """
+    if not 0 <= root <= _M64:
+        raise ValueError(f"seed {root} is outside 0..2^64-1")
     h = 0xCBF29CE484222325
     for byte in label.encode():
         h = ((h ^ byte) * 0x100000001B3) & _M64
-    return splitmix64((root & _M64) ^ h)
+    return splitmix64(root ^ h)
 
 
 # ---------------------------------------------------------------------------

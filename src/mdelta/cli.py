@@ -75,6 +75,14 @@ def _depth(text) -> int:
     return depth
 
 
+def _seed(text) -> int:
+    """Root seed from the command line: any 64-bit unsigned value."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError(f"seed {seed} is outside 0..2^64-1")
+    return seed
+
+
 def _parse_bool(text: str) -> bool:
     word = text.lower()
     if word not in ("1", "true", "yes", "0", "false", "no"):
@@ -457,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_depth, required=True)
     p.add_argument("--delta", default="exp:1")
     p.add_argument("--delta-at", type=float, default=None, help="hypercube half-width override")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen_source, subparser=p)
 
@@ -465,7 +473,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--past", default=None)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample, subparser=p)
 
@@ -485,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_depth, default=0)
     p.add_argument("--past", default=None)
     p.add_argument("--source", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_encode, subparser=p)
 
     p = sub.add_parser("decode", help="decode a stream back to bits")
@@ -495,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_depth, default=None)
     p.add_argument("--past", default=None)
     p.add_argument("--source", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_decode, subparser=p)
 
     p = sub.add_parser("bounds", help="evaluate the closed-form bounds over a depth grid")
@@ -503,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--ell", default=None, help="depth grid, e.g. 1..12 (default: full scan range)")
     p.add_argument("--out", default="bounds.csv")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_bounds, subparser=p)
 
     p = sub.add_parser("redundancy", help="measure regret of a coder against a source")
@@ -514,7 +522,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--past", default=None)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--exact", action="store_true", help="exhaustive enumeration (n <= 20)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_redundancy, subparser=p)
 
@@ -526,7 +534,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification harnesses")
     p.add_argument("lemma", choices=_VERIFY_CHOICES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--gamma", type=float, default=5.0)
@@ -541,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="comma-separated increasing lengths")
     p.add_argument("--sources", type=int, default=50)
     p.add_argument("--trials", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default="experiment.csv")
     p.set_defaults(func=_cmd_experiment, subparser=p)
 

@@ -7,6 +7,12 @@ ceil(-log2 q(x)) + 2 bits (the classic renormalization argument; the
 quantization loss is far below a bit at the lengths this library
 handles).
 
+Encoding knows the whole sequence, so it takes every conditional at
+once from `coder.conditionals(bits)` and runs the range coder on plain
+ints.  Decoding is sequential, one prob_one()/push() per bit; a read
+deeper than any valid code of that length reaches (a truncated stream,
+or the wrong coder) raises CodecError.
+
 Streams carry an 8-byte header (magic, version, depth, length) followed
 by the code bits packed big-endian; the sequence length travels in the
 header rather than in the code.
@@ -42,36 +48,39 @@ def _quantize_one(p1: float) -> int:
     return min(max(c1, 1), _TOTAL - 1)
 
 
+def _quantize(p1: np.ndarray) -> np.ndarray:
+    """_quantize_one over an array, with the same float operations."""
+    return np.clip((p1 * _TOTAL + 0.5).astype(np.int64), 1, _TOTAL - 1)
+
+
 def encode(coder: SequentialCoder, x) -> np.ndarray:
-    """Arithmetic-encode x under the coder's model; returns code bits."""
+    """Arithmetic-encode x under the coder's model; returns code bits.
+
+    The sequence is known, so every conditional comes from one
+    `coder.conditionals` call and the range-coder loop runs on plain ints.
+    """
     bits = as_bits(x)
-    coder.reset()
+    c0s = _TOTAL - _quantize(coder.conditionals(bits))
     low, high = 0, _FULL - 1
     pending = 0
     out: list[int] = []
-
-    def emit(b: int) -> None:
-        nonlocal pending
-        out.append(b)
-        flip = b ^ 1
-        for _ in range(pending):
-            out.append(flip)
-        pending = 0
-
-    for bit in bits:
-        c1 = _quantize_one(coder.prob_one())
-        span = high - low + 1
-        split = low + (span * (_TOTAL - c1)) // _TOTAL  # first value of the 1-region
+    for bit, c0 in zip(bits.tolist(), c0s.tolist()):
+        split = low + ((high - low + 1) * c0 >> _TOTAL_BITS)  # first value of the 1-region
         if bit:
             low = split
         else:
             high = split - 1
-        coder.push(int(bit))
         while True:
             if high < _HALF:
-                emit(0)
+                out.append(0)
+                if pending:
+                    out += [1] * pending
+                    pending = 0
             elif low >= _HALF:
-                emit(1)
+                out.append(1)
+                if pending:
+                    out += [0] * pending
+                    pending = 0
                 low -= _HALF
                 high -= _HALF
             elif low >= _QUARTER and high < _THREEQ:
@@ -82,26 +91,38 @@ def encode(coder: SequentialCoder, x) -> np.ndarray:
                 break
             low <<= 1
             high = (high << 1) | 1
-    pending += 1
-    emit(0 if low < _QUARTER else 1)
-    coder.reset()
+    last = 0 if low < _QUARTER else 1
+    out.append(last)
+    out += [last ^ 1] * (pending + 1)
     return np.array(out, dtype=np.uint8)
 
 
 def decode(coder: SequentialCoder, code_bits, n: int) -> np.ndarray:
     """Invert encode(): n bits from the code under the same coder model.
 
-    Bits past the end of the code are read as zeros, which the encoder's
-    termination makes safe.
+    Decoding is sequential: each conditional comes from prob_one() after
+    the bits decoded so far were pushed.  Bits past the end of the code are
+    read as zeros, which the encoder's termination makes safe.  The
+    decoder reads 62 bits, then one per encoder shift, and a code holds
+    one bit per shift plus two, so decoding a valid code reads at most
+    len(code) + 60 bits (exactly that many unless the code was padded to
+    whole bytes); a read past that means a truncated stream or the wrong
+    coder, and raises CodecError.
     """
     code = as_bits(code_bits)
     coder.reset()
     low, high = 0, _FULL - 1
     pos = 0
+    limit = len(code) + _STATE_BITS - 2
 
     def next_bit() -> int:
         nonlocal pos
-        b = int(code[pos]) if pos < len(code) else 0
+        if pos < len(code):
+            b = int(code[pos])
+        elif pos < limit:
+            b = 0
+        else:
+            raise CodecError("read past the end of the code: stream truncated or decoded with the wrong coder")
         pos += 1
         return b
 

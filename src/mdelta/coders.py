@@ -4,7 +4,10 @@ A coder is a deterministic state machine exposing the conditional
 probability of the next bit; pushing bits advances it.  Next-bit
 probabilities are strictly inside (0,1) and the pair (p0, p1) sums to 1
 exactly by construction, so a coder doubles as the probability model of
-the arithmetic codec.
+the arithmetic codec.  `conditionals(bits)` gives every next-bit
+probability of a known sequence at once, equal (`==`) to the
+reset/`prob_one`/`push` replay; count-based coders compute it from the
+sequence in one pass.
 
 Count-scored coders (KT, mixture, known source) derive from
 `CountCoder`: their code length is a closed form of the per-context
@@ -92,6 +95,21 @@ class SequentialCoder:
         p1 = self.prob_one()
         return 1.0 - p1, p1
 
+    def conditionals(self, bits) -> np.ndarray:
+        """Every next-bit probability of a known sequence: entry t is what
+        prob_one() returns after a reset and bits[:t] pushed.
+
+        This default replays the sequence and leaves the coder reset.
+        """
+        bits = as_bits(bits)
+        self.reset()
+        out = np.empty(len(bits))
+        for t, bit in enumerate(bits.tolist()):
+            out[t] = self.prob_one()
+            self.push(bit)
+        self.reset()
+        return out
+
     def log2_prob(self, x) -> float:
         raise NotImplementedError
 
@@ -119,6 +137,21 @@ class CountCoder(SequentialCoder):
         """Per-trial log2 q from (trials, 2**depth) count tables of whole
         sequences, counted from the coder's past."""
         raise NotImplementedError
+
+
+def _contexts(bits: np.ndarray, state0: int, depth: int) -> np.ndarray:
+    """Context code before each bit of a sequence that continues the past
+    encoded by state0, in the narrowest unsigned type that holds it."""
+    n = len(bits)
+    code_type = np.uint8 if depth <= 8 else np.uint16 if depth <= 16 else np.uint32
+    ext = np.empty(depth + n, code_type)
+    ext[:depth] = (int(state0) >> np.arange(depth - 1, -1, -1)) & 1
+    ext[depth:] = bits
+    ctx = np.zeros(n, code_type)
+    for k in range(depth):  # oldest bit first; the add doubles, as in _kernels._count
+        np.add(ctx, ctx, out=ctx)
+        ctx |= ext[k : k + n]
+    return ctx
 
 
 class KTCoder(CountCoder):
@@ -149,6 +182,27 @@ class KTCoder(CountCoder):
         self._ones[s] += bit
         mask = (1 << self.depth) - 1 if self.depth else 0
         self._state = ((s << 1) | bit) & mask
+
+    def conditionals(self, bits) -> np.ndarray:
+        # one stable sort by context puts each context's positions in
+        # sequence order; the counts before a position are its rank in its
+        # group and the ones its group saw before it
+        bits = as_bits(bits)
+        n = len(bits)
+        ctx = _contexts(bits, self.state0, self.depth)
+        order = np.argsort(ctx, kind="stable")
+        ctx = ctx[order]
+        seen = bits[order]
+        ones = np.cumsum(seen, dtype=np.int64)
+        ones -= seen
+        pos = np.arange(n)
+        start = np.empty(n, bool)
+        start[:1] = True
+        np.not_equal(ctx[1:], ctx[:-1], out=start[1:])
+        first = np.maximum.accumulate(np.where(start, pos, 0))
+        out = np.empty(n)
+        out[order] = (ones - ones[first] + 0.5) / (pos - first + 1.0)
+        return out
 
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
         return np.asarray(kt_log2_from_counts(occ, ones))
@@ -185,10 +239,7 @@ class MixtureCoder(CountCoder):
         t = self._t
         if t >= self.horizon:
             raise IndexError(f"mixture coder queried past its horizon n={self.horizon}")
-        p1_kt = self._kt.prob_one()
-        num = np.logaddexp2(self._log_qkt + math.log2(p1_kt), -(t + 1.0))
-        den = np.logaddexp2(self._log_qkt, -float(t))
-        return float(2.0 ** (num - den))
+        return _mix_conditional(self._log_qkt, self._kt.prob_one(), t)
 
     def push(self, bit: int) -> None:
         if self._t >= self.horizon:
@@ -197,6 +248,21 @@ class MixtureCoder(CountCoder):
         self._log_qkt += math.log2(p1_kt if bit else 1.0 - p1_kt)
         self._kt.push(bit)
         self._t += 1
+
+    def conditionals(self, bits) -> np.ndarray:
+        # the add-half conditionals at once, then the prefix mass walk with
+        # the same scalar calls as prob_one/push: array log2/power loops may
+        # round differently, and one ulp moves a quantized probability
+        bits = as_bits(bits)
+        if len(bits) > self.horizon:
+            raise IndexError(f"mixture coder queried past its horizon n={self.horizon}")
+        p_kt = self._kt.conditionals(bits).tolist()
+        out = [0.0] * len(p_kt)
+        log_qkt = 0.0
+        for t, (bit, p1_kt) in enumerate(zip(bits.tolist(), p_kt)):
+            out[t] = _mix_conditional(log_qkt, p1_kt, t)
+            log_qkt += math.log2(p1_kt if bit else 1.0 - p1_kt)
+        return np.array(out)
 
     def _mix(self, log_qkt):
         return np.logaddexp2(log_qkt, -float(self.horizon)) - 1.0
@@ -211,6 +277,13 @@ class MixtureCoder(CountCoder):
             raise ValueError(f"mixture coder is defined on length-{self.horizon} sequences")
         _require_cap(n)
         return np.asarray(self._mix(self._kt.log2_prob_all(n)))
+
+
+def _mix_conditional(log_qkt: float, p1_kt: float, t: int) -> float:
+    """Mixture p1 at step t from log2 q_kt of the prefix and the add-half p1."""
+    num = np.logaddexp2(log_qkt + math.log2(p1_kt), -(t + 1.0))
+    den = np.logaddexp2(log_qkt, -float(t))
+    return float(2.0 ** (num - den))
 
 
 class SourceCoder(CountCoder):
@@ -232,6 +305,9 @@ class SourceCoder(CountCoder):
     def push(self, bit: int) -> None:
         mask = (1 << self.depth) - 1 if self.depth else 0
         self._state = ((self._state << 1) | bit) & mask
+
+    def conditionals(self, bits) -> np.ndarray:
+        return self.source.state_theta[_contexts(as_bits(bits), self.state0, self.depth)]
 
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
         return self.source.log2_prob_counts(occ, ones)

@@ -42,18 +42,20 @@ class DeltaSpec:
         if self.kind == "table":
             if not self.values:
                 raise ValueError("table delta needs at least one value")
-            if any(v <= 0 for v in self.values):
-                raise ValueError("table delta values must be positive")
+            if not all(0 < v < math.inf for v in self.values):
+                raise ValueError("table delta values must be positive and finite")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         else:
             if self.c is None:
                 raise ValueError(f"{self.kind} delta needs a rate parameter")
+            if not math.isfinite(self.c):
+                raise ValueError(f"{self.kind} delta needs a finite rate parameter, got {self.c}")
             if self.kind == "poly" and self.c <= 1:
                 raise ValueError("poly delta needs c > 1")
             if self.kind in ("exp", "dexp") and self.c <= 0:
                 raise ValueError(f"{self.kind} delta needs c > 0")
-        if self.cap0 <= 0:
-            raise ValueError("cap0 must be positive")
+        if not 0 < self.cap0 < math.inf:
+            raise ValueError("cap0 must be positive and finite")
 
     # -- evaluation ---------------------------------------------------------
 

@@ -316,6 +316,8 @@ def bound_report(n: int, delta: DeltaSpec, ells=None) -> BoundReport:
     """Evaluate every bound on a depth grid and locate the optima."""
     _check_horizon(n, 2)  # the default grid needs ceil(log2 n) >= 1
     ells = list(ells) if ells is not None else list(default_ell_range(n))
+    if not ells:
+        raise ValueError("empty depth range: no ell to evaluate")
     rows = []
     for ell in ells:
         rows.append(

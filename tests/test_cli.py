@@ -56,6 +56,17 @@ def test_encode_decode_files(tmp_path):
     assert read_data_lines(bits) == read_data_lines(dec)
 
 
+def test_truncated_stream_exits_two(tmp_path, capsys):
+    bits = tmp_path / "bits.txt"
+    enc = tmp_path / "enc.bin"
+    bits.write_text("".join(str((i * i) % 3 % 2) for i in range(200)) + "\n")
+    assert main(["encode", "--in", str(bits), "--out", str(enc), "--ell", "2"]) == 0
+    enc.write_bytes(enc.read_bytes()[:9])
+    capsys.readouterr()
+    assert main(["decode", "--in", str(enc), "--out", str(tmp_path / "d.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error: read past the end of the code")
+
+
 def test_decode_depth_mismatch_fails(tmp_path):
     bits = tmp_path / "bits.txt"
     enc = tmp_path / "enc.bin"
@@ -165,6 +176,23 @@ def test_python_dash_m_runs_the_cli_and_keeps_its_exit_code():
     bad = run_module("bounds", "--n", "0", "--delta", "exp:1")
     assert bad.returncode == 2
     assert bad.stderr == "error: n must be at least 2, got 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bounds", "--n", "64", "--delta", "exp:1", "--ell", "3..1"], "error: empty depth range: no ell to evaluate\n"),
+    (["bounds", "--n", "64", "--delta", "exp:nan"], "error: exp delta needs a finite rate parameter, got nan\n"),
+])
+def test_bad_bound_inputs_exit_two_with_their_own_message(tmp_path, capsys, argv, message):
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), str(5 + 2**64)])
+def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "azuma", "--trials", "10", "--seed", seed])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --seed: seed {seed} is outside 0..2^64-1\n")
 
 
 def test_validation_errors_exit_two(tmp_path):

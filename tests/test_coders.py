@@ -138,6 +138,8 @@ def test_mixture_horizon_errors():
         coder.push(1)
     with pytest.raises(ValueError):
         coder.log2_prob("101")
+    with pytest.raises(IndexError):
+        coder.conditionals("101")
     with pytest.raises(ValueError):
         MixtureCoder(0, horizon=0)
 
@@ -356,3 +358,49 @@ def test_source_coder_probabilities():
     coder.reset()
     p0, p1 = coder.probs()
     assert p0 + p1 == 1.0
+
+
+# ---------------------------------------------------------------------------
+# every conditional at once
+# ---------------------------------------------------------------------------
+
+
+def _replay(coder, x):
+    coder.reset()
+    out = []
+    for b in x.tolist():
+        out.append(coder.prob_one())
+        coder.push(b)
+    return np.array(out, dtype=np.float64)
+
+
+@pytest.mark.parametrize("kind", ["kt", "mixture", "source", "nml"])
+def test_conditionals_equal_the_replay(kind):
+    # == on float64: the codec quantizes these, so one ulp would change a stream
+    rng = np.random.default_rng(41)
+    depths = (0, 1, 2, 3, 5, 9) if kind != "nml" else (0, 1, 2, 3)
+    for depth in depths:
+        theta = rng.uniform(0.01, 0.99, 1 << depth)
+        src = MarkovSource(full_tree(depth), theta)
+        past = "".join(rng.choice(["0", "1"], depth + 1))
+        for n in (0, 1, 7, 200, 1500) if kind != "nml" else (0, 1, 7, 12):
+            x = src.sample(past, n, seed=int(rng.integers(1 << 30)))
+            if kind == "kt":
+                coder = KTCoder(depth, past)
+            elif kind == "mixture":
+                coder = MixtureCoder(depth, past, horizon=n + 3)
+            elif kind == "source":
+                coder = SourceCoder(src, past)
+            else:
+                coder = NMLCoder(depth, past, horizon=max(n, 1))
+            got = coder.conditionals(x)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got, _replay(coder, x)), (depth, n)
+
+
+def test_kt_conditionals_at_wide_contexts():
+    # contexts past 8 and 16 bits take the uint16 and uint32 codes
+    x = np.random.default_rng(3).integers(0, 2, 3000).astype(np.uint8)
+    for depth in (8, 16, 17):
+        coder = KTCoder(depth, past="01" * 9)
+        assert np.array_equal(coder.conditionals(x), _replay(coder, x))

@@ -73,6 +73,14 @@ def test_invalid_specs():
         DeltaSpec.parse("gauss:1")
 
 
+@pytest.mark.parametrize("text", ["exp:nan", "exp:inf", "poly:inf", "dexp:nan", "table:0.1,nan", "table:inf"])
+def test_non_finite_parameters_raise_their_own_error(text):
+    with pytest.raises(ValueError, match="finite"):
+        DeltaSpec.parse(text)
+    with pytest.raises(ValueError, match="cap0 must be positive and finite"):
+        DeltaSpec.parse("exp:1", cap0=math.nan)
+
+
 def test_values_positive_and_deterministic():
     spec = DeltaSpec.parse("exp:1")
     assert all(spec(m) > 0 for m in range(0, 40))

@@ -17,6 +17,10 @@ def test_seed_splitting_is_stable():
     assert a != _kernels.child_seed(7, "task-b")
     assert a != _kernels.child_seed(8, "task-a")
     assert 0 <= a < 2**64
+    assert _kernels.child_seed(2**64 - 1, "task-a") != a
+    for root in (-1, 2**64, 7 + 2**64):  # masking would alias 7 + 2**64 to 7
+        with pytest.raises(ValueError, match="outside 0..2\\^64-1"):
+            _kernels.child_seed(root, "task-a")
 
 
 def test_kt_tables_prefix_sums():
