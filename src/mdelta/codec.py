@@ -9,9 +9,11 @@ handles).
 
 Encoding knows the whole sequence, so it takes every conditional at
 once from `coder.conditionals(bits)` and runs the range coder on plain
-ints.  Decoding is sequential, one prob_one()/push() per bit; a read
-deeper than any valid code of that length reaches (a truncated stream,
-or the wrong coder) raises CodecError.
+ints.  Decoding is sequential, one prob_one()/push() per bit, and its
+range decoder runs on plain ints too: the code bits come from one list,
+the decoded bits go to a bytearray.  A read deeper than any valid code of
+that length reaches (a truncated stream, or the wrong coder) raises
+CodecError.
 
 Streams carry an 8-byte header (magic, version, depth, length) followed
 by the code bits packed big-endian; the sequence length travels in the
@@ -43,13 +45,12 @@ class CodecError(ValueError):
     """Malformed or corrupted stream."""
 
 
-def _quantize_one(p1: float) -> int:
-    c1 = int(p1 * _TOTAL + 0.5)
-    return min(max(c1, 1), _TOTAL - 1)
+_PAST_THE_END = "read past the end of the code: stream truncated or decoded with the wrong coder"
 
 
 def _quantize(p1: np.ndarray) -> np.ndarray:
-    """_quantize_one over an array, with the same float operations."""
+    """P(bit = 1) as a count out of _TOTAL, clipped to [1, _TOTAL - 1]; decode
+    quantizes each conditional with the same float operations."""
     return np.clip((p1 * _TOTAL + 0.5).astype(np.int64), 1, _TOTAL - 1)
 
 
@@ -109,39 +110,35 @@ def decode(coder: SequentialCoder, code_bits, n: int) -> np.ndarray:
     whole bytes); a read past that means a truncated stream or the wrong
     coder, and raises CodecError.
     """
-    code = as_bits(code_bits)
+    if n < 0:
+        raise ValueError(f"cannot decode a negative length {n}")
+    # the code plus the zeros a valid decode may read past its end; one read
+    # past this list is one read past the limit
+    code = as_bits(code_bits).tolist()
+    code += [0] * (_STATE_BITS - 2)
+    limit = len(code)
+    if limit < _STATE_BITS:
+        raise CodecError(_PAST_THE_END)
+    value = 0
+    for b in code[:_STATE_BITS]:
+        value = (value << 1) | b
+    pos = _STATE_BITS
+    prob_one, push = coder.prob_one, coder.push
     coder.reset()
     low, high = 0, _FULL - 1
-    pos = 0
-    limit = len(code) + _STATE_BITS - 2
-
-    def next_bit() -> int:
-        nonlocal pos
-        if pos < len(code):
-            b = int(code[pos])
-        elif pos < limit:
-            b = 0
-        else:
-            raise CodecError("read past the end of the code: stream truncated or decoded with the wrong coder")
-        pos += 1
-        return b
-
-    value = 0
-    for _ in range(_STATE_BITS):
-        value = (value << 1) | next_bit()
-
-    out = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        c1 = _quantize_one(coder.prob_one())
-        span = high - low + 1
-        split = low + (span * (_TOTAL - c1)) // _TOTAL
-        bit = 1 if value >= split else 0
-        if bit:
+    out = bytearray()
+    for _ in range(n):
+        c1 = int(prob_one() * _TOTAL + 0.5)
+        c1 = 1 if c1 < 1 else _TOTAL - 1 if c1 >= _TOTAL else c1
+        split = low + ((high - low + 1) * (_TOTAL - c1) >> _TOTAL_BITS)
+        if value >= split:
+            bit = 1
             low = split
         else:
+            bit = 0
             high = split - 1
-        out[i] = bit
-        coder.push(bit)
+        out.append(bit)
+        push(bit)
         while True:
             if high < _HALF:
                 pass
@@ -155,11 +152,14 @@ def decode(coder: SequentialCoder, code_bits, n: int) -> np.ndarray:
                 value -= _QUARTER
             else:
                 break
+            if pos == limit:
+                raise CodecError(_PAST_THE_END)
             low <<= 1
             high = (high << 1) | 1
-            value = (value << 1) | next_bit()
+            value = (value << 1) | code[pos]
+            pos += 1
     coder.reset()
-    return out
+    return np.frombuffer(out, np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -281,9 +281,24 @@ class MixtureCoder(CountCoder):
 
 def _mix_conditional(log_qkt: float, p1_kt: float, t: int) -> float:
     """Mixture p1 at step t from log2 q_kt of the prefix and the add-half p1."""
-    num = np.logaddexp2(log_qkt + math.log2(p1_kt), -(t + 1.0))
-    den = np.logaddexp2(log_qkt, -float(t))
-    return float(2.0 ** (num - den))
+    num = _logaddexp2(log_qkt + math.log2(p1_kt), -(t + 1.0))
+    den = _logaddexp2(log_qkt, -float(t))
+    return 2.0 ** (num - den)
+
+
+_LOG2E = 1.4426950408889634  # numpy's NPY_LOG2E as a double
+
+
+def _logaddexp2(x: float, y: float) -> float:
+    """log2(2^x + 2^y) on floats, equal (`==`) to scalar np.logaddexp2: the
+    same formula as numpy's npy_logaddexp2, on the same libm log1p and exp2,
+    without numpy's per-call scalar overhead."""
+    if x == y:
+        return x + 1.0
+    d = x - y
+    if d > 0:
+        return x + _LOG2E * math.log1p(math.exp2(-d))
+    return y + _LOG2E * math.log1p(math.exp2(d))
 
 
 class SourceCoder(CountCoder):

@@ -191,6 +191,13 @@ def test_the_read_limit_is_tight():
     assert checked >= 10
 
 
+@pytest.mark.parametrize("n", [0, 5])
+def test_an_empty_code_reads_past_its_end_in_the_start_fill(n):
+    # the 62-bit start fill alone reads two bits past an empty code's limit
+    with pytest.raises(CodecError, match="past the end of the code"):
+        decode(KTCoder(1, "0"), np.empty(0, np.uint8), n)
+
+
 def test_truncated_stream_raises_codec_error():
     x, stream = _kt_stream()
     code, _, n = unpack_stream(stream[:9])

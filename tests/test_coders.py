@@ -11,12 +11,21 @@ from mdelta.coders import (
     MixtureCoder,
     NMLCoder,
     SourceCoder,
+    _logaddexp2,
     kt_log2_from_counts,
     ml_log2,
     ml_log2_from_counts,
     shtarkov_sum,
 )
-from mdelta.source import MarkovSource, count_table, full_tree, random_hypercube_source, state_code
+from mdelta.delta import DeltaSpec
+from mdelta.source import (
+    MarkovSource,
+    count_table,
+    full_tree,
+    random_continuity_source,
+    random_hypercube_source,
+    state_code,
+)
 
 
 def all_sequences(n):
@@ -404,3 +413,45 @@ def test_kt_conditionals_at_wide_contexts():
     for depth in (8, 16, 17):
         coder = KTCoder(depth, past="01" * 9)
         assert np.array_equal(coder.conditionals(x), _replay(coder, x))
+
+
+def test_logaddexp2_helper_equals_numpy_scalar():
+    # the mixture's conditionals go through this helper in encode and decode
+    # alike; == to numpy's scalar logaddexp2 keeps every stream as it was
+    rng = np.random.default_rng(43)
+    m = 4000
+    scale = 4096 * math.log2(math.e)
+    equal = rng.uniform(-scale, 0, m)
+    near = rng.normal(0, 3, m)
+    log_qkt = rng.uniform(-scale, 0, m)
+    pairs = [
+        (equal, equal.copy()),
+        (near, near + rng.normal(0, 1e-3, m)),  # both signs of x - y, small gaps
+        (log_qkt, -rng.integers(0, 4097, m).astype(np.float64)),  # the mixture's scale
+        (log_qkt, log_qkt - rng.uniform(1075, 4000, m)),  # exp2 underflows to 0
+        (np.zeros(m), -rng.uniform(0, 1100, m)),  # x = 0 keeps exp2's last bit in the sum
+    ]
+    for xs, ys in pairs:
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            assert _logaddexp2(x, y) == float(np.logaddexp2(x, y)), (x, y)
+            assert _logaddexp2(y, x) == float(np.logaddexp2(y, x)), (y, x)
+
+
+def test_mixture_conditionals_at_the_codec_shape():
+    # n = 4096 from a memory-6 continuity source under a depth-4 mixture, as in
+    # the codec benchmark; the reference is the step on numpy's scalar logaddexp2
+    n = 4096
+    for seed in (1, 2):
+        src = random_continuity_source(6, DeltaSpec.parse("exp:1"), seed=seed)
+        x = src.sample("0" * 6, n, seed=100 + seed)
+        coder = MixtureCoder(4, "0" * 6, horizon=n)
+        got = coder.conditionals(x)
+        assert np.array_equal(got, _replay(coder, x))
+        p_kt = KTCoder(4, "0" * 6).conditionals(x).tolist()
+        want, log_qkt = [], 0.0
+        for t, (bit, p1) in enumerate(zip(x.tolist(), p_kt)):
+            num = np.logaddexp2(log_qkt + math.log2(p1), -(t + 1.0))
+            den = np.logaddexp2(log_qkt, -float(t))
+            want.append(float(2.0 ** (num - den)))
+            log_qkt += math.log2(p1 if bit else 1.0 - p1)
+        assert np.array_equal(got, np.array(want))
