@@ -35,21 +35,31 @@ Conventions shared by every kernel:
   each context state those prefixes end in, keep each half's distinct
   per-context count rows, and sum the context terms once per distinct
   (prefix, suffix) pair, each pair summed as its whole-sequence row
-  would be, so every value is the same float.
-* The sampler runs small batches row by row in plain Python.  Larger
-  ones go in blocks of about 2**17 draws: each block prefills every bit
-  that is the same in every state (u < min theta is a 1, u >= max theta
-  a 0) and settles the ambiguous draws in between run by run.  A run is
-  a maximal sequence of ambiguous draws, each within ell positions of
-  the one before; pass k evaluates the k-th draw of every run, whose ell
-  bits before it are final by then, so each draw is evaluated once and
-  the block is the sequential result.  A block hands the rest of the
-  batch to a loop over positions, all rows at once, when its longest run
-  times the blocks left exceeds a third of the row length: a pass costs
-  about three of that loop's positions.
-  The block loop takes each block's uniforms as it reaches it, so the
-  Monte Carlo chunks draw them from their generator block by block and
-  hold a whole chunk's uniforms only when a block gives up.
+  would be, so every value is the same float.  The walks, the distinct
+  rows and the scatter indices of one (depth, past, n) form its plan,
+  kept read-only for later calls of that shape while it takes no more
+  memory than one result (8 * 2**n bytes; at most 8 plans, the oldest
+  dropped first), so a repeat call only gathers, sums and scatters into
+  a fresh output.
+* The sampler goes in blocks of about 2**17 draws: each block prefills
+  every bit that is the same in every state (u < min theta is a 1,
+  u >= max theta a 0) and settles the ambiguous draws in between run by
+  run.  A run is a maximal sequence of ambiguous draws, each within ell
+  positions of the one before; pass k evaluates the k-th draw of every
+  run, whose ell bits before it are final by then, so each draw is
+  evaluated once and the block is the sequential result.  Where a
+  block's longest run makes settling dearer, the block hands the rest of
+  the batch to a fallback.  From 36 rows on that is a loop over
+  positions, all rows at once, chosen when the longest run times the
+  blocks left exceeds a third of the row length: a pass costs about
+  three of that loop's positions.  Smaller batches, single rows
+  included, fall back to a row-by-row loop in plain Python, chosen when
+  1024 draws, plus 64 per pass of the longest run, plus half a draw per
+  ambiguous draw exceed the block's draws; a small batch of fewer than
+  4096 draws runs row by row at once.  The block loop takes each block's
+  uniforms as it reaches it, so the Monte Carlo chunks draw them from
+  their generator block by block and hold a whole chunk's uniforms only
+  when a block gives up.
 * All randomness enters as pre-drawn uniforms (or an explicit 64-bit
   seed for the hash-derived process generator), so every public kernel
   is a deterministic function of its arguments.
@@ -58,6 +68,7 @@ Conventions shared by every kernel:
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -162,9 +173,20 @@ def _np_mix_unit(z):
 # sampling and counting
 # ---------------------------------------------------------------------------
 
-# fewer rows than this run one by one in plain Python, which beats the loop
-# over positions below about 37 rows whatever n and ell (see CHANGES.md)
+# below this many rows the plain-Python row loop, not the loop over
+# positions, takes what settling leaves: it is faster there whatever n and
+# ell (see CHANGES.md)
 _ROW_LOOP_ROWS = 36
+# such a batch is settled only from this many draws on: below, a settle's
+# fixed cost and, where its runs turn out too long, the work done before it
+# gives up (1.24x the row loop in all at 35 x 64 draws) leave too little to
+# gain.  A settle of a block costs about as much as the row loop on
+# _SETTLE_FIXED_DRAWS draws, plus _SETTLE_PASS_DRAWS per pass, plus half a
+# draw per ambiguous draw (fit over T 1-35, n 64-4096, ell 1-7, with some
+# margin; see CHANGES.md)
+_SETTLE_MIN_DRAWS = 4096
+_SETTLE_FIXED_DRAWS = 1024
+_SETTLE_PASS_DRAWS = 64
 # larger batches are settled in blocks of about this many draws, so the
 # prefill's scratch arrays and each block's uniforms stay small whatever T
 # and n
@@ -196,25 +218,26 @@ def _sample_rows(theta, state0, ell, shape, draw):
     # already handed out, and the rows asked for (the rest of the batch)
     # start with them.
     T, n = shape
-    if T < _ROW_LOOP_ROWS:
-        return _row_loop(theta, state0, ell, draw(0, T, None))
     out = np.empty((T, n), np.uint8)
+    small = T < _ROW_LOOP_ROWS  # the row loop, not the loop over positions, is the fallback
+    if small and T * n < _SETTLE_MIN_DRAWS:
+        _row_loop(theta, state0, ell, draw(0, T, None), out)
+        return out
     step = max(1, _SETTLE_DRAWS // max(n, 1))
     for r in range(0, T, step):
         u = draw(r, min(step, T - r), None)
-        bits = _settle(theta, state0, ell, u, -(-(T - r) // step))
-        if bits is None:  # the loop over positions is cheaper: it takes the rest
+        bits = _settle(theta, state0, ell, u, 0 if small else -(-(T - r) // step))
+        if bits is None:  # the fallback is cheaper: it takes the rest
             u = draw(r, T - r, u)  # and the block's own uniforms are freed
-            _sample_loop(theta, state0, ell, u, out[r:])
+            (_row_loop if small else _sample_loop)(theta, state0, ell, u, out[r:])
             break
         out[r : r + len(u)] = bits
     return out
 
 
-def _row_loop(theta, state0, ell, u):
-    # one row at a time in plain Python
+def _row_loop(theta, state0, ell, u, out):
+    # one row at a time in plain Python, into out
     mask = (1 << ell) - 1
-    out = np.empty(u.shape, np.uint8)
     th = theta.tolist()
     for t in range(len(u)):
         s, row = int(state0), []
@@ -223,7 +246,6 @@ def _row_loop(theta, state0, ell, u):
             row.append(b)
             s = ((s << 1) | b) & mask
         out[t] = row
-    return out
 
 
 def _sample_loop(theta, state0, ell, u, out):
@@ -247,29 +269,53 @@ def _settle(theta, state0, ell, u, blocks):
     # k-th draw of every run that has one: the ell bits before it are then
     # final (prefilled, the past, or earlier draws of its run), so each
     # draw is evaluated once and the block is the sequential result.
-    # Returns None, before any draw is evaluated, where the loop over
-    # positions is cheaper for the rest of the batch (blocks blocks, this
-    # one included): when the longest run's passes, each worth
-    # _SETTLE_PASS_POSITIONS positions, times the blocks left outweigh the
-    # n positions.  A pass carries each run's state forward in a fixed
+    # Returns None, before any draw is evaluated, where the fallback is
+    # cheaper.  With blocks > 0 that is the loop over positions, for the
+    # rest of the batch (blocks blocks, this one included): when the
+    # longest run's passes, each worth _SETTLE_PASS_POSITIONS positions,
+    # times the blocks left outweigh the n positions.  blocks == 0 marks a
+    # batch under _ROW_LOOP_ROWS rows, whose fallback is the row loop: when
+    # the settle's cost in row-loop draws, _row_loop_cheaper, outweighs the
+    # block's draws.  A pass carries each run's state forward in a fixed
     # number of steps, so its cost does not grow with ell.
     T, n = u.shape
     lo, hi = theta.min(), theta.max()
+    ambiguous = (u >= lo) & (u < hi)
+    if not blocks:
+        # a run starts at each ambiguous draw with none in the ell draws
+        # before it in its row; the longest run is at least the mean, so
+        # where even the mean is too long (theta spread wide, most draws
+        # ambiguous), give up on bools, before the runs are indexed
+        near = np.zeros_like(ambiguous)
+        for j in range(1, ell + 1):
+            near[:, j:] |= ambiguous[:, :-j]
+        count = int(np.count_nonzero(ambiguous))
+        runs = int(np.count_nonzero(ambiguous > near))  # ambiguous and not near
+        if count and _row_loop_cheaper(-(-count // runs), count, u.size):
+            return None
+    at = np.flatnonzero(ambiguous)  # ambiguous draws in row-major order
+    del ambiguous  # a block's worth of bools, not held through the passes
+    if at.size:
+        pos = at + ell * (at // n + 1)  # and where they sit in ext below
+        gap = np.empty_like(pos)  # from the draw before; the first one starts a run
+        gap[0] = ell + 1
+        np.subtract(pos[1:], pos[:-1], out=gap[1:])
+        first = np.flatnonzero(gap > ell)  # each run's first draw
+        size = np.empty_like(first)  # and its draws
+        np.subtract(first[1:], first[:-1], out=size[:-1])
+        size[-1] = pos.size - first[-1]
+        longest = int(size.max())
+        if blocks:
+            costly = blocks * longest * _SETTLE_PASS_POSITIONS > n
+        else:
+            costly = _row_loop_cheaper(longest, pos.size, u.size)
+        if costly:
+            return None
     ext = np.empty((T, ell + n), np.uint8)  # per row: the past, oldest bit first, then the bits
     ext[:, :ell] = (state0 >> np.arange(ell - 1, -1, -1)) & 1
     np.less(u, lo, out=ext[:, ell:], casting="unsafe")
-    at = np.flatnonzero((u >= lo) & (u < hi))  # ambiguous draws in row-major order
     if not at.size:
         return ext[:, ell:]
-    pos = at + ell * (at // n + 1)  # and where they sit in ext
-    gap = np.empty_like(pos)  # from the draw before; the first one starts a run
-    gap[0] = ell + 1
-    np.subtract(pos[1:], pos[:-1], out=gap[1:])
-    first = np.flatnonzero(gap > ell)  # each run's first draw
-    size = np.diff(first, append=pos.size)
-    longest = int(size.max())
-    if blocks * longest * _SETTLE_PASS_POSITIONS > n:
-        return None
     flat = ext.reshape(-1)
     # each draw's state from the prefilled bits, where the ambiguous ones
     # read 0; the earlier draws of its run are or-ed in as they settle
@@ -292,6 +338,12 @@ def _settle(theta, state0, ell, u, blocks):
         carry = (si << 1) | b
     flat[pos] = bits
     return ext[:, ell:]
+
+
+def _row_loop_cheaper(longest, ambiguous, draws):
+    # whether settling a block of draws, with this longest run and this
+    # many ambiguous draws, costs more than the row loop on the block
+    return _SETTLE_FIXED_DRAWS + longest * _SETTLE_PASS_DRAWS + ambiguous // 2 > draws
 
 
 def _count(bits, state0, depth):
@@ -433,17 +485,54 @@ def _np_enum_sum(term, depth, state0, n):
     # order.  Sequences that end their prefix in the same state share one
     # grid: it is evaluated once per distinct (prefix, suffix) pair of code
     # rows, each summed over the context axis as a whole-sequence row would
-    # be, and scattered back to every sequence with that pair
+    # be, and scattered back to every sequence with that pair.  The output
+    # is fresh on every call, so a caller may write to it
+    out = np.empty((1 << (n // 2), 1 << (n - n // 2)))
+    for rows, ua, ia, uc, ic in _enum_plan(depth, state0, n):
+        # the indices are added in intp, which take uses without a
+        # conversion pass
+        grid = term.take(np.add(ua, uc, dtype=np.intp)).sum(axis=-1)
+        out[rows] = grid.take(ic, axis=1)[ia]
+    return out.reshape(-1)
+
+
+# the enumeration plans kept, at most this many, the oldest dropped first;
+# a plan is kept only while it is no larger than one result, 8 * 2**n bytes.
+# Against 512 KB at n = 16 a plan takes 17 KB at depth 2 and 169 KB at
+# depth 4, but 2.3 MB at depth 6, so deep shapes rebuild theirs every call
+_ENUM_PLANS = 8
+_enum_plans: dict = {}
+_enum_plans_lock = threading.Lock()
+
+
+def _enum_plan(depth, state0, n):
+    # what _np_enum_sum needs of one (depth, state0, n) besides term, one
+    # entry per start state of the suffixes: the sequences whose prefix
+    # ends there (rows), their distinct prefix code rows (ua, as a column)
+    # and each one's index among them (ia), the distinct suffix code rows
+    # (uc) and each suffix's index among them (ic).  Codes stay int16; the
+    # arrays are read-only, as a kept plan is shared by every later call
+    key = (depth, state0, n)
+    plan = _enum_plans.get(key)
+    if plan is not None:
+        return plan
     prefix, end, starts, suffix = _np_half_codes(depth, state0, n)
-    out = np.empty((len(prefix), suffix.shape[1]))
+    plan = []
     for s, rows_c in zip(starts, suffix):
         rows = np.flatnonzero(end == s)
         ua, ia = _distinct_rows(prefix.take(rows, axis=0))
         uc, ic = _distinct_rows(rows_c)
-        # intp indices, which take uses without a conversion pass
-        grid = term.take(ua.astype(np.intp)[:, None] + uc.astype(np.intp)).sum(axis=-1)
-        out[rows] = grid.take(ic, axis=1)[ia]
-    return out.reshape(-1)
+        entry = (rows, ua[:, None], ia, uc, ic)
+        for part in entry:
+            part.setflags(write=False)
+        plan.append(entry)
+    plan = tuple(plan)
+    if sum(part.nbytes for entry in plan for part in entry) <= 8 << n:
+        with _enum_plans_lock:
+            _enum_plans[key] = plan
+            if len(_enum_plans) > _ENUM_PLANS:
+                del _enum_plans[next(iter(_enum_plans))]
+    return plan
 
 
 def _code_table(n):

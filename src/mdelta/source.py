@@ -606,31 +606,22 @@ def _continuity_violations(source, delta, tol):
         return
     dmin = _prefix_min_delta(delta, L - 1)
     if source.tree.is_full():
-        th = source.state_theta
         leaves = source.tree.leaves
         idx = source.tree.state_leaf_index
-        for d in range(L):
-            cols = 1 << d
-            view1 = th.reshape(1 << (L - d), cols)
-            view0 = 1.0 - view1
-            for symbol, view in ((1, view1), (0, view0)):
-                hi = view.max(axis=0)
-                lo = view.min(axis=0)
-                excess = hi / lo - 1.0
-                bad = np.nonzero(excess > dmin[d] + tol)[0]
-                for col in bad:
-                    r_hi = int(view[:, col].argmax())
-                    r_lo = int(view[:, col].argmin())
-                    c_hi = (r_hi << d) | int(col)
-                    c_lo = (r_lo << d) | int(col)
-                    yield ContinuityViolation(
-                        leaves[int(idx[c_hi])],
-                        leaves[int(idx[c_lo])],
-                        _code_to_string(int(col), d),
-                        symbol,
-                        float(excess[col]),
-                        float(dmin[d]),
-                    )
+        for d, symbol, view, excess, bad in _full_tree_excesses(source.state_theta, dmin, tol):
+            for col in bad:
+                r_hi = int(view[:, col].argmax())
+                r_lo = int(view[:, col].argmin())
+                c_hi = (r_hi << d) | int(col)
+                c_lo = (r_lo << d) | int(col)
+                yield ContinuityViolation(
+                    leaves[int(idx[c_hi])],
+                    leaves[int(idx[c_lo])],
+                    _code_to_string(int(col), d),
+                    symbol,
+                    float(excess[col]),
+                    float(dmin[d]),
+                )
         return
     # general (non-full) trees: direct pairwise scan
     leaves = source.tree.leaves
@@ -647,6 +638,24 @@ def _continuity_violations(source, delta, tol):
                 excess = max(a / b, b / a) - 1.0
                 if excess > allowed + tol:
                     yield ContinuityViolation(s1, s2, w, symbol, excess, allowed)
+
+
+def _full_tree_excesses(th, dmin, tol):
+    # the check of a full tree's state-ordered theta: for each common-suffix
+    # depth d and symbol, theta (or 1 - theta) seen with one column per
+    # depth-d suffix, each column's ratio excess max/min - 1, and the
+    # columns over dmin[d] + tol; yields (d, symbol, view, excess, bad) for
+    # the pairs with a bad column, so a caller testing for any can stop at
+    # the first
+    L = th.size.bit_length() - 1
+    for d in range(L):
+        view1 = th.reshape(1 << (L - d), 1 << d)
+        view0 = 1.0 - view1
+        for symbol, view in ((1, view1), (0, view0)):
+            excess = view.max(axis=0) / view.min(axis=0) - 1.0
+            bad = np.nonzero(excess > dmin[d] + tol)[0]
+            if bad.size:
+                yield d, symbol, view, excess, bad
 
 
 # ---------------------------------------------------------------------------
@@ -700,17 +709,18 @@ def random_continuity_source(
         raise ValueError("depth must be at least 1")
     if rng is None:
         rng = np.random.default_rng(seed)
-    tree = full_tree(ell)
+    bands = [delta(d) / 3.0 for d in range(ell)]
+    dmin = _prefix_min_delta(delta, ell - 1)
     for _ in range(max_tries):
         vals = np.array([rng.uniform(0.45, 0.55)])
-        for d in range(ell):
-            band = delta(d) / 3.0
+        for band in bands:
             u = rng.uniform(-band, band, size=2 * len(vals))
             vals = np.concatenate([vals, vals]) * (1.0 + u)
         vals = np.clip(vals, 1e-4, 1.0 - 1e-4)
-        src = MarkovSource(tree, vals.tolist())
-        if next(_continuity_violations(src, delta, 1e-12), None) is None:
-            return src
+        # a full tree's sorted leaves are the state codes in order, so vals
+        # is already the state-ordered theta check_continuity would test
+        if next(_full_tree_excesses(vals, dmin, 1e-12), None) is None:
+            return MarkovSource(full_tree(ell), vals)
     raise ContinuityGenerationError(
         f"no admissible source after {max_tries} draws; band budget too wide for {delta.describe()}"
     )

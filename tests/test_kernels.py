@@ -1,8 +1,10 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -446,6 +448,95 @@ def test_enum_ml_kt_bit_identical_to_whole_tree_walk(depth):
             assert np.array_equal(_kernels.enum_kt_log2(depth, state0, n), kt)
 
 
+# one sha256 over the ML and KT enumerations, recorded before the
+# enumeration plans were kept: every past of each shape but the three
+# slowest (depth 5 at n = 16, depth 6 at n = 12 and 16), which take the
+# pasts above, each shape called twice, its second call after the next
+# shape's first
+ENUM_DIGEST = "94494e67d693e23bed2bb90c3acec512e1665ef91f57a5fca01390cda2b87f0e"
+
+
+def enum_digest_shapes():
+    shapes = []
+    for depth in range(7):
+        for n in (1, 5, 12, 16):
+            every = depth <= 4 or n <= 5 or (depth, n) == (5, 12)
+            shapes += [(depth, s, n) for s in (range(1 << depth) if every else pasts(depth))]
+    order = [shapes[0]]
+    for i in range(1, len(shapes)):
+        order += [shapes[i], shapes[i - 1]]
+    return order + [shapes[-1]]
+
+
+def test_enum_ml_kt_match_their_recorded_digest():
+    h = hashlib.sha256()
+    for depth, state0, n in enum_digest_shapes():
+        h.update(_kernels.enum_ml_log2(depth, state0, n).tobytes())
+        h.update(_kernels.enum_kt_log2(depth, state0, n).tobytes())
+    assert h.hexdigest() == ENUM_DIGEST
+
+
+def test_enum_result_is_fresh_and_plans_are_read_only(monkeypatch):
+    monkeypatch.setattr(_kernels, "_enum_plans", {})
+    first = _kernels.enum_ml_log2(2, 1, 12)
+    want = first.copy()
+    first[:] = 0.0  # as shtarkov_sum exponentiates in place
+    assert np.array_equal(_kernels.enum_ml_log2(2, 1, 12), want)
+    assert list(_kernels._enum_plans) == [(2, 1, 12)]
+    for entry in _kernels._enum_plan(2, 1, 12):
+        for part in entry:
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part.reshape(-1)[0] = 1
+
+
+def test_enum_plans_keep_a_fixed_number(monkeypatch):
+    monkeypatch.setattr(_kernels, "_enum_plans", {})
+    # depth 0 from n = 4 on: below that a plan outweighs the result
+    shapes = [(0, 0, n) for n in range(4, 17)]
+    for depth, state0, n in shapes:
+        _kernels.enum_kt_log2(depth, state0, n)
+    assert list(_kernels._enum_plans) == shapes[-_kernels._ENUM_PLANS :]
+
+
+def test_enum_from_threads_equals_serial_calls(monkeypatch):
+    # verify all runs its tasks on a thread pool, and they share the plans
+    shapes = [(2, s, n) for s in range(4) for n in (9, 12)] * 3
+    shapes += [(4, 5, 12), (0, 0, 16)] * 3
+    monkeypatch.setattr(_kernels, "_enum_plans", {})
+    serial = [_kernels.enum_ml_log2(*shape) for shape in shapes]
+    monkeypatch.setattr(_kernels, "_ENUM_PLANS", 3)  # so that threads also evict
+    monkeypatch.setattr(_kernels, "_enum_plans", {})
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        pooled = list(pool.map(lambda shape: _kernels.enum_ml_log2(*shape), shapes))
+    assert all(np.array_equal(a, b) for a, b in zip(pooled, serial))
+    assert len(_kernels._enum_plans) <= 3
+
+
+def traced_kept(call):
+    """tracemalloc bytes still held after one call, its result dropped."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_enum_keeps_no_plan_larger_than_its_result(monkeypatch):
+    # a plan is kept only while it takes no more than one 8 * 2**n byte
+    # result: about 17 KB at depth 2, n = 16, but 2.3 MB at depth 6, n = 16
+    # and 2.2 MB at depth 8, n = 12, against results of 512 and 32 KB
+    monkeypatch.setattr(_kernels, "_enum_plans", {})
+    for shape in ((6, 0, 16), (8, 0, 12)):
+        assert traced_kept(lambda: _kernels.enum_kt_log2(*shape)) < 4096
+        assert traced_kept(lambda: _kernels.enum_ml_log2(*shape)) < 4096
+    assert not _kernels._enum_plans
+    kept = traced_kept(lambda: _kernels.enum_ml_log2(2, 1, 16))
+    assert 10_000 < kept <= 8 << 16
+
+
 def test_distinct_rows_match_unique():
     rng = np.random.default_rng(9)
     for shape in ((1, 1), (7, 1), (300, 4), (64, 16)):
@@ -534,6 +625,60 @@ def test_sample_bit_identical_to_position_loop(trials):
             out = _kernels.sample_batch(theta, state0, ell, u)
             assert out.dtype == np.uint8
             assert np.array_equal(out, loop_sample(theta, state0, ell, u))
+
+
+def counted_row_loop(monkeypatch):
+    """Patch the row loop to record the rows of each call it takes."""
+    rows, real = [], _kernels._row_loop
+
+    def row_loop(theta, state0, ell, u, out):
+        rows.append(len(u))
+        return real(theta, state0, ell, u, out)
+
+    monkeypatch.setattr(_kernels, "_row_loop", row_loop)
+    return rows
+
+
+@pytest.mark.parametrize("trials", [1, 2, ROWS - 1])
+def test_small_batches_settle_or_fall_back_to_the_row_loop(trials, monkeypatch):
+    # batches under ROWS rows settle first: near-fair theta settles every
+    # block, wide theta at ell 6 has runs too long and hands the rest of the
+    # batch to the row loop; n = 4096 puts 35 rows in blocks of 32 and 3
+    rows = counted_row_loop(monkeypatch)
+    rng = np.random.default_rng(90 + trials)
+    near_fair, wide = 0.5 + rng.uniform(-1, 1, 64) / 16, rng.uniform(0.01, 0.99, 64)
+    u = rng.random((trials, 4096))
+    for theta, fallback in ((near_fair, []), (wide, [trials])):
+        for state0 in pasts(6):
+            rows.clear()
+            out = _kernels.sample_batch(theta, state0, 6, u)
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, loop_sample(theta, state0, 6, u))
+            assert rows == fallback
+
+
+def test_small_batches_of_few_draws_run_row_by_row(monkeypatch):
+    # batches of fewer than _SETTLE_MIN_DRAWS draws skip the settle; from
+    # there on near-fair theta settles
+    rows = counted_row_loop(monkeypatch)
+    settled, settle = [], _kernels._settle
+
+    def counted_settle(*args):
+        settled.append(args[3].shape)
+        return settle(*args)
+
+    monkeypatch.setattr(_kernels, "_settle", counted_settle)
+    rng = np.random.default_rng(95)
+    theta = 0.5 + rng.uniform(-1, 1, 8) / 16
+    least = _kernels._SETTLE_MIN_DRAWS
+    for trials, n in ((1, least - 1), (2, 1000), (ROWS - 1, 58), (1, least), (ROWS - 1, 118)):
+        u = rng.random((trials, n))
+        rows.clear()
+        settled.clear()
+        assert np.array_equal(_kernels.sample_batch(theta, 5, 3, u), loop_sample(theta, 5, 3, u))
+        tried = trials * n >= least
+        assert rows == ([] if tried else [trials])
+        assert settled == ([(trials, n)] if tried else [])
 
 
 # batches of at least ROWS rows settle the draws that read their state in

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -250,12 +251,29 @@ def test_sample_chunks_block_giving_up_mid_chunk_keeps_the_stream(monkeypatch):
     src = random_hypercube_source(3, 0.05, seed=5)
     chunks, state = sample_chunks_and_state(src, "010", 512, 250, 3)
     # chunks of 120, 120 and 10 rows, 15 blocks of 8 rows each in the first
-    # two; the last chunk runs row by row
-    assert calls == [(8, 15), (8, 14), (8, 13)] * 2
+    # two; the last chunk, under _ROW_LOOP_ROWS rows, settles its block of
+    # 8 rows with the row loop as its fallback (blocks 0), which takes the
+    # 2-row block: its 1024 draws are no more than a settle's fixed cost
+    assert calls == [(8, 15), (8, 14), (8, 13)] * 2 + [(8, 0), (2, 0)]
     monkeypatch.setattr(_kernels, "_settle", real)
     bits, want = one_batch_and_state(src, "010", 512, 250, 3)
     assert np.array_equal(np.concatenate(chunks), bits)
     assert state == want
+
+
+def test_sample_settled_or_row_by_row_leaves_the_rng_after_one_row():
+    # one n = 4096 row settles on a near-fair source and falls back to the
+    # row loop on a wide one; either way it is the loop over positions on
+    # rng.random((1, n)), and the rng is left where that draw leaves it
+    wide = MarkovSource(full_tree(6), np.random.default_rng(2).uniform(0.01, 0.99, 64))
+    for src in (random_hypercube_source(6, 1 / 16, seed=1), wide):
+        for past in ("000000", "101101"):
+            rng, ref = np.random.default_rng(17), np.random.default_rng(17)
+            bits = src.sample(past, 4096, rng=rng)
+            want = np.empty((1, 4096), np.uint8)
+            _kernels._sample_loop(src.state_theta, state_code(past, 6), 6, ref.random((1, 4096)), want)
+            assert np.array_equal(bits, want[0])
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_empty():
@@ -580,7 +598,8 @@ def test_check_continuity_loose_cap_passes():
 
 
 def test_check_continuity_is_the_lazy_walk_in_full():
-    # random_continuity_source stops the same walk at its first violation
+    # random_continuity_source stops the same full-tree check at its first
+    # bad column
     from mdelta.source import _continuity_violations
 
     delta = DeltaSpec.parse("exp:1")
@@ -603,6 +622,31 @@ def test_generation_error_when_budget_infeasible():
     spec = DeltaSpec("table", values=(1e-9, 0.24, 0.24))
     with pytest.raises(ContinuityGenerationError):
         random_continuity_source(4, spec, seed=0, max_tries=5)
+
+
+# one sha256 over the generator's output, recorded while every draw still
+# built its source before the check: format_source at three specs, four
+# depths and 40 seeds, then a caller's rng after one source and after a
+# ContinuityGenerationError
+CONTINUITY_DIGEST = "839da0ab8b226eee30b23ec23a22296e39448ac97187419a718d485d8d925859"
+
+
+def test_continuity_generator_matches_its_recorded_digest():
+    h = hashlib.sha256()
+    for spec in ("exp:1", "poly:2", "exp:0.5"):
+        delta = DeltaSpec.parse(spec)
+        for ell in (1, 2, 4, 6):
+            for seed in range(40):
+                h.update(format_source(random_continuity_source(ell, delta, seed=seed)).encode())
+    rng = np.random.default_rng(11)
+    exp1 = DeltaSpec.parse("exp:1")
+    h.update(format_source(random_continuity_source(5, exp1, rng=rng)).encode())
+    h.update(repr(rng.bit_generator.state).encode())
+    with pytest.raises(ContinuityGenerationError) as err:
+        random_continuity_source(14, exp1, rng=rng, max_tries=3)
+    h.update(str(err.value).encode())
+    h.update(repr(rng.bit_generator.state).encode())
+    assert h.hexdigest() == CONTINUITY_DIGEST
 
 
 # ---------------------------------------------------------------------------
