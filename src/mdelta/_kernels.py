@@ -30,7 +30,15 @@ Conventions shared by every kernel:
   ell bits, periodic in the row with period 2**ell, so each source level
   adds the two 2**ell-entry tables to the last level seen as
   (-1, 2**ell) and writes the sums straight into the next level's
-  strided bit-0 and bit-1 rows, without a gather.  The ML and KT
+  strided bit-0 and bit-1 rows, without a gather.  The domination path
+  sums keep each level in bit-reversed order instead: level t + 1 is the
+  bit-0 children of level t's nodes, in level t's order, then their bit-1
+  children, so one multiply of the path weights, seen as (rows, 1, 2**t),
+  by the level's conditionals p0 and p1, stored side by side as
+  (rows, 2, 2**t), writes the whole next level.  The conditionals are
+  hashed in place for every node at once, the nodes of each level in
+  that same order, and one gather puts the leaves back in lexicographic
+  order before the bincount adds them up.  The ML and KT
   enumerations walk the first n//2 bits from the past and the rest from
   each context state those prefixes end in, keep each half's distinct
   per-context count rows, and sum the context terms once per distinct
@@ -110,12 +118,27 @@ def child_seed(root: int, label: str) -> int:
     splitting so that independent tasks never share a stream.  A root
     outside 0 .. 2**64 - 1 raises ValueError rather than aliasing another.
     """
+    _check_root(root)
+    return splitmix64(root ^ _fnv1a64(label.encode()))
+
+
+def _child_seeds(root: int, prefix: str, count: int) -> list[int]:
+    # child_seed(root, f"{prefix}{i}") for i < count, the prefix hashed once
+    _check_root(root)
+    h = _fnv1a64(prefix.encode())
+    return [splitmix64(root ^ _fnv1a64(str(i).encode(), h)) for i in range(count)]
+
+
+def _check_root(root):
     if not 0 <= root <= _M64:
         raise ValueError(f"seed {root} is outside 0..2^64-1")
-    h = 0xCBF29CE484222325
-    for byte in label.encode():
+
+
+def _fnv1a64(data: bytes, h: int = 0xCBF29CE484222325) -> int:
+    # FNV-1a over data, carried on from h, the hash of the bytes before it
+    for byte in data:
         h = ((h ^ byte) * 0x100000001B3) & _M64
-    return splitmix64(root ^ h)
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -144,29 +167,6 @@ def kt_tables(nmax: int) -> tuple[np.ndarray, np.ndarray]:
         # one binding swap, so a thread never sees a new G next to an old H
         _KT_TABLES = tables
     return tables
-
-
-# ---------------------------------------------------------------------------
-# splitmix-derived unit uniforms
-# ---------------------------------------------------------------------------
-
-_SM1 = np.uint64(0x9E3779B97F4A7C15)
-_SM2 = np.uint64(0xBF58476D1CE4E5B9)
-_SM3 = np.uint64(0x94D049BB133111EB)
-_S30 = np.uint64(30)
-_S27 = np.uint64(27)
-_S31 = np.uint64(31)
-_S11 = np.uint64(11)
-_INV53 = 1.0 / float(1 << 53)
-
-
-def _np_mix_unit(z):
-    with np.errstate(over="ignore"):
-        z = z + _SM1
-        z = (z ^ (z >> _S30)) * _SM2
-        z = (z ^ (z >> _S27)) * _SM3
-        z = z ^ (z >> _S31)
-    return (z >> _S11).astype(np.float64) * _INV53
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +573,58 @@ def enum_kt_log2(depth: int, state0: int, n: int) -> np.ndarray:
     return _np_enum_sum(_kt_log2(*_code_table(n), gtab, htab), depth, state0, n)
 
 
+# splitmix64's steps on uint64 arrays, for the unit uniforms the domination
+# processes hash from their seeds
+_SM1 = np.uint64(0x9E3779B97F4A7C15)
+_SM2 = np.uint64(0xBF58476D1CE4E5B9)
+_SM3 = np.uint64(0x94D049BB133111EB)
+_S30 = np.uint64(30)
+_S27 = np.uint64(27)
+_S31 = np.uint64(31)
+_S11 = np.uint64(11)
+_INV53 = 1.0 / float(1 << 53)
 # processes walk in blocks of about this many path weights, so a batch of
-# seeds costs few level passes and every scratch array stays at 64 KB (two
-# processes at n = 12); blocks of 128 KB arrays raised the exact workload's
-# peak RSS by about 1 MB
-_DOMINATION_PATHS = 1 << 13
+# seeds costs few level passes (eight blocks of four processes at n = 12)
+# and each of the block's five scratch arrays of that many 8-byte entries
+# stays at 128 KB; blocks twice as large were a little faster but doubled
+# the scratch memory
+_DOMINATION_PATHS = 1 << 14
+# the plans kept, one per n while 2**n <= _DOMINATION_PATHS: a plan takes
+# 24 * 2**n bytes (96 KB at n = 12, 24 MB at n = 20), so the kept ones take
+# at most 384 KB each and under 768 KB together; larger n rebuild theirs
+# every call
+_domination_plans: dict = {}
+
+
+def _domination_plan(n):
+    # what domination_dist needs of n besides the seeds: every history node's
+    # heap index times _SM3, levels in turn, the nodes of level i at
+    # 2**i .. 2**(i+1) - 1 in bit-reversed order (level i + 1 is 2h for every
+    # node h of level i, then 2h + 1); the lexicographic index of the leaf at
+    # each position of the last level, whose take puts the leaves back in
+    # lexicographic order, as it is its own inverse; and the number of ones
+    # of every sequence, lexicographic order.  The arrays are read-only, as a
+    # kept plan is shared by every later call
+    plan = _domination_plans.get(n)
+    if plan is not None:
+        return plan
+    heap = np.zeros(2 << n, np.int64)
+    heap[1] = 1
+    for i in range(n):
+        np.multiply(heap[1 << i : 2 << i], 2, out=heap[2 << i : 3 << i])
+        np.add(heap[2 << i : 3 << i], 1, out=heap[3 << i : 4 << i])
+    with np.errstate(over="ignore"):
+        nodes = heap[: 1 << n].astype(np.uint64) * _SM3
+    leaves = heap[1 << n :] - (1 << n)
+    ones = np.zeros(1, np.int64)
+    for i in range(n):
+        ones = np.repeat(ones, 2) + (np.arange(2 << i) & 1)
+    plan = (nodes, leaves, ones)
+    for part in plan:
+        part.setflags(write=False)
+    if 1 << n <= _DOMINATION_PATHS:
+        _domination_plans[n] = plan
+    return plan
 
 
 def domination_dist(n: int, q: float, seed, randomized: bool) -> np.ndarray:
@@ -591,35 +638,60 @@ def domination_dist(n: int, q: float, seed, randomized: bool) -> np.ndarray:
     seeds = np.asarray(seed, dtype=np.uint64)
     single = seeds.ndim == 0
     seeds = seeds.reshape(-1)
-    # every history node (heap index 1 .. 2**n - 1) is hashed once; row p of
-    # level i is node 2**i + p, and its children are rows 2p (bit 0, factor
-    # 1 - p1) and 2p + 1 (bit 1, factor p1) of level i + 1
-    nodes = np.arange(1 << n, dtype=np.uint64) * _SM3
-    ones = np.zeros(1, np.int64)
-    for i in range(n):
-        ones = np.repeat(ones, 2) + (np.arange(2 << i) & 1)
-    out = np.empty((seeds.size, n + 1))
+    nodes, leaves, ones = _domination_plan(n)
+    m = 1 << n
     step = max(1, _DOMINATION_PATHS >> n)
+    rows = min(step, seeds.size)
+    # per block of processes: two uint64 arrays that hash the nodes in place
+    # and then, seen as float64, take the path weights of alternate levels;
+    # the conditionals p0 = 1 - p1 and p1 of every node side by side, so a
+    # level multiplies its weights by both at once and writes the bit-0
+    # children, then the bit-1 children, as the next level's order has them;
+    # and the offset bins of the bincount, the same for every block
+    hashed = np.empty((2, rows << n), np.uint64)
+    weights = hashed.view(np.float64)
+    cond = np.empty((rows, 2, m))
+    if not randomized:
+        cond[:, 1] = q
+        np.subtract(1.0, cond[:, 1], out=cond[:, 0])
+    bins = (ones + (n + 1) * np.arange(rows)[:, None]).reshape(-1)
+    out = np.empty((seeds.size, n + 1))
     for r in range(0, seeds.size, step):
         block = seeds[r : r + step]
+        b = block.size
+        p = cond[:b]
         if randomized:
+            # u = (splitmix64(seed ^ node * _SM3) >> 11) / 2**53, each step
+            # in place
+            z, t = hashed[:, : b << n].reshape(2, b, m)
+            np.bitwise_xor(block[:, None], nodes, out=z)
             with np.errstate(over="ignore"):
-                u = _np_mix_unit(block[:, None] ^ nodes)
-            p1 = q + (1.0 - q) * u
-        else:
-            p1 = np.full((block.size, 1 << n), q)
-        p0 = 1.0 - p1
-        prob = np.ones((block.size, 1))
+                z += _SM1
+                for shift, mult in ((_S30, _SM2), (_S27, _SM3)):
+                    np.right_shift(z, shift, out=t)
+                    z ^= t
+                    z *= mult
+            np.right_shift(z, _S31, out=t)
+            z ^= t
+            z >>= _S11
+            p1 = p[:, 1]
+            # copyto casts without the 64 KB buffers a casting multiply takes
+            np.copyto(p1, z, casting="unsafe")
+            p1 *= _INV53
+            p1 *= 1.0 - q  # q + (1 - q) * u, in that order
+            p1 += q
+            np.subtract(1.0, p1, out=p[:, 0])
+        prob = np.ones((b, 1))
         for i in range(n):
-            nxt = np.empty((block.size, 2 << i))
-            np.multiply(prob, p0[:, 1 << i : 2 << i], out=nxt[:, 0::2])
-            np.multiply(prob, p1[:, 1 << i : 2 << i], out=nxt[:, 1::2])
-            prob = nxt
+            nxt = weights[i & 1, : b << (i + 1)].reshape(b, 2, 1 << i)
+            np.multiply(prob[:, None, :], p[:, :, 1 << i : 2 << i], out=nxt)
+            prob = nxt.reshape(b, 2 << i)
+        lex = weights[n & 1, : b << n].reshape(b, m)
+        np.take(prob, leaves, axis=1, out=lex, mode="clip")  # "raise" would buffer out
         # offset bins per row; bincount adds each row's paths in order
-        flat = ones + (n + 1) * np.arange(block.size)[:, None]
-        out[r : r + step] = np.bincount(
-            flat.ravel(), weights=prob.ravel(), minlength=block.size * (n + 1)
-        ).reshape(block.size, n + 1)
+        out[r : r + b] = np.bincount(
+            bins[: b << n], weights=lex.reshape(-1), minlength=b * (n + 1)
+        ).reshape(b, n + 1)
     return out[0] if single else out
 
 

@@ -24,6 +24,7 @@ from .source import (
     MarkovSource,
     _check_horizon,
     _chunk_sizes,
+    _fold,
     aggregate_moments,
     as_bits,
     log2_empirical_product,
@@ -145,7 +146,7 @@ def verify_domination(
     tails = np.array([binomial_tail(n, q, k) for k in range(n + 1)])
     eq_dist = _kernels.domination_dist(n, q, 0, randomized=False)
     equality_gap = float(np.abs(np.cumsum(eq_dist) - tails).max())
-    pseeds = [_kernels.child_seed(seed, f"domination-q{q}-proc{p}") for p in range(processes)]
+    pseeds = _kernels._child_seeds(seed, f"domination-q{q}-proc", processes)
     dists = _kernels.domination_dist(n, q, pseeds, randomized=True)
     excess = (np.cumsum(dists, axis=1) - tails).max(axis=1)
     failures = int((excess > EXACT_TOL_SUM).sum())
@@ -226,7 +227,8 @@ def verify_state_count(
         phat = failures / t
         return _make_report(
             "state-count", params, t, failures, phat, 1.0 / n, 3.0 * _rate_se(phat, t),
-            extras={"mean_count": float(occ.mean())},
+            # the smallest n_s, to read against the threshold k in params
+            extras={"mean_count": float(occ.mean()), "min_count": int(occ.min())},
         )
 
     return _escalate(run, trials)
@@ -418,9 +420,13 @@ def verify_deviation(
             done += len(bits)
         failures = int((zs > thresh).sum())
         phat = failures / t
+        max_z = float(zs.max())
+        extras = {
+            "threshold": thresh, "max_z": max_z, "max_z_over_threshold": max_z / thresh,
+            "mean_z": float(zs.mean()),
+        }
         return _make_report(
-            "deviation", params, t, failures, phat, bound, 3.0 * _rate_se(phat, t),
-            extras={"threshold": thresh, "max_z": float(zs.max()), "mean_z": float(zs.mean())},
+            "deviation", params, t, failures, phat, bound, 3.0 * _rate_se(phat, t), extras=extras,
             samples=zs,
         )
 
@@ -451,10 +457,18 @@ def verify_truncation(
     n = len(bits)
     d = delta(ell)
     truncated = source.truncate(ell)
-    log_p = source.log_prob(past, bits)
-    margin = log_p - truncated.log_prob(past, bits)
-    occ, ones = _kernels.count_batch(bits[None, :], state_code(past, ell), ell)
-    margin_ml = log_p - float(ml_log2_from_counts(occ[0], ones[0]))
+    # one count at the deepest depth any term needs, folded to each term's
+    # own: the same integers as counting at that depth
+    depth = max(ell, source.memory)
+    occ, ones = _kernels.count_batch(bits[None, :], state_code(past, depth), depth)
+
+    def log2_prob(src):
+        m = src.memory
+        return float(src.log2_prob_counts(_fold(occ, m), _fold(ones, m))[0])
+
+    log_p = log2_prob(source)
+    margin = log_p - log2_prob(truncated)
+    margin_ml = log_p - float(ml_log2_from_counts(_fold(occ, ell)[0], _fold(ones, ell)[0]))
     bound_log = n * math.log2(1.0 + d)
     bound_linear = 2.0 * n * d
     ok = margin <= bound_log + EXACT_TOL_LOG and margin_ml <= bound_linear + EXACT_TOL_LOG

@@ -608,20 +608,27 @@ def _continuity_violations(source, delta, tol):
     if source.tree.is_full():
         leaves = source.tree.leaves
         idx = source.tree.state_leaf_index
-        for d, symbol, view, excess, bad in _full_tree_excesses(source.state_theta, dmin, tol):
-            for col in bad:
-                r_hi = int(view[:, col].argmax())
-                r_lo = int(view[:, col].argmin())
-                c_hi = (r_hi << d) | int(col)
-                c_lo = (r_lo << d) | int(col)
-                yield ContinuityViolation(
-                    leaves[int(idx[c_hi])],
-                    leaves[int(idx[c_lo])],
-                    _code_to_string(int(col), d),
-                    symbol,
-                    float(excess[col]),
-                    float(dmin[d]),
-                )
+        th = source.state_theta
+        excess, bad = _full_tree_excesses(th, dmin, tol)
+        if not bad.any():
+            return
+        for d in range(L):
+            view1 = th.reshape(1 << (L - d), 1 << d)
+            classes = slice((1 << d) - 1, (2 << d) - 1)  # the depth-d suffixes
+            for k, (symbol, view) in enumerate(((1, view1), (0, 1.0 - view1))):
+                for col in np.flatnonzero(bad[k, classes]):
+                    r_hi = int(view[:, col].argmax())
+                    r_lo = int(view[:, col].argmin())
+                    c_hi = (r_hi << d) | int(col)
+                    c_lo = (r_lo << d) | int(col)
+                    yield ContinuityViolation(
+                        leaves[int(idx[c_hi])],
+                        leaves[int(idx[c_lo])],
+                        _code_to_string(int(col), d),
+                        symbol,
+                        float(excess[k, classes][col]),
+                        float(dmin[d]),
+                    )
         return
     # general (non-full) trees: direct pairwise scan
     leaves = source.tree.leaves
@@ -641,21 +648,25 @@ def _continuity_violations(source, delta, tol):
 
 
 def _full_tree_excesses(th, dmin, tol):
-    # the check of a full tree's state-ordered theta: for each common-suffix
-    # depth d and symbol, theta (or 1 - theta) seen with one column per
-    # depth-d suffix, each column's ratio excess max/min - 1, and the
-    # columns over dmin[d] + tol; yields (d, symbol, view, excess, bad) for
-    # the pairs with a bad column, so a caller testing for any can stop at
-    # the first
+    # the check of a full tree's state-ordered theta: the ratio excess
+    # max/min - 1 of every common-suffix class, for symbol 1 (theta, row 0)
+    # and symbol 0 (1 - theta, row 1), and whether it is over dmin[d] + tol.
+    # The depth-d classes, one per suffix code c < 2**d, sit at 2**d - 1 + c.
+    # Each class's max and min fold bottom up, depth d's from the two depth
+    # d + 1 classes that share its suffix, and symbol 0's come from symbol
+    # 1's: max(1 - theta) is 1 - min(theta) exactly, as rounding is monotone
     L = th.size.bit_length() - 1
-    for d in range(L):
-        view1 = th.reshape(1 << (L - d), 1 << d)
-        view0 = 1.0 - view1
-        for symbol, view in ((1, view1), (0, view0)):
-            excess = view.max(axis=0) / view.min(axis=0) - 1.0
-            bad = np.nonzero(excess > dmin[d] + tol)[0]
-            if bad.size:
-                yield d, symbol, view, excess, bad
+    hi = np.empty(2 << L)  # heap order: the depth-d classes at 2**d + c
+    lo = np.empty(2 << L)
+    hi[1 << L :] = lo[1 << L :] = th
+    for d in range(L - 1, -1, -1):
+        k = 1 << d
+        np.maximum(hi[2 * k : 3 * k], hi[3 * k : 4 * k], out=hi[k : 2 * k])
+        np.minimum(lo[2 * k : 3 * k], lo[3 * k : 4 * k], out=lo[k : 2 * k])
+    hi, lo = hi[1 : 1 << L], lo[1 : 1 << L]
+    excess = np.stack((hi / lo, (1.0 - lo) / (1.0 - hi))) - 1.0
+    allowed = np.repeat(dmin[:L] + tol, 1 << np.arange(L))
+    return excess, excess > allowed
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +730,7 @@ def random_continuity_source(
         vals = np.clip(vals, 1e-4, 1.0 - 1e-4)
         # a full tree's sorted leaves are the state codes in order, so vals
         # is already the state-ordered theta check_continuity would test
-        if next(_full_tree_excesses(vals, dmin, 1e-12), None) is None:
+        if not _full_tree_excesses(vals, dmin, 1e-12)[1].any():
             return MarkovSource(full_tree(ell), vals)
     raise ContinuityGenerationError(
         f"no admissible source after {max_tries} draws; band budget too wide for {delta.describe()}"

@@ -25,6 +25,21 @@ def test_seed_splitting_is_stable():
             _kernels.child_seed(root, "task-a")
 
 
+@pytest.mark.parametrize("root", [0, 2**64 - 1])
+def test_prefix_derived_seeds_equal_child_seed(root):
+    # the label prefix is hashed once and carried on into each suffix
+    prefix = "domination-q0.3-proc"
+    seeds = _kernels._child_seeds(root, prefix, 200)
+    assert seeds == [_kernels.child_seed(root, f"{prefix}{p}") for p in range(200)]
+    assert _kernels._child_seeds(root, prefix, 0) == []
+
+
+@pytest.mark.parametrize("root", [-1, 2**64, 7 + 2**64])
+def test_prefix_derived_seeds_reject_roots_out_of_range(root):
+    with pytest.raises(ValueError, match="outside 0..2\\^64-1"):
+        _kernels._child_seeds(root, "domination-q0.3-proc", 3)
+
+
 def test_kt_tables_prefix_sums():
     g, h = _kernels.kt_tables(50)
     assert g[0] == 0.0 and h[0] == 0.0
@@ -359,23 +374,41 @@ def loop_enum_counts(depth, state0, n):
     return occ, ones
 
 
-def loop_domination(n, q, seed, randomized):
+def mix_unit(z):
+    """splitmix64 of each uint64, its top 53 bits as a unit float."""
+    with np.errstate(over="ignore"):
+        z = z + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) / 2.0**53
+
+
+def test_mix_unit_is_splitmix64():
+    x = np.random.default_rng(3).integers(0, 2**64, 50, dtype=np.uint64)
+    expect = [(_kernels.splitmix64(int(v)) >> 11) / 2.0**53 for v in x]
+    assert mix_unit(x).tolist() == expect
+
+
+def loop_domination(n, q, seeds, randomized):
+    """One row per seed: each path's weight multiplied up position by
+    position, then each row's paths added up in lexicographic order."""
+    seeds = np.asarray(seeds, np.uint64).reshape(-1, 1)
     seq = np.arange(1 << n, dtype=np.int64)
-    prob = np.ones(1 << n)
+    prob = np.ones((len(seeds), 1 << n))
     ones = np.zeros(1 << n, np.int64)
     node = np.ones(1 << n, np.int64)
     for i in range(n):
         b = (seq >> (n - 1 - i)) & 1
         if randomized:
-            with np.errstate(over="ignore"):
-                u = _kernels._np_mix_unit(seed ^ (node.astype(np.uint64) * _kernels._SM3))
+            u = mix_unit(seeds ^ (node.astype(np.uint64) * np.uint64(0x94D049BB133111EB)))
             p1 = q + (1.0 - q) * u
         else:
-            p1 = np.full(1 << n, q)
+            p1 = np.full((len(seeds), 1 << n), q)
         prob *= np.where(b == 1, p1, 1.0 - p1)
         ones += b
         node = node * 2 + b
-    return np.bincount(ones, weights=prob, minlength=n + 1)
+    return np.array([np.bincount(ones, weights=row, minlength=n + 1) for row in prob])
 
 
 ENUM_NS = (0, 1, 2, 5, 12, 16)
@@ -597,19 +630,46 @@ def test_count_peak_memory(shape):
 
 @pytest.mark.parametrize("randomized", [False, True])
 def test_domination_bit_identical_to_position_loop(randomized):
-    for n in (0, 1, 2, 5, 12):
-        for q, seed in ((0.1, 0), (0.3, 12345), (0.5, 2**63 + 11)):
+    for n in (0, 1, 2, 5, 12, 13, 14):
+        cases = ((0.1, 0), (0.3, 12345), (0.5, 2**63 + 11), (0.0, 7), (1.0, 2**64 - 1))
+        for q, seed in cases:
             out = _kernels.domination_dist(n, q, seed, randomized)
             assert out.shape == (n + 1,)
-            assert np.array_equal(out, loop_domination(n, q, np.uint64(seed), randomized))
-        # seed batches: one seed, one full block, and a short last block
+            assert np.array_equal(out, loop_domination(n, q, seed, randomized)[0])
+        # seed batches on both sides of a block of processes: one seed, one
+        # short of a block, a full block, one more, and two blocks and one
         step = max(1, _kernels._DOMINATION_PATHS >> n)
-        seeds = np.random.default_rng(n).integers(0, 2**64, step + 1, dtype=np.uint64)
-        for batch in (seeds[:1], seeds[:step], seeds, list(map(int, seeds[:3]))):
-            out = _kernels.domination_dist(n, 0.3, batch, randomized)
-            assert out.shape == (len(batch), n + 1)
-            for row, seed in zip(out, batch):
-                assert np.array_equal(row, loop_domination(n, 0.3, np.uint64(seed), randomized))
+        seeds = np.random.default_rng(n).integers(0, 2**64, 2 * step + 1, dtype=np.uint64)
+        sizes = sorted({1, max(1, step - 1), step, step + 1, 2 * step + 1})
+        for batch in [seeds[:k] for k in sizes] + [list(map(int, seeds[:3]))]:
+            for q in (0.3, 0.0, 1.0) if len(batch) == step + 1 else (0.3,):
+                out = _kernels.domination_dist(n, q, batch, randomized)
+                assert out.shape == (len(batch), n + 1)
+                assert np.array_equal(out, loop_domination(n, q, batch, randomized))
+
+
+def test_domination_scratch_memory():
+    # five arrays of a block's 2**14 path weights (two hashing uint64 arrays
+    # that then take the level weights, p0 and p1, the bincount's bins) and
+    # numpy's iterator buffers: about 0.8 MB at n = 12 with 32 seeds, where
+    # fresh per-level arrays or arrays of the whole batch would take 1 MB each
+    seeds = _kernels._child_seeds(5, "domination-q0.3-proc", 32)
+    for randomized in (False, True):
+        assert traced_peak(lambda: _kernels.domination_dist(12, 0.3, seeds, randomized)) < 1e6
+
+
+def test_domination_keeps_plans_only_while_a_process_fits_a_block(monkeypatch):
+    monkeypatch.setattr(_kernels, "_domination_plans", {})
+    big = _kernels._DOMINATION_PATHS.bit_length()  # 2**big paths: one process outgrows a block
+    for n in (3, big - 1, big):
+        _kernels.domination_dist(n, 0.3, [1, 2], True)
+    assert sorted(_kernels._domination_plans) == [3, big - 1]
+    nodes, leaves, ones = _kernels._domination_plans[3]
+    # level i in bit-reversed order: level 2 is 4, 6, 5, 7
+    assert nodes.tolist() == [(h * int(_kernels._SM3)) % 2**64 for h in (0, 1, 2, 3, 4, 6, 5, 7)]
+    assert leaves.tolist() == [0, 4, 2, 6, 1, 5, 3, 7]
+    assert ones.tolist() == [0, 1, 1, 2, 1, 2, 2, 3]
+    assert not any(part.flags.writeable for part in (nodes, leaves, ones))
 
 
 ROWS = _kernels._ROW_LOOP_ROWS

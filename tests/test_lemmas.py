@@ -23,6 +23,7 @@ from mdelta.lemmas import (
     verify_truncation_batch,
 )
 from mdelta.source import (
+    ContextTree,
     MarkovSource,
     count_table,
     empirical_aggregate,
@@ -91,6 +92,12 @@ def test_domination_rejects_empty_batches(processes):
         verify_domination(n=6, processes=processes)
 
 
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_domination_rejects_roots_out_of_range(seed):
+    with pytest.raises(ValueError, match="outside 0..2\\^64-1"):
+        verify_domination(n=4, processes=2, seed=seed)
+
+
 def test_domination_deterministic():
     a = verify_domination(n=8, q=0.1, processes=10, seed=5)
     b = verify_domination(n=8, q=0.1, processes=10, seed=5)
@@ -111,6 +118,17 @@ def test_state_count_fair_source_never_starves():
     rep = verify_state_count(ell=2, delta_at=0.0, n=2**12, trials=400, seed=1)
     assert rep.failures == 0
     assert rep.verdict
+
+
+@pytest.mark.parametrize("n, delta_at, k", [(2**12, 0.0, 504.0), (256, 0.2, 60.0)])
+def test_state_count_records_the_smallest_count(n, delta_at, k):
+    # the smallest n_s sits next to the threshold k: a trial fails exactly
+    # when its n_s is at most k, so failures are seen iff min_count <= k
+    # (none in the first case, some in the second)
+    rep = verify_state_count(ell=2, delta_at=delta_at, n=n, trials=300, seed=3, threshold=k)
+    low = rep.extras["min_count"]
+    assert isinstance(low, int) and low <= rep.extras["mean_count"]
+    assert (rep.failures > 0) == (low <= k)
 
 
 def test_state_count_skips_nonpositive_threshold():
@@ -255,6 +273,15 @@ def test_deviation_fair_iid_no_failures():
     assert rep.samples is not None and rep.samples.shape == (2000,)
 
 
+def test_deviation_records_max_z_over_its_threshold():
+    for n in (128, 2**10):
+        rep = verify_deviation(ell=2, n=n, trials=300, seed=4)
+        ratio = rep.extras["max_z_over_threshold"]
+        assert ratio == rep.extras["max_z"] / rep.extras["threshold"]
+        assert ratio == float(rep.samples.max()) / deviation_threshold(n, 2)
+        assert (rep.failures > 0) == (ratio > 1.0)
+
+
 def test_deviation_deterministic():
     a = verify_deviation(ell=2, n=128, trials=500, seed=8)
     b = verify_deviation(ell=2, n=128, trials=500, seed=8)
@@ -325,6 +352,43 @@ def test_truncation_tiny_band_tiny_margin():
     check = verify_truncation(src, "0000", 2, x, delta)
     assert abs(check.margin) < 1e-2
     assert check.ok
+
+
+def truncation_by_three_counts(source, past, ell, x, delta):
+    """verify_truncation as three separate counts: the source's, the
+    truncated source's and the depth-ell one of the ML term."""
+    from mdelta.coders import ml_log2_from_counts
+    from mdelta.lemmas import TruncationCheck
+    from mdelta.source import state_code
+
+    n, d = len(x), delta(ell)
+    log_p = source.log_prob(past, x)
+    margin = log_p - source.truncate(ell).log_prob(past, x)
+    occ, ones = _kernels.count_batch(np.asarray(x, np.uint8)[None, :], state_code(past, ell), ell)
+    margin_ml = log_p - float(ml_log2_from_counts(occ[0], ones[0]))
+    bound_log, bound_linear = n * math.log2(1.0 + d), 2.0 * n * d
+    ok = margin <= bound_log + 1e-9 and margin_ml <= bound_linear + 1e-9
+    return TruncationCheck(margin, bound_log, bound_linear, margin_ml, ok)
+
+
+def test_truncation_one_count_equals_three(monkeypatch):
+    # one count at max(ell, memory), folded to each term's depth, gives the
+    # same integers and so the same fields as counting three times
+    delta = DeltaSpec.parse("exp:1")
+    uneven = MarkovSource(ContextTree(["1", "10", "000", "100"]), [0.2, 0.5, 0.6, 0.9])
+    sources = [random_continuity_source(m, delta, seed=60 + m) for m in (1, 3, 6)] + [uneven]
+    calls = []
+    count = _kernels.count_batch
+    monkeypatch.setattr(_kernels, "count_batch", lambda *a: calls.append(a[2]) or count(*a))
+    past = "10" * 4
+    for src in sources:
+        for n in (1, 300, 4096):
+            x = src.sample(past, n, seed=n)
+            for ell in range(src.memory + 3):
+                calls.clear()
+                check = verify_truncation(src, past, ell, x, delta)
+                assert calls == [max(ell, src.memory)]
+                assert check == truncation_by_three_counts(src, past, ell, x, delta)
 
 
 def test_truncation_batch_passes():

@@ -598,8 +598,8 @@ def test_check_continuity_loose_cap_passes():
 
 
 def test_check_continuity_is_the_lazy_walk_in_full():
-    # random_continuity_source stops the same full-tree check at its first
-    # bad column
+    # the walk yields check_continuity's violations one at a time, in its
+    # order, full trees from the same check random_continuity_source runs
     from mdelta.source import _continuity_violations
 
     delta = DeltaSpec.parse("exp:1")
@@ -615,6 +615,29 @@ def test_check_continuity_is_the_lazy_walk_in_full():
         assert full[1:] == list(walk)
     assert check_continuity(sources[2], delta)  # a failing full tree and uneven tree are covered
     assert check_continuity(sources[3], delta)
+
+
+def test_full_tree_excesses_equal_the_per_depth_scan():
+    # the bottom-up fold gives every suffix class the max and min a reshape
+    # per depth gives, and 1 - theta's from theta's, so each ratio excess is
+    # the same float; ties and near-ties around 1 - theta's rounding included
+    from mdelta.source import _full_tree_excesses
+
+    rng = np.random.default_rng(12)
+    for ell in range(1, 9):
+        dmin = rng.uniform(0.0, 0.5, ell)
+        for th in (
+            rng.uniform(1e-4, 1 - 1e-4, 1 << ell),
+            rng.choice([0.2, 0.4, 0.4 + 2**-54, 0.4 + 2**-53, 0.6], 1 << ell),
+        ):
+            excess, bad = _full_tree_excesses(th, dmin, 1e-12)
+            for d in range(ell):
+                view1 = th.reshape(1 << (ell - d), 1 << d)
+                classes = slice((1 << d) - 1, (2 << d) - 1)
+                for k, view in enumerate((view1, 1.0 - view1)):
+                    ref = view.max(axis=0) / view.min(axis=0) - 1.0
+                    assert np.array_equal(excess[k, classes], ref)
+                    assert np.array_equal(bad[k, classes], ref > dmin[d] + 1e-12)
 
 
 def test_generation_error_when_budget_infeasible():
