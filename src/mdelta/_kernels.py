@@ -346,19 +346,31 @@ def _row_loop_cheaper(longest, ambiguous, draws):
     return _SETTLE_FIXED_DRAWS + longest * _SETTLE_PASS_DRAWS + ambiguous // 2 > draws
 
 
+def _windows(ext, k, n):
+    # the code of every k-bit window ext[..., i : i + k], i < n, its first bit
+    # the most significant, in the narrowest unsigned type that holds k bits:
+    # the first column cast, then one shifted view per further bit.  Codes
+    # are doubled by adding them to themselves: numpy's << on uint8 and
+    # uint16 runs element by element, the add is vectorized (numpy 2.4 on a
+    # 2-core x86_64: 0.08 against 0.006 ms per 2**17 uint8 codes), and for
+    # unsigned codes the two are the same integer
+    code_type = np.uint8 if k <= 8 else np.uint16 if k <= 16 else np.uint32
+    if not k:
+        return np.zeros(ext.shape[:-1] + (n,), code_type)
+    codes = ext[..., :n].astype(code_type)
+    for j in range(1, k):
+        np.add(codes, codes, out=codes)
+        codes |= ext[..., j : j + n]
+    return codes
+
+
 def _count(bits, state0, depth):
     # shared by both public counting kernels, so neither traces as the other.
-    # Per row block, every position's code (context << 1) | bit is built in
-    # the narrowest unsigned type that holds depth + 1 bits, one shifted view
-    # of the past and the bits per lag, oldest first; one bincount with an
-    # offset per row then counts the block.  Codes are doubled by adding
-    # them to themselves: numpy's << on uint8 and uint16 runs element by
-    # element, the add is vectorized (numpy 2.4 on a 2-core x86_64: 0.08
-    # against 0.006 ms per 2**17 uint8 codes), and for unsigned codes the
-    # two are the same integer
+    # Per row block, every position's code (context << 1) | bit is the
+    # (depth + 1)-bit window of the past and the bits ending at it; one
+    # bincount with an offset per row then counts the block
     T, n = bits.shape
     m2 = 2 << depth
-    code_type = np.uint8 if depth < 8 else np.uint16 if depth < 16 else np.uint32
     past = (int(state0) >> np.arange(depth - 1, -1, -1)) & 1
     occ = np.empty((T, m2 >> 1), np.int64)
     ones = np.empty((T, m2 >> 1), np.int64)
@@ -368,11 +380,7 @@ def _count(bits, state0, depth):
         ext = np.empty((rows, depth + n), np.uint8)
         ext[:, :depth] = past
         ext[:, depth:] = bits[r : r + rows]
-        codes = ext[:, :n].astype(code_type)
-        for k in range(1, depth + 1):
-            np.add(codes, codes, out=codes)
-            codes |= ext[:, k : k + n]
-        codes = codes + np.arange(0, rows * m2, m2, dtype=np.intp)[:, None]
+        codes = _windows(ext, depth + 1, n) + np.arange(0, rows * m2, m2, dtype=np.intp)[:, None]
         table = np.bincount(codes.ravel(), minlength=rows * m2).reshape(rows, m2 >> 1, 2)
         np.add(table[:, :, 0], table[:, :, 1], out=occ[r : r + rows])
         ones[r : r + rows] = table[:, :, 1]

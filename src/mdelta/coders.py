@@ -142,16 +142,10 @@ class CountCoder(SequentialCoder):
 def _contexts(bits: np.ndarray, state0: int, depth: int) -> np.ndarray:
     """Context code before each bit of a sequence that continues the past
     encoded by state0, in the narrowest unsigned type that holds it."""
-    n = len(bits)
-    code_type = np.uint8 if depth <= 8 else np.uint16 if depth <= 16 else np.uint32
-    ext = np.empty(depth + n, code_type)
+    ext = np.empty(depth + len(bits), np.uint8)
     ext[:depth] = (int(state0) >> np.arange(depth - 1, -1, -1)) & 1
     ext[depth:] = bits
-    ctx = np.zeros(n, code_type)
-    for k in range(depth):  # oldest bit first; the add doubles, as in _kernels._count
-        np.add(ctx, ctx, out=ctx)
-        ctx |= ext[k : k + n]
-    return ctx
+    return _kernels._windows(ext, depth, len(bits))
 
 
 class KTCoder(CountCoder):
@@ -346,9 +340,7 @@ class ShtarkovResult:
     probs: np.ndarray | None = None  # normalized per-sequence probabilities
 
 
-def shtarkov_sum(
-    depth: int, past="", n: int = 1, cap: int = ENUMERATION_CAP, return_probs: bool = False
-) -> ShtarkovResult:
+def shtarkov_sum(depth: int, past="", n: int = 1, return_probs: bool = False) -> ShtarkovResult:
     """Exact normalizer of per-sequence maximized likelihoods at depth `depth`.
 
     Enumerates all 2^n sequences; log2 of the sum is the worst-case
@@ -358,7 +350,7 @@ def shtarkov_sum(
     continuity-constrained sub-families this is an upper bound on the
     constrained normalizer, which is what the truncation argument needs.
     """
-    _require_cap(n, cap)
+    _require_cap(n)
     ml = _kernels.enum_ml_log2(depth, state_code(past, depth), n)
     # stable summation: the values lie in (0, 1], no rescaling needed
     np.exp2(ml, out=ml)
@@ -378,11 +370,10 @@ class NMLCoder(SequentialCoder):
     prefix masses of the normalized table.
     """
 
-    def __init__(self, depth: int, past="", horizon: int = 1, cap: int = ENUMERATION_CAP):
-        _require_cap(horizon, cap)
+    def __init__(self, depth: int, past="", horizon: int = 1):
         self.depth = depth
         self.horizon = horizon
-        result = shtarkov_sum(depth, past, horizon, cap, return_probs=True)
+        result = shtarkov_sum(depth, past, horizon, return_probs=True)
         self.log2_sum = result.log2_sum
         self._probs = result.probs
         self._levels = [result.probs]

@@ -7,8 +7,12 @@ clamped by admissibility.
 
 The refined upper bound and its comparison radius exist in two
 arithmetic variants, "plain" and "doubled" (factor 2 on the quadratic
-term and a one-step-wider radical); both are computed, and "safe"
-means the larger of the two.
+term and a one-step-wider radical).  "safe" means the larger of the
+two, which is always the doubled one, so it is evaluated as that:
+each doubled term is at least its plain counterpart (2 n d^2 against
+n d^2, 2 log2(n) >= log2(n) for n >= 1, sqrt(n 2^{k+1}) >= sqrt(n 2^k))
+and float rounding is monotone, so every partial sum is at least the
+plain one.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .coders import ENUMERATION_CAP, CountCoder, SequentialCoder, _require_cap
+from .coders import CountCoder, SequentialCoder, _require_cap
 from .delta import DeltaSpec
 from .source import MAX_SCAN_DEPTH, MarkovSource, _check_horizon, _fold, as_bits, state_code
 
@@ -53,11 +57,9 @@ def regret_bits(source: MarkovSource, past, coder: SequentialCoder, x) -> float:
     return source.log_prob(past, x) - coder.log2_prob(x)
 
 
-def exact_avg_redundancy(
-    source: MarkovSource, past, coder: SequentialCoder, n: int, cap: int = ENUMERATION_CAP
-) -> float:
+def exact_avg_redundancy(source: MarkovSource, past, coder: SequentialCoder, n: int) -> float:
     """Expected regret by exhaustive enumeration of all 2^n sequences."""
-    _require_cap(n, cap)
+    _require_cap(n)
     lp = source.log2_prob_all(past, n)
     lq = coder.log2_prob_all(n)
     # reduced in lp, a fresh array; lq may be one the coder keeps
@@ -202,15 +204,14 @@ def refined_upper_bound(n: int, ell: int, delta: DeltaSpec, variant: str = "safe
 
     2^{ell-1} log2 n + r_ell + (2^{2 ell + 1} - 2^ell) / n^2
 
-    with r_ell in the chosen variant; "safe" takes the larger radius.
+    with r_ell in the chosen variant; "safe" takes the larger radius,
+    the doubled one (see the module docstring).
     """
-    if variant == "safe":
-        rad = max(
-            comparison_radius(n, ell, delta, "doubled"),
-            comparison_radius(n, ell, delta, "plain"),
-        )
-    else:
-        rad = comparison_radius(n, ell, delta, variant)
+    return _refined(n, ell, comparison_radius(n, ell, delta, "doubled" if variant == "safe" else variant))
+
+
+def _refined(n: int, ell: int, rad: float) -> float:
+    # the refined bound at depth ell around a comparison radius
     lead = 2.0 ** (ell - 1) * math.log2(n)
     bad_mass = (2.0 ** (2 * ell + 1) - 2.0**ell) * n / float(n) ** 3
     return lead + rad + bad_mass
@@ -289,7 +290,7 @@ class BoundRow:
     ell: int
     lower: float
     upper_truncation: float
-    upper_refined: float  # safe = max of the two variants
+    upper_refined: float  # safe = max of the two variants, the doubled one
     upper_refined_plain: float
     upper_refined_doubled: float
     r_ell: float  # doubled-form radius
@@ -307,11 +308,6 @@ class BoundReport:
     best_upper_refined: tuple[int, float]
 
 
-def _row_clamped(n: int, ell: int, delta: DeltaSpec) -> bool:
-    depths = {ell, 2 * ell} | set(range(ell, 2 * ell + 1))
-    return any(delta.eval_detail(m)[1] for m in sorted(depths))
-
-
 def bound_report(n: int, delta: DeltaSpec, ells=None) -> BoundReport:
     """Evaluate every bound on a depth grid and locate the optima."""
     _check_horizon(n, 2)  # the default grid needs ceil(log2 n) >= 1
@@ -320,17 +316,21 @@ def bound_report(n: int, delta: DeltaSpec, ells=None) -> BoundReport:
         raise ValueError("empty depth range: no ell to evaluate")
     rows = []
     for ell in ells:
+        lower = minimax_lower_bound(n, ell, delta)  # first: a depth under 1 fails with its message
+        r_ell = comparison_radius(n, ell, delta, "doubled")
+        r_plain = comparison_radius(n, ell, delta, "plain")
+        refined = _refined(n, ell, r_ell)
         rows.append(
             BoundRow(
                 ell=ell,
-                lower=minimax_lower_bound(n, ell, delta),
+                lower=lower,
                 upper_truncation=truncation_upper_bound_at(n, ell, delta),
-                upper_refined=refined_upper_bound(n, ell, delta, "safe"),
-                upper_refined_plain=refined_upper_bound(n, ell, delta, "plain"),
-                upper_refined_doubled=refined_upper_bound(n, ell, delta, "doubled"),
-                r_ell=comparison_radius(n, ell, delta, "doubled"),
-                r_ell_plain=comparison_radius(n, ell, delta, "plain"),
-                clamped=_row_clamped(n, ell, delta),
+                upper_refined=refined,
+                upper_refined_plain=_refined(n, ell, r_plain),
+                upper_refined_doubled=refined,
+                r_ell=r_ell,
+                r_ell_plain=r_plain,
+                clamped=any(delta.eval_detail(m)[1] for m in range(ell, 2 * ell + 1)),
             )
         )
     lows = [r.lower for r in rows]

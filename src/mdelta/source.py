@@ -53,6 +53,8 @@ __all__ = [
 MAX_SCAN_DEPTH = 16
 STATIONARY_TOL = 1e-13
 STATIONARY_MAX_ITER = 10**6
+# slack on every continuity bound, for the rounding of a parameter ratio
+CONTINUITY_TOL = 1e-12
 _TRIAL_BUDGET_BYTES = 64 << 20  # float64 uniforms drawn at once for Monte Carlo trials
 
 
@@ -67,12 +69,12 @@ def _check_horizon(n: int, least: int = 1) -> None:
         raise ValueError(f"n must be at least {least}, got {n}")
 
 
-def _require_cap(n: int, cap: int = ENUMERATION_CAP) -> None:
-    """The one range check of every exhaustive enumeration: 0 <= n <= cap."""
+def _require_cap(n: int) -> None:
+    """The one range check of every exhaustive enumeration: 0 <= n <= ENUMERATION_CAP."""
     _check_horizon(n, 0)
-    if n > cap:
+    if n > ENUMERATION_CAP:
         raise ValueError(
-            f"exhaustive enumeration over 2^{n} sequences refused (cap n <= {cap}); "
+            f"exhaustive enumeration over 2^{n} sequences refused (cap n <= {ENUMERATION_CAP}); "
             "use the Monte Carlo estimators instead"
         )
 
@@ -233,9 +235,6 @@ class ContextTree:
     def _leaf_index(self) -> dict[str, int]:
         """Position of every leaf in `leaves`."""
         return {leaf: i for i, leaf in enumerate(self.leaves)}
-
-    def is_full(self) -> bool:
-        return len(self.leaves) == 1 << self.memory
 
     def context_of(self, history) -> str:
         """The unique leaf that is a suffix of the history."""
@@ -433,11 +432,11 @@ class MarkovSource:
 
     # -- stationary law -----------------------------------------------------
 
-    def stationary(self, tol: float = STATIONARY_TOL, max_iter: int = STATIONARY_MAX_ITER) -> np.ndarray:
-        """Stationary distribution over length-`memory` states (power iteration)."""
-        key = "_stationary_cache"
-        if tol == STATIONARY_TOL and max_iter == STATIONARY_MAX_ITER and key in self.__dict__:
-            return self.__dict__[key]
+    @cached_property
+    def stationary(self) -> np.ndarray:
+        """Stationary distribution over length-`memory` states, by power
+        iteration until the L1 step is at most STATIONARY_TOL; raises
+        StationaryConvergenceError after STATIONARY_MAX_ITER steps."""
         m = 1 << self.memory
         th = self.state_theta
         codes = np.arange(m, dtype=np.int64)
@@ -446,25 +445,23 @@ class MarkovSource:
         idx0 = (codes << 1) & mask
         pi = np.full(m, 1.0 / m)
         residual = math.inf
-        for _ in range(max_iter):
+        for _ in range(STATIONARY_MAX_ITER):
             w1 = pi * th
             new = np.bincount(idx1, weights=w1, minlength=m)
             new += np.bincount(idx0, weights=pi - w1, minlength=m)
             new /= new.sum()
             residual = float(np.abs(new - pi).sum())
             pi = new
-            if residual <= tol:
+            if residual <= STATIONARY_TOL:
                 break
         else:
-            raise StationaryConvergenceError(residual, max_iter)
+            raise StationaryConvergenceError(residual, STATIONARY_MAX_ITER)
         pi.setflags(write=False)
-        if tol == STATIONARY_TOL and max_iter == STATIONARY_MAX_ITER:
-            self.__dict__[key] = pi
         return pi
 
     def leaf_stationary(self) -> np.ndarray:
         """Stationary mass of each leaf, aligned with tree.leaves."""
-        pi = self.stationary()
+        pi = self.stationary
         return np.bincount(self.tree.state_leaf_index, weights=pi, minlength=len(self.tree.leaves))
 
     def aggregate_conditional(self, w) -> float:
@@ -478,7 +475,7 @@ class MarkovSource:
         w = bits_to_str(as_bits(w)) if not isinstance(w, str) else w
         if len(w) >= self.memory:
             return self.theta(self.tree.context_of(w))
-        mass, weighted = _aggregate_at(self, self.stationary(), w)
+        mass, weighted = _aggregate_at(self, self.stationary, w)
         if mass <= 0.0:
             raise ValueError(f"context {w!r} has zero stationary mass")
         return weighted / mass
@@ -577,78 +574,51 @@ class ContinuityViolation(NamedTuple):
 
 
 def _prefix_min_delta(delta: DeltaSpec, upto: int) -> np.ndarray:
-    vals = np.empty(upto + 1)
-    best = math.inf
-    for m in range(upto + 1):
-        best = min(best, delta(m))
-        vals[m] = best
-    return vals
+    return np.minimum.accumulate([delta(m) for m in range(upto + 1)])
 
 
-def check_continuity(
-    source: MarkovSource, delta: DeltaSpec, tol: float = 1e-12
-) -> list[ContinuityViolation]:
+def check_continuity(source: MarkovSource, delta: DeltaSpec) -> list[ContinuityViolation]:
     """All violations of the pairwise ratio condition; empty means pass.
 
     For every pair of leaves and both symbols, every common suffix w
-    must satisfy |p(a|s1)/p(a|s2) - 1| <= delta(|w|); since shorter
-    common suffixes are checked too, each pair is tested against the
-    running minimum of delta up to its longest common suffix.
+    must satisfy |p(a|s1)/p(a|s2) - 1| <= delta(|w|), within
+    CONTINUITY_TOL; since shorter common suffixes are checked too, each
+    pair is tested against the running minimum of delta up to its
+    longest common suffix.
+
+    The check folds the state-ordered parameters: two leaves of a
+    suffix-free tree share the longest common suffix of any two states
+    they cover, so the largest and smallest parameter among the states
+    ending in w are the worst pair with w as a common suffix.  One
+    violation is listed per such class w and symbol (by depth, symbol 1
+    before 0, then suffix code), naming the leaves of those two states;
+    a full or uneven tree alike.
     """
-    return list(_continuity_violations(source, delta, tol))
-
-
-def _continuity_violations(source, delta, tol):
-    # the violations of check_continuity, in its order, built one at a time
-    # so that a caller testing for any can stop at the first
     L = source.memory
     if L == 0:
-        return
+        return []
     dmin = _prefix_min_delta(delta, L - 1)
-    if source.tree.is_full():
-        leaves = source.tree.leaves
-        idx = source.tree.state_leaf_index
-        th = source.state_theta
-        excess, bad = _full_tree_excesses(th, dmin, tol)
-        if not bad.any():
-            return
-        for d in range(L):
-            view1 = th.reshape(1 << (L - d), 1 << d)
-            classes = slice((1 << d) - 1, (2 << d) - 1)  # the depth-d suffixes
-            for k, (symbol, view) in enumerate(((1, view1), (0, 1.0 - view1))):
-                for col in np.flatnonzero(bad[k, classes]):
-                    r_hi = int(view[:, col].argmax())
-                    r_lo = int(view[:, col].argmin())
-                    c_hi = (r_hi << d) | int(col)
-                    c_lo = (r_lo << d) | int(col)
-                    yield ContinuityViolation(
-                        leaves[int(idx[c_hi])],
-                        leaves[int(idx[c_lo])],
-                        _code_to_string(int(col), d),
-                        symbol,
-                        float(excess[k, classes][col]),
-                        float(dmin[d]),
-                    )
-        return
-    # general (non-full) trees: direct pairwise scan
-    leaves = source.tree.leaves
-    for i, s1 in enumerate(leaves):
-        for s2 in leaves[i + 1 :]:
-            lcs = 0
-            while lcs < min(len(s1), len(s2)) and s1[len(s1) - 1 - lcs] == s2[len(s2) - 1 - lcs]:
-                lcs += 1
-            allowed = dmin[min(lcs, L - 1)]
-            w = s1[len(s1) - lcs :] if lcs else ""
-            for symbol in (1, 0):
-                a = source.theta(s1) if symbol else 1.0 - source.theta(s1)
-                b = source.theta(s2) if symbol else 1.0 - source.theta(s2)
-                excess = max(a / b, b / a) - 1.0
-                if excess > allowed + tol:
-                    yield ContinuityViolation(s1, s2, w, symbol, excess, allowed)
+    th = source.state_theta
+    excess, bad = _full_tree_excesses(th, dmin, CONTINUITY_TOL)
+    leaves, idx = source.tree.leaves, source.tree.state_leaf_index
+    out = []
+    for d in range(L):
+        classes = slice((1 << d) - 1, (2 << d) - 1)  # the depth-d suffixes
+        for k, symbol in enumerate((1, 0)):
+            cols = np.flatnonzero(bad[k, classes])
+            view = th.reshape(1 << (L - d), 1 << d)[:, cols]
+            if not symbol:
+                view = 1.0 - view
+            hi = idx[(view.argmax(axis=0) << d) | cols].tolist()
+            lo = idx[(view.argmin(axis=0) << d) | cols].tolist()
+            for c, a, b, e in zip(cols.tolist(), hi, lo, excess[k, classes][cols].tolist()):
+                w = _code_to_string(c, d)
+                out.append(ContinuityViolation(leaves[a], leaves[b], w, symbol, e, float(dmin[d])))
+    return out
 
 
 def _full_tree_excesses(th, dmin, tol):
-    # the check of a full tree's state-ordered theta: the ratio excess
+    # the check of a source's state-ordered theta: the ratio excess
     # max/min - 1 of every common-suffix class, for symbol 1 (theta, row 0)
     # and symbol 0 (1 - theta, row 1), and whether it is over dmin[d] + tol.
     # The depth-d classes, one per suffix code c < 2**d, sit at 2**d - 1 + c.
@@ -730,7 +700,7 @@ def random_continuity_source(
         vals = np.clip(vals, 1e-4, 1.0 - 1e-4)
         # a full tree's sorted leaves are the state codes in order, so vals
         # is already the state-ordered theta check_continuity would test
-        if not _full_tree_excesses(vals, dmin, 1e-12)[1].any():
+        if not _full_tree_excesses(vals, dmin, CONTINUITY_TOL)[1].any():
             return MarkovSource(full_tree(ell), vals)
     raise ContinuityGenerationError(
         f"no admissible source after {max_tries} draws; band budget too wide for {delta.describe()}"

@@ -304,6 +304,19 @@ def test_refined_bound_vanishing_delta_limit():
     assert refined_upper_bound(n, ell, spec) == pytest.approx(limit, rel=1e-6)
 
 
+# rates in every regime the radius meets: decaying, underflowing to the
+# smallest subnormal, within a few ulps of it, and clamped at every depth
+RADIUS_SPECS = (
+    DeltaSpec.parse("exp:1"),
+    DeltaSpec.parse("poly:1.01"),
+    DeltaSpec.parse("dexp:1"),
+    DeltaSpec("table", values=(5e-324, 1e-323) * 16),
+    DeltaSpec("table", values=tuple(5e-324 * 2**k for k in range(32))),
+    DeltaSpec("table", values=(5.0,) * 32, cap0=5.0),
+)
+RADIUS_NS = (2, 3, 5, 1000, 2**12, 2**16 + 1, 2**20, 2**30)
+
+
 def test_radius_variants_ordering():
     spec = DeltaSpec.parse("exp:1")
     for n in (2**12, 2**16):
@@ -311,11 +324,30 @@ def test_radius_variants_ordering():
             doubled = comparison_radius(n, ell, spec, "doubled")
             plain = comparison_radius(n, ell, spec, "plain")
             assert doubled > plain  # doubled terms and a wider radical
-            safe = refined_upper_bound(n, ell, spec, "safe")
-            assert safe == max(
-                refined_upper_bound(n, ell, spec, "doubled"),
-                refined_upper_bound(n, ell, spec, "plain"),
-            )
+    # "safe" is the larger radius, and that is always the doubled one: each
+    # doubled term is at least the plain one and rounding is monotone
+    for delta in RADIUS_SPECS:
+        for n in RADIUS_NS:
+            for ell in range(1, 17):
+                assert comparison_radius(n, ell, delta, "doubled") >= comparison_radius(n, ell, delta, "plain")
+                doubled = refined_upper_bound(n, ell, delta, "doubled")
+                assert doubled >= refined_upper_bound(n, ell, delta, "plain")
+                assert refined_upper_bound(n, ell, delta, "safe") == doubled
+
+
+def test_bound_report_rows_equal_the_public_evaluators():
+    for delta in RADIUS_SPECS:
+        for n in RADIUS_NS:
+            for row in bound_report(n, delta).rows:
+                ell = row.ell
+                assert row.lower == minimax_lower_bound(n, ell, delta)
+                assert row.upper_truncation == truncation_upper_bound_at(n, ell, delta)
+                assert row.upper_refined == refined_upper_bound(n, ell, delta, "safe")
+                assert row.upper_refined_plain == refined_upper_bound(n, ell, delta, "plain")
+                assert row.upper_refined_doubled == refined_upper_bound(n, ell, delta, "doubled")
+                assert row.r_ell == comparison_radius(n, ell, delta, "doubled")
+                assert row.r_ell_plain == comparison_radius(n, ell, delta, "plain")
+                assert row.clamped == any(delta.eval_detail(m)[1] for m in range(ell, 2 * ell + 1))
 
 
 def test_refined_overtakes_truncation_only_at_scale():

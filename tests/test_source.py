@@ -290,7 +290,7 @@ def test_empirical_state_frequencies_match_stationary():
     n = 10**6
     bits = src.sample("00", n, seed=4)
     table = count_table(bits, "00", 2)
-    pi = src.stationary()
+    pi = src.stationary
     for code in range(4):
         expect = pi[code] * n
         sigma = math.sqrt(n * pi[code] * (1 - pi[code]))
@@ -341,20 +341,20 @@ def test_count_marginalization(x):
 
 def test_stationary_iid_case():
     src = MarkovSource(full_tree(1), {"0": 0.3, "1": 0.3})
-    pi = src.stationary()
+    pi = src.stationary
     assert pi[1] == pytest.approx(0.3, abs=1e-11)
 
 
 def test_stationary_two_state_balance():
     a, b = 0.2, 0.7
     src = MarkovSource(full_tree(1), {"0": a, "1": b})
-    pi = src.stationary()
+    pi = src.stationary
     assert pi[1] == pytest.approx(a / (1 + a - b), abs=1e-11)
 
 
 def test_stationary_is_fixed_point():
     src = random_hypercube_source(3, 0.1, seed=9)
-    pi = src.stationary()
+    pi = src.stationary
     assert pi.sum() == pytest.approx(1.0, abs=1e-12)
     m = pi.size
     th = src.state_theta
@@ -367,14 +367,14 @@ def test_stationary_is_fixed_point():
 def test_aggregate_conditional_leaf_and_empty():
     src = MarkovSource(full_tree(2), {"00": 0.2, "01": 0.4, "10": 0.6, "11": 0.8})
     assert src.aggregate_conditional("01") == 0.4
-    pi = src.stationary()
+    pi = src.stationary
     expect_one = float((pi * src.state_theta).sum())
     assert src.aggregate_conditional("") == pytest.approx(expect_one, abs=1e-12)
 
 
 def test_aggregate_conditional_weighted_average():
     src = MarkovSource(full_tree(2), {"00": 0.2, "01": 0.4, "10": 0.6, "11": 0.8})
-    pi = src.stationary()
+    pi = src.stationary
     c01, c11 = state_code("01", 2), state_code("11", 2)
     expect = (pi[c01] * 0.4 + pi[c11] * 0.8) / (pi[c01] + pi[c11])
     assert src.aggregate_conditional("1") == pytest.approx(expect, abs=1e-12)
@@ -382,7 +382,7 @@ def test_aggregate_conditional_weighted_average():
 
 def test_aggregation_mass_consistency():
     src = random_hypercube_source(3, 0.05, seed=2)
-    pi = src.stationary()
+    pi = src.stationary
     for w in ("", "1", "01", "10"):
         k = len(w)
         members = [s for s in src.tree.leaves if s.endswith(w)]
@@ -404,7 +404,7 @@ def test_aggregates_average_every_state_ending_in_w(w):
     past = "000"
     x = src.sample(past, 500, seed=4)
     occ = count_table(x, past, 3).occurrences
-    pi, th = src.stationary(), src.state_theta
+    pi, th = src.stationary, src.state_theta
     ending = [s for s in range(8) if s & ((1 << len(w)) - 1) == state_code(w, len(w))]
     stationary = sum(pi[s] * th[s] for s in ending) / sum(pi[s] for s in ending)
     empirical = sum(occ[s] * th[s] for s in ending) / sum(occ[s] for s in ending)
@@ -597,11 +597,75 @@ def test_check_continuity_loose_cap_passes():
     assert not check_continuity(src, spec)
 
 
-def test_check_continuity_is_the_lazy_walk_in_full():
-    # the walk yields check_continuity's violations one at a time, in its
-    # order, full trees from the same check random_continuity_source runs
-    from mdelta.source import _continuity_violations
+def _pairwise_continuity(src, delta, tol=1e-12):
+    # the condition read literally, quadratic in the leaves: every pair of
+    # leaves and both symbols, with (s1, s2, longest common suffix, symbol,
+    # ratio excess, whether it is over the running minimum of delta up to
+    # that suffix's depth)
+    dmin, best = [], math.inf
+    for m in range(src.memory):
+        best = min(best, delta(m))
+        dmin.append(best)
+    pairs = []
+    for s1, s2 in itertools.combinations(src.tree.leaves, 2):
+        lcs = 0
+        while lcs < min(len(s1), len(s2)) and s1[-1 - lcs] == s2[-1 - lcs]:
+            lcs += 1
+        for symbol in (1, 0):
+            a, b = src.theta(s1), src.theta(s2)
+            if not symbol:
+                a, b = 1.0 - a, 1.0 - b
+            excess = max(a / b, b / a) - 1.0
+            pairs.append((s1, s2, s1[len(s1) - lcs :], symbol, excess, excess > dmin[lcs] + tol))
+    return pairs
 
+
+def _random_uneven_tree(rng, depth):
+    # split random leaves, each into its two one-bit-older extensions
+    leaves = {""}
+    for _ in range(int(rng.integers(1, 3 << depth))):
+        leaf = sorted(leaves)[int(rng.integers(len(leaves)))]
+        if len(leaf) < depth:
+            leaves -= {leaf}
+            leaves |= {"0" + leaf, "1" + leaf}
+    return ContextTree(leaves)
+
+
+def assert_matches_pairwise(src, delta):
+    pairs = _pairwise_continuity(src, delta)
+    found = check_continuity(src, delta)
+    assert bool(found) == any(bad for *_, bad in pairs)
+    for v in found:
+        assert v.s1 != v.s2 and v.s1.endswith(v.w) and v.s2.endswith(v.w)
+        assert v.allowed == min(delta(m) for m in range(len(v.w) + 1))
+        assert v.excess > v.allowed + 1e-12
+        a, b = src.theta(v.s1), src.theta(v.s2)
+        if not v.symbol:
+            a, b = 1.0 - a, 1.0 - b
+        assert v.excess == a / b - 1.0
+        # the class's worst pair: no two leaves ending in w differ more
+        worst = max(e for s1, s2, w, sym, e, _ in pairs if sym == v.symbol and s1.endswith(v.w) and s2.endswith(v.w))
+        assert v.excess == worst
+    # every violating pair's longest-common-suffix class is reported
+    reported = {(v.w, v.symbol) for v in found}
+    assert all((w, sym) in reported for _, _, w, sym, _, bad in pairs if bad)
+
+
+def test_check_continuity_on_uneven_trees_matches_the_pairwise_condition():
+    rng = np.random.default_rng(31)
+    flagged = 0
+    for spec in ("exp:1", "poly:2", "exp:0.25"):
+        delta = DeltaSpec.parse(spec)
+        for _ in range(60):
+            tree = _random_uneven_tree(rng, int(rng.integers(1, 7)))
+            lo = rng.choice([0.3, 0.45, 0.49])
+            src = MarkovSource(tree, rng.uniform(lo, 1.0 - lo, len(tree.leaves)).tolist())
+            assert_matches_pairwise(src, delta)
+            flagged += bool(check_continuity(src, delta))
+    assert 0 < flagged < 180  # both verdicts are exercised
+
+
+def test_check_continuity_flags_failing_full_and_uneven_trees():
     delta = DeltaSpec.parse("exp:1")
     rng = np.random.default_rng(7)
     sources = [MarkovSource(full_tree(ell), rng.uniform(0.3, 0.7, 1 << ell).tolist()) for ell in (1, 3, 6)]
@@ -609,12 +673,50 @@ def test_check_continuity_is_the_lazy_walk_in_full():
     sources.append(MarkovSource(uneven, [0.2, 0.5, 0.6, 0.9]))
     sources.append(random_continuity_source(4, delta, seed=1))
     for src in sources:
-        full = check_continuity(src, delta)
-        walk = _continuity_violations(src, delta, 1e-12)
-        assert next(walk, None) == (full[0] if full else None)
-        assert full[1:] == list(walk)
+        assert_matches_pairwise(src, delta)
     assert check_continuity(sources[2], delta)  # a failing full tree and uneven tree are covered
     assert check_continuity(sources[3], delta)
+    assert not check_continuity(sources[4], delta)
+
+
+# sha256 of full-tree check_continuity lists recorded before uneven trees
+# shared the suffix-class fold; a full tree's lists must not change
+FULL_TREE_VIOLATIONS_DIGEST = "d1ceca39577934bc980d6ea279427e8a84f996eaca4ce7517bd6b21362d5f8b2"
+
+
+def test_full_tree_violation_lists_match_their_recorded_digest():
+    h = hashlib.sha256()
+    rng = np.random.default_rng(23)
+    count = 0
+    for spec in ("exp:1", "poly:2", "dexp:1", "exp:0.25"):
+        delta = DeltaSpec.parse(spec)
+        for ell in range(1, 9):
+            for draw in (
+                lambda: rng.uniform(0.3, 0.7, 1 << ell),
+                lambda: rng.uniform(0.47, 0.53, 1 << ell),
+                lambda: rng.uniform(0.01, 0.99, 1 << ell),
+                lambda: rng.choice([0.2, 0.4, 0.4 + 2**-54, 0.5, 0.6], 1 << ell),  # ties
+            ):
+                found = check_continuity(MarkovSource(full_tree(ell), draw().tolist()), delta)
+                count += len(found)
+                h.update(repr([tuple(v) for v in found]).encode())
+    assert count == 14133
+    assert h.hexdigest() == FULL_TREE_VIOLATIONS_DIGEST
+
+
+def test_check_continuity_of_a_2049_leaf_uneven_tree_is_fast():
+    # every pair of the 2048 deep leaves shares a suffix of 1-11 bits, so the
+    # pairwise condition has millions of violations; the fold lists one per
+    # (suffix class, symbol)
+    tree = ContextTree(["0"] + [bits_to_str(w) + "1" for w in itertools.product((0, 1), repeat=11)])
+    src = MarkovSource(tree, np.random.default_rng(5).uniform(0.3, 0.7, len(tree.leaves)))
+    delta = DeltaSpec.parse("exp:1")
+    start = time.perf_counter()
+    found = check_continuity(src, delta)
+    assert time.perf_counter() - start < 1.0
+    assert 0 < len(found) <= 2 * (2**11 - 1)
+    for v in found:  # every state ending in 0 is the leaf 0's, so no such class fails
+        assert v.s1.endswith(v.w) and v.s2.endswith(v.w) and v.s1 != v.s2 and not v.w.endswith("0")
 
 
 def test_full_tree_excesses_equal_the_per_depth_scan():
