@@ -495,8 +495,9 @@ def _np_enum_sum(term, depth, state0, n):
     # rows, each summed over the context axis as a whole-sequence row would
     # be, and scattered back to every sequence with that pair.  The output
     # is fresh on every call, so a caller may write to it
+    plan = _enum_plan(depth, state0, n)  # first, so a refused shape allocates nothing
     out = np.empty((1 << (n // 2), 1 << (n - n // 2)))
-    for rows, ua, ia, uc, ic in _enum_plan(depth, state0, n):
+    for rows, ua, ia, uc, ic in plan:
         # the indices are added in intp, which take uses without a
         # conversion pass
         grid = term.take(np.add(ua, uc, dtype=np.intp)).sum(axis=-1)
@@ -509,6 +510,10 @@ def _np_enum_sum(term, depth, state0, n):
 # Against 512 KB at n = 16 a plan takes 17 KB at depth 2 and 169 KB at
 # depth 4, but 2.3 MB at depth 6, so deep shapes rebuild theirs every call
 _ENUM_PLANS = 8
+# the largest dense suffix code rows a plan may build; a larger shape is
+# refused before anything is allocated (the walk's np.repeat briefly holds
+# half as much again)
+_ENUM_ROW_BYTES = 1 << 30
 _enum_plans: dict = {}
 _enum_plans_lock = threading.Lock()
 
@@ -524,6 +529,15 @@ def _enum_plan(depth, state0, n):
     plan = _enum_plans.get(key)
     if plan is not None:
         return plan
+    # the suffixes start from at most min(2**d, 2**h) states, and each of
+    # their 2**(n-h) walks is an int16 row of 2**d contexts
+    h = n // 2
+    size = (min(1 << depth, 1 << h) << (n - h) << depth) * 2
+    if size > _ENUM_ROW_BYTES:
+        raise ValueError(
+            f"exact enumeration at depth {depth} and n = {n} needs {size / 2**30:g} GiB of "
+            f"count rows, over the {_ENUM_ROW_BYTES / 2**30:g} GiB limit"
+        )
     prefix, end, starts, suffix = _np_half_codes(depth, state0, n)
     plan = []
     for s, rows_c in zip(starts, suffix):

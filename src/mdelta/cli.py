@@ -141,6 +141,11 @@ def _load_source(path: str) -> MarkovSource:
     return parse_source(Path(path).read_text())
 
 
+def _past(args: argparse.Namespace, *depths: int) -> str:
+    """--past, or else zeros enough for the deepest of the source and coder."""
+    return args.past if args.past is not None else "0" * max(depths)
+
+
 def _build_coder(kind: str, ell: int, past: str, n: int, source: MarkovSource | None):
     if kind == "kt":
         return coders.KTCoder(ell, past)
@@ -204,7 +209,7 @@ def _cmd_gen_source(args) -> int:
 
 def _cmd_sample(args) -> int:
     src = _load_source(args.source)
-    past = args.past if args.past is not None else "0" * src.memory
+    past = _past(args, src.memory)
     bits = src.sample(past, args.n, seed=args.seed)
     _write_bits_file(args.out, bits, _meta(args))
     print(f"sample: wrote {args.n} bits to {args.out} ({int(bits.sum())} ones)")
@@ -213,7 +218,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_prob(args) -> int:
     src = _load_source(args.source)
-    past = args.past if args.past is not None else "0" * src.memory
+    past = _past(args, src.memory, args.ell)
     if args.infile is None and args.x is None:
         raise ValueError("prob needs --in FILE or --x BITS")
     bits = _read_bits_file(args.infile) if args.infile else as_bits(args.x)
@@ -230,7 +235,7 @@ def _cmd_prob(args) -> int:
 def _cmd_encode(args) -> int:
     bits = _read_bits_file(args.infile)
     src = _load_source(args.source) if args.source else None
-    past = args.past if args.past is not None else "0" * max(args.ell, src.memory if src else 0)
+    past = _past(args, args.ell, src.memory if src else 0)
     coder = _build_coder(args.coder, args.ell, past, len(bits), src)
     code = codec.encode(coder, bits)
     Path(args.out).write_bytes(codec.pack_stream(code, args.ell, len(bits)))
@@ -245,7 +250,7 @@ def _cmd_decode(args) -> int:
     if args.ell is not None and args.ell != depth:
         raise codec.CodecError(f"stream says depth {depth}, flags say {args.ell}")
     src = _load_source(args.source) if args.source else None
-    past = args.past if args.past is not None else "0" * max(depth, src.memory if src else 0)
+    past = _past(args, depth, src.memory if src else 0)
     coder = _build_coder(args.coder, depth, past, n, src)
     bits = codec.decode(coder, code, n)
     _write_bits_file(args.out, bits, _meta(args))
@@ -277,7 +282,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_redundancy(args) -> int:
     src = _load_source(args.source)
-    past = args.past if args.past is not None else "0" * max(src.memory, args.ell)
+    past = _past(args, src.memory, args.ell)
     coder = _build_coder(args.coder, args.ell, past, args.n, src)
     if args.exact:
         value = redundancy.exact_avg_redundancy(src, past, coder, args.n)
@@ -297,7 +302,7 @@ def _cmd_redundancy(args) -> int:
 
 
 def _cmd_nml(args) -> int:
-    past = args.past if args.past is not None else "0" * args.ell
+    past = _past(args, args.ell)
     result = coders.shtarkov_sum(args.ell, past, args.n)
     print(repr(result.log2_sum))
     return 0

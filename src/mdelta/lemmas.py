@@ -2,11 +2,14 @@
 redundancy bounds rest on: exact small-n path enumeration where feasible,
 seeded Monte Carlo with explicit statistical slack elsewhere.
 
-Statistical contract: every Monte Carlo verdict uses slack equal to
-3 standard errors of the empirical quantity and records it; exact
-checks use no statistical slack, only a float tolerance (1e-9 for
-accumulated log products, 1e-12 for direct sums).  Fixed seed means a
-bit-identical report.
+Statistical contract: every Monte Carlo harness runs exactly the
+`trials` it is given, from one stream seeded by `child_seed(seed,
+"trials")`, and its verdict uses slack equal to 3 standard errors of
+the empirical quantity and records it; exact checks use no statistical
+slack, only a float tolerance (1e-9 for accumulated log products, 1e-12
+for direct sums).  A report's verdict is derived from its empirical
+value, bound and slack, so no report can disagree with them.  Fixed
+seed means a bit-identical report.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .source import (
     _check_horizon,
     _chunk_sizes,
     _fold,
+    _require_cap,
     aggregate_moments,
     as_bits,
     log2_empirical_product,
@@ -54,14 +58,14 @@ __all__ = [
 
 EXACT_TOL_LOG = 1e-9
 EXACT_TOL_SUM = 1e-12
-_ESCALATION_CAP = 10**7
 
 AZUMA_KINDS = {"fixed": 0, "first-passage": 1, "random": 2}
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one harness run; verdict is empirical <= bound + slack."""
+    """Outcome of one harness run; verdict is empirical <= bound + slack,
+    set from those three when the report is built."""
 
     lemma: str
     params: dict
@@ -70,50 +74,28 @@ class VerificationReport:
     empirical: float
     bound: float
     slack: float
-    verdict: bool
+    verdict: bool = field(init=False)
     extras: dict = field(default_factory=dict)
     samples: np.ndarray | None = None
 
     def __post_init__(self):
-        expected = self.empirical <= self.bound + self.slack
-        if self.verdict != expected:
-            raise ValueError("verdict inconsistent with empirical/bound/slack")
+        object.__setattr__(self, "verdict", bool(self.empirical <= self.bound + self.slack))
 
 
-def _make_report(lemma, params, trials, failures, empirical, bound, slack, **kw):
-    return VerificationReport(
-        lemma=lemma,
-        params=params,
-        trials=trials,
-        failures=failures,
-        empirical=empirical,
-        bound=bound,
-        slack=slack,
-        verdict=bool(empirical <= bound + slack),
-        **kw,
-    )
+def _trials_rng(trials: int, seed: int, least: int = 1) -> np.random.Generator:
+    """The one stream a Monte Carlo harness draws its trials from, once
+    `trials` reaches `least`: one trial for a rate, two for a sample
+    standard deviation."""
+    if trials < least:
+        raise ValueError(f"trials must be at least {least}, got {trials}")
+    return np.random.default_rng(_kernels.child_seed(seed, "trials"))
 
 
-def _rate_se(phat: float, trials: int) -> float:
-    return math.sqrt(phat * (1.0 - phat) / trials) if trials else 0.0
-
-
-def _escalate(run, trials: int | None, min_trials: int = 1):
-    """Run with auto-escalating trial counts until 3*SE <= 20% of the bound.
-
-    An explicit trial count must reach `min_trials`: one trial for a rate,
-    two for a sample standard deviation.
-    """
-    if trials is not None:
-        if trials < min_trials:
-            raise ValueError(f"trials must be at least {min_trials}, got {trials}")
-        return run(trials)
-    t = 10**4
-    while True:
-        report = run(t)
-        if report.slack <= 0.2 * report.bound or t >= _ESCALATION_CAP:
-            return report
-        t = min(4 * t, _ESCALATION_CAP)
+def _rate_report(lemma, params, trials, failures, bound, **kw) -> VerificationReport:
+    # the failure rate against its bound, with 3 binomial standard errors of slack
+    phat = failures / trials
+    slack = 3.0 * math.sqrt(phat * (1.0 - phat) / trials)
+    return VerificationReport(lemma, params, trials, failures, phat, bound, slack, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -139,8 +121,7 @@ def verify_domination(
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must lie in [0, 1]")
-    if n > 20:
-        raise ValueError("exact path enumeration capped at n <= 20")
+    _require_cap(n)
     if processes < 1:
         raise ValueError(f"processes must be at least 1, got {processes}")
     tails = np.array([binomial_tail(n, q, k) for k in range(n + 1)])
@@ -151,7 +132,7 @@ def verify_domination(
     excess = (np.cumsum(dists, axis=1) - tails).max(axis=1)
     failures = int((excess > EXACT_TOL_SUM).sum())
     worst = max(float(excess.max()), equality_gap)
-    return _make_report(
+    return VerificationReport(
         "domination",
         {"n": n, "q": q, "processes": processes, "seed": seed},
         trials=processes,
@@ -173,36 +154,45 @@ def state_count_threshold(n: int, ell: int) -> float:
     return n / (2.0 ** (ell + 1) * ell) - math.sqrt(n * math.log2(n) / (2.0**ell * ell))
 
 
-def _hypercube_setup(ell, delta_at, seed, state, source=None):
+def _state_setup(ell, delta_at, n, seed, state, source):
+    """What the state-count harnesses share: the horizon check, the source
+    (a seeded hypercube one unless supplied), the target state's code and
+    the params."""
+    _check_horizon(n)
     if source is None:
         source = random_hypercube_source(ell, delta_at, seed=_kernels.child_seed(seed, "source"))
     elif source.memory != ell:
         raise ValueError("supplied source must have memory equal to ell")
     state = state if state is not None else "1" * ell
-    code = state_code(state, ell)
-    past = "0" * ell
-    return source, state, code, past
+    params = {"ell": ell, "delta_at": delta_at, "n": n, "state": state, "seed": seed}
+    return source, state_code(state, ell), params
 
 
-def _state_counts(source, past, ell, n, trials, rng, code):
-    """Per-trial (n_s, n_s1) for one target state, chunked sampling."""
+def _state_counts(source, n, trials, rng, code):
+    """Per-trial (n_s, n_s1) for one target state, sampled in chunks from
+    the all-zeros past."""
+    ell = source.memory
     occ_out = np.empty(trials, np.int64)
     ones_out = np.empty(trials, np.int64)
-    s0 = state_code(past, ell)
     done = 0
-    for bits in source._sample_chunks(past, n, trials, rng):
-        occ, ones = _kernels.count_batch(bits, s0, ell)
+    for bits in source._sample_chunks("0" * ell, n, trials, rng):
+        occ, ones = _kernels.count_batch(bits, 0, ell)
         occ_out[done : done + len(bits)] = occ[:, code]
         ones_out[done : done + len(bits)] = ones[:, code]
         done += len(bits)
     return occ_out, ones_out
 
 
+def _inverse_counts(occ):
+    # 1/n_s per trial, taken as 1 where the state was never visited
+    return np.where(occ > 0, 1.0 / np.maximum(occ, 1), 1.0)
+
+
 def verify_state_count(
     ell: int = 2,
     delta_at: float = 1 / 16,
     n: int = 2**14,
-    trials: int | None = 10**4,
+    trials: int = 10**4,
     seed: int = 0,
     state: str | None = None,
     threshold: float | None = None,
@@ -211,34 +201,26 @@ def verify_state_count(
     """MC check that a near-fair chain rarely starves any one state:
     P(n_s <= threshold) <= 1/n, threshold defaulting to
     n/(2^{ell+1} ell) - sqrt(n log2(n)/(2^ell ell))."""
-    _check_horizon(n)
-    source, state, code, past = _hypercube_setup(ell, delta_at, seed, state, source)
+    source, code, params = _state_setup(ell, delta_at, n, seed, state, source)
     k = threshold if threshold is not None else state_count_threshold(n, ell)
-    params = {"ell": ell, "delta_at": delta_at, "n": n, "state": state, "seed": seed, "k": k}
+    params["k"] = k
     if k <= 0:
-        return _make_report(
+        return VerificationReport(
             "state-count", params, 0, 0, 0.0, 1.0 / n, 0.0, extras={"skipped": "threshold <= 0"}
         )
-
-    def run(t):
-        rng = np.random.default_rng(_kernels.child_seed(seed, "trials"))
-        occ, _ = _state_counts(source, past, ell, n, t, rng, code)
-        failures = int((occ <= k).sum())
-        phat = failures / t
-        return _make_report(
-            "state-count", params, t, failures, phat, 1.0 / n, 3.0 * _rate_se(phat, t),
-            # the smallest n_s, to read against the threshold k in params
-            extras={"mean_count": float(occ.mean()), "min_count": int(occ.min())},
-        )
-
-    return _escalate(run, trials)
+    occ, _ = _state_counts(source, n, trials, _trials_rng(trials, seed), code)
+    return _rate_report(
+        "state-count", params, trials, int((occ <= k).sum()), 1.0 / n,
+        # the smallest n_s, to read against the threshold k in params
+        extras={"mean_count": float(occ.mean()), "min_count": int(occ.min())},
+    )
 
 
 def estimate_inv_ns(
     ell: int = 2,
     delta_at: float = 1 / 16,
     n: int = 2**12,
-    trials: int | None = 10**4,
+    trials: int = 10**4,
     seed: int = 0,
     state: str | None = None,
     source: MarkovSource | None = None,
@@ -246,31 +228,23 @@ def estimate_inv_ns(
     """MC estimate of E[1/n_s] (taken as 1 when n_s = 0) against the
     asymptotic ceiling; both the tight constant ell 2^{ell+1}/n and its
     doubled, safer companion are recorded, and the looser one decides."""
-    _check_horizon(n)
-    source, state, code, past = _hypercube_setup(ell, delta_at, seed, state, source)
+    source, code, params = _state_setup(ell, delta_at, n, seed, state, source)
     bound_tight = ell * 2.0 ** (ell + 1) / n
     bound_loose = 2.0 * ell * 2.0 ** (ell + 1) / n
-    params = {"ell": ell, "delta_at": delta_at, "n": n, "state": state, "seed": seed}
-
-    def run(t):
-        rng = np.random.default_rng(_kernels.child_seed(seed, "trials"))
-        occ, _ = _state_counts(source, past, ell, n, t, rng, code)
-        inv = np.where(occ > 0, 1.0 / np.maximum(occ, 1), 1.0)
-        mean = float(inv.mean())
-        se = float(inv.std(ddof=1) / math.sqrt(t))
-        return _make_report(
-            "inv-ns", params, t, int((inv > bound_loose).sum()), mean, bound_loose, 3.0 * se,
-            extras={"bound_tight": bound_tight, "bound_loose": bound_loose, "se": se},
-        )
-
-    return _escalate(run, trials, min_trials=2)
+    occ, _ = _state_counts(source, n, trials, _trials_rng(trials, seed, 2), code)
+    inv = _inverse_counts(occ)
+    se = float(inv.std(ddof=1) / math.sqrt(trials))
+    return VerificationReport(
+        "inv-ns", params, trials, int((inv > bound_loose).sum()), float(inv.mean()), bound_loose,
+        3.0 * se, extras={"bound_tight": bound_tight, "bound_loose": bound_loose, "se": se},
+    )
 
 
 def verify_mse(
     ell: int = 2,
     delta_at: float = 1 / 16,
     n: int = 2**12,
-    trials: int | None = 10**4,
+    trials: int = 10**4,
     seed: int = 0,
     state: str | None = None,
     source: MarkovSource | None = None,
@@ -278,26 +252,18 @@ def verify_mse(
     """MC check that the plug-in estimate n_s1/n_s of a transition
     probability has mean squared error at most min{E[1/n_s], 1}; empty
     states count a worst-case squared error of 1."""
-    _check_horizon(n)
-    source, state, code, past = _hypercube_setup(ell, delta_at, seed, state, source)
+    source, code, params = _state_setup(ell, delta_at, n, seed, state, source)
     theta_s = float(source.state_theta[code])
-    params = {"ell": ell, "delta_at": delta_at, "n": n, "state": state, "seed": seed}
-
-    def run(t):
-        rng = np.random.default_rng(_kernels.child_seed(seed, "trials"))
-        occ, ones = _state_counts(source, past, ell, n, t, rng, code)
-        hat = np.where(occ > 0, ones / np.maximum(occ, 1), 0.0)
-        sq = np.where(occ > 0, (hat - theta_s) ** 2, 1.0)
-        inv = np.where(occ > 0, 1.0 / np.maximum(occ, 1), 1.0)
-        mse = float(sq.mean())
-        rhs = min(float(inv.mean()), 1.0)
-        se = math.hypot(float(sq.std(ddof=1)), float(inv.std(ddof=1))) / math.sqrt(t)
-        return _make_report(
-            "mse", params, t, int((sq > rhs).sum()), mse, rhs, 3.0 * se,
-            extras={"theta": theta_s, "inv_ns_mean": float(inv.mean()), "se": se},
-        )
-
-    return _escalate(run, trials, min_trials=2)
+    occ, ones = _state_counts(source, n, trials, _trials_rng(trials, seed, 2), code)
+    hat = np.where(occ > 0, ones / np.maximum(occ, 1), 0.0)
+    sq = np.where(occ > 0, (hat - theta_s) ** 2, 1.0)
+    inv = _inverse_counts(occ)
+    rhs = min(float(inv.mean()), 1.0)
+    se = math.hypot(float(sq.std(ddof=1)), float(inv.std(ddof=1))) / math.sqrt(trials)
+    return VerificationReport(
+        "mse", params, trials, int((sq > rhs).sum()), float(sq.mean()), rhs, 3.0 * se,
+        extras={"theta": theta_s, "inv_ns_mean": float(inv.mean()), "se": se},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +274,7 @@ def verify_mse(
 def verify_azuma_stopped(
     n: int = 100,
     gamma: float = 5.0,
-    trials: int | None = 10**6,
+    trials: int = 10**6,
     seed: int = 0,
     kind: str = "first-passage",
 ) -> VerificationReport:
@@ -326,23 +292,17 @@ def verify_azuma_stopped(
     if kind not in AZUMA_KINDS:
         raise ValueError(f"unknown stopping kind {kind!r}; choose from {sorted(AZUMA_KINDS)}")
     bound = n * math.exp(-gamma * gamma / 2.0)
-    params = {"n": n, "gamma": gamma, "kind": kind, "seed": seed}
-
-    def run(t):
-        rng = np.random.default_rng(_kernels.child_seed(seed, "trials"))
-        failures = 0
-        for size in _chunk_sizes(t, n):
-            u = rng.random((size, n))
-            failures += _kernels.azuma_failures(u, gamma, AZUMA_KINDS[kind])
-        phat = failures / t
-        extras = {"trivial": bound >= 1.0}
-        if kind == "fixed":
-            extras["unstopped_bound"] = math.exp(-gamma * gamma / 2.0)
-        return _make_report(
-            "azuma", params, t, failures, phat, bound, 3.0 * _rate_se(phat, t), extras=extras
-        )
-
-    return _escalate(run, trials)
+    rng = _trials_rng(trials, seed)
+    failures = 0
+    for size in _chunk_sizes(trials, n):
+        failures += _kernels.azuma_failures(rng.random((size, n)), gamma, AZUMA_KINDS[kind])
+    extras = {"trivial": bound >= 1.0}
+    if kind == "fixed":
+        extras["unstopped_bound"] = math.exp(-gamma * gamma / 2.0)
+    return _rate_report(
+        "azuma", {"n": n, "gamma": gamma, "kind": kind, "seed": seed}, trials, failures, bound,
+        extras=extras,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,21 +330,27 @@ def deviation_threshold(n: int, depth: int) -> float:
     return math.log2(n) * math.sqrt(n * 2.0**depth)
 
 
+def _deviations(source, occ, ones, depth):
+    # z_w = |n_w1 - ptilde_w n_w| for every depth-`depth` context w, from
+    # count tables at the source memory or deeper (one row or a batch)
+    _, n_w1, weighted = aggregate_moments(source, occ, ones, depth)
+    return np.abs(n_w1 - weighted)
+
+
 def deviation_stats(source: MarkovSource, past, x, depth: int) -> DeviationStats:
     """Deviations of ones-counts from their aggregated means for one sample."""
     bits = as_bits(x)
     count_depth = max(depth, source.memory)
     s0 = state_code(past, count_depth)
     occ, ones = _kernels.count_batch(bits[None, :], s0, count_depth)
-    n_w, n_w1, weighted = aggregate_moments(source, occ[0], ones[0], depth)
-    z = np.abs(n_w1 - weighted)
+    z = _deviations(source, occ[0], ones[0], depth)
     return DeviationStats(depth, z, float(z.sum()), deviation_threshold(len(bits), depth))
 
 
 def verify_deviation(
     ell: int = 2,
     n: int = 2**12,
-    trials: int | None = 10**4,
+    trials: int = 10**4,
     seed: int = 0,
     delta: DeltaSpec | None = None,
     source: MarkovSource | None = None,
@@ -402,35 +368,24 @@ def verify_deviation(
     if ell > source.memory:
         raise ValueError("deviation depth exceeds the source memory")
     past = "0" * source.memory
-    s0 = state_code(past, source.memory)
     thresh = deviation_threshold(n, ell)
-    bound = 2.0**ell / float(n) ** 3
-    params = {
-        "ell": ell, "n": n, "memory": source.memory, "delta": delta.describe(), "seed": seed,
+    rng = _trials_rng(trials, seed)
+    zs = np.empty(trials)
+    done = 0
+    for bits in source._sample_chunks(past, n, trials, rng):
+        occ, ones = _kernels.count_batch(bits, 0, source.memory)  # the past 0...0 has code 0
+        zs[done : done + len(bits)] = _deviations(source, occ, ones, ell).sum(axis=1)
+        done += len(bits)
+    max_z = float(zs.max())
+    extras = {
+        "threshold": thresh, "max_z": max_z, "max_z_over_threshold": max_z / thresh,
+        "mean_z": float(zs.mean()),
     }
-
-    def run(t):
-        rng = np.random.default_rng(_kernels.child_seed(seed, "trials"))
-        zs = np.empty(t)
-        done = 0
-        for bits in source._sample_chunks(past, n, t, rng):
-            occ, ones = _kernels.count_batch(bits, s0, source.memory)
-            n_w, n_w1, weighted = aggregate_moments(source, occ, ones, ell)
-            zs[done : done + len(bits)] = np.abs(n_w1 - weighted).sum(axis=1)
-            done += len(bits)
-        failures = int((zs > thresh).sum())
-        phat = failures / t
-        max_z = float(zs.max())
-        extras = {
-            "threshold": thresh, "max_z": max_z, "max_z_over_threshold": max_z / thresh,
-            "mean_z": float(zs.mean()),
-        }
-        return _make_report(
-            "deviation", params, t, failures, phat, bound, 3.0 * _rate_se(phat, t), extras=extras,
-            samples=zs,
-        )
-
-    return _escalate(run, trials)
+    params = {"ell": ell, "n": n, "memory": source.memory, "delta": delta.describe(), "seed": seed}
+    return _rate_report(
+        "deviation", params, trials, int((zs > thresh).sum()), 2.0**ell / float(n) ** 3,
+        extras=extras, samples=zs,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +446,7 @@ def _exact_batch(lemma, check, excess, count, ell, n, delta, seed) -> Verificati
         worst = max(worst, excess(result))
         if not result.ok:
             failures += 1
-    return _make_report(
+    return VerificationReport(
         lemma,
         {"count": count, "ell": ell, "n": n, "delta": delta.describe(), "seed": seed},
         trials=count,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,31 @@ def test_nml_past_defaults_to_zeros(capsys):
     assert main(["nml", "--ell", "2", "--n", "3", "--past", "00"]) == 0
     default, zeros = capsys.readouterr().out.split()
     assert default == zeros
+
+
+def test_prob_past_defaults_to_the_deeper_of_source_and_coder(tmp_path, capsys):
+    # a depth-4 coder on a memory-2 source gets the past 0000, as encode does
+    src = tmp_path / "src.txt"
+    assert main(["gen-source", "--ell", "2", "--seed", "4", "--out", str(src)]) == 0
+    argv = ["prob", "--source", str(src), "--x", "0110100111", "--coder", "kt", "--ell", "4"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--past", "0000"]) == 0
+    assert capsys.readouterr().out == default
+
+
+def test_enumeration_over_the_row_limit_exits_two_before_allocating(capsys):
+    # depth 10 at n = 20 needs 2 GiB of suffix count rows
+    tracemalloc.start()
+    try:
+        assert main(["nml", "--ell", "10", "--n", "20"]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err == "error: exact enumeration at depth 10 and n = 20 needs 2 GiB of count rows, over the 1 GiB limit\n"
+    assert peak < 1 << 20
 
 
 def test_gen_sample_prob_pipeline(tmp_path, capsys):
@@ -135,9 +161,8 @@ def test_verify_rows_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
 
 
 def test_verify_exit_code_on_failure(monkeypatch, tmp_path):
-    failing = lemmas.VerificationReport(
-        "domination", {}, 1, 1, empirical=1.0, bound=0.0, slack=0.0, verdict=False
-    )
+    failing = lemmas.VerificationReport("domination", {}, 1, 1, empirical=1.0, bound=0.0, slack=0.0)
+    assert not failing.verdict
     monkeypatch.setattr(lemmas, "verify_domination", lambda **kw: failing)
     assert main(["verify", "domination", "--seed", "1"]) == 1
 

@@ -523,6 +523,21 @@ def test_enum_result_is_fresh_and_plans_are_read_only(monkeypatch):
                 part.reshape(-1)[0] = 1
 
 
+@pytest.mark.parametrize("depth, n, refused", [
+    (2, 16, False), (16, 12, False), (10, 19, False), (9, 20, False),
+    (10, 20, True), (16, 14, True), (16, 20, True),
+])
+def test_enum_plan_refuses_shapes_over_the_row_limit(monkeypatch, depth, n, refused):
+    # the check runs before the walks: a shape it admits reaches them
+    def walk(*args):
+        raise LookupError("walked")
+
+    monkeypatch.setattr(_kernels, "_enum_plans", {})
+    monkeypatch.setattr(_kernels, "_np_half_codes", walk)
+    with pytest.raises(ValueError if refused else LookupError):
+        _kernels._enum_plan(depth, 0, n)
+
+
 def test_enum_plans_keep_a_fixed_number(monkeypatch):
     monkeypatch.setattr(_kernels, "_enum_plans", {})
     # depth 0 from n = 4 on: below that a plan outweighs the result
