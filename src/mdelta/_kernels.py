@@ -409,21 +409,6 @@ def _source_log2(occ, ones, lt1, lt0):
 # ---------------------------------------------------------------------------
 
 
-def _np_levels(states, depth, n):
-    # the level walk behind _np_walk_codes: walk the prefix trees of the
-    # start states one level at a time: prefix p of level t has the child
-    # rows 2p (bit 0) and 2p+1 (bit 1), so each start's rows stay in
-    # lexicographic order, one block per start in the order given; yields
-    # the parent's context state and the bit of every child
-    mask = (1 << depth) - 1
-    s = np.asarray(states, np.int64).reshape(-1)
-    for _ in range(n):
-        parent = np.repeat(s, 2)
-        bit = np.arange(parent.size, dtype=np.int64) & 1
-        yield parent, bit
-        s = ((parent << 1) | bit) & mask
-
-
 def enum_source_log2(lt1, lt0, state0: int, ell: int, n: int) -> np.ndarray:
     """log2 probability of every length-n sequence, lexicographic order."""
     # prefix p of t bits is in state ((state0 << t) | p) & mask, which is
@@ -450,13 +435,20 @@ def enum_source_log2(lt1, lt0, state0: int, ell: int, n: int) -> np.ndarray:
 
 def _np_walk_codes(depth, states, n, stride):
     # per-context packed counts occ*stride + ones of every length-n
-    # continuation of each start state, rows as _np_levels orders them
+    # continuation of each start state, walked one level at a time: prefix
+    # p of level t has the child rows 2p (bit 0) and 2p+1 (bit 1), so each
+    # start's rows stay in lexicographic order, one block per start in the
+    # order given
     m = 1 << depth
-    codes = np.zeros((len(states), m), np.int16)
-    for parent, bit in _np_levels(states, depth, n):
+    s = np.asarray(states, np.int64).reshape(-1)
+    codes = np.zeros((s.size, m), np.int16)
+    for _ in range(n):
+        parent = np.repeat(s, 2)  # the context state of every child's parent
+        bit = np.arange(parent.size, dtype=np.int64) & 1
         codes = np.repeat(codes, 2, axis=0)
         # one increment per row, so a plain indexed add is exact
         codes.reshape(-1)[np.arange(0, codes.size, m) + parent] += (bit + stride).astype(np.int16)
+        s = ((parent << 1) | bit) & (m - 1)
     return codes
 
 

@@ -6,7 +6,8 @@ version, the root seed and a hash of the resolved configuration, so a
 run can be reproduced from the file alone.  All randomness flows from
 the single --seed via labeled splitting (see _kernels.child_seed).
 
-Exit codes: 0 success, 1 a verification verdict failed, 2 bad usage.
+Exit codes: 0 success, 1 a verification verdict failed, 2 bad usage
+(including a request too large for the memory available).
 """
 
 from __future__ import annotations
@@ -122,9 +123,17 @@ def _cell(v) -> str:
     return str(v)
 
 
+def _read_text(path: str) -> str:
+    """A text input file (bits, source or config), which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 def _read_bits_file(path: str) -> np.ndarray:
     chunks = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_text(path).splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
             chunks.append(line)
@@ -138,7 +147,7 @@ def _write_bits_file(path: str, bits, meta: dict) -> None:
 
 
 def _load_source(path: str) -> MarkovSource:
-    return parse_source(Path(path).read_text())
+    return parse_source(_read_text(path))
 
 
 def _past(args: argparse.Namespace, *depths: int) -> str:
@@ -166,7 +175,7 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return
     sub = getattr(args, "subparser", parser)
     actions = {action.dest: action for action in sub._actions}
-    for lineno, raw in enumerate(Path(args.config).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(args.config).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -572,6 +581,9 @@ def main(argv=None) -> int:
         ContinuityGenerationError, StationaryConvergenceError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: not enough memory for the requested size", file=sys.stderr)
         return 2
 
 

@@ -399,17 +399,12 @@ class NMLCoder(SequentialCoder):
         self._prefix = 2 * self._prefix + bit
         self._t += 1
 
-    def _index(self, bits: np.ndarray) -> int:
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | int(b)
-        return idx
-
     def log2_prob(self, x) -> float:
         bits = as_bits(x)
         if bits.size != self.horizon:
             raise ValueError(f"NML coder is defined on length-{self.horizon} sequences")
-        return float(np.log2(self._probs[self._index(bits)]))
+        # a whole sequence's context code is its lexicographic index
+        return float(np.log2(self._probs[state_code(bits, self.horizon)]))
 
     def log2_prob_all(self, n: int) -> np.ndarray:
         if n != self.horizon:

@@ -21,16 +21,15 @@ from math import comb
 import numpy as np
 
 from . import _kernels
-from .coders import ml_log2_from_counts
+from .coders import ml_log2
 from .delta import DeltaSpec
 from .source import (
     MarkovSource,
     _check_horizon,
     _chunk_sizes,
-    _fold,
     _require_cap,
     aggregate_moments,
-    as_bits,
+    count_table,
     log2_empirical_product,
     random_continuity_source,
     random_hypercube_source,
@@ -150,7 +149,9 @@ def verify_domination(
 
 
 def state_count_threshold(n: int, ell: int) -> float:
-    """n / (2^{ell+1} ell) - sqrt(n log2(n) / (2^ell ell))."""
+    """n / (2^{ell+1} ell) - sqrt(n log2(n) / (2^ell ell)), for ell >= 1."""
+    if ell < 1:
+        raise ValueError(f"the state-count threshold needs ell >= 1, got {ell}")
     return n / (2.0 ** (ell + 1) * ell) - math.sqrt(n * math.log2(n) / (2.0**ell * ell))
 
 
@@ -339,12 +340,9 @@ def _deviations(source, occ, ones, depth):
 
 def deviation_stats(source: MarkovSource, past, x, depth: int) -> DeviationStats:
     """Deviations of ones-counts from their aggregated means for one sample."""
-    bits = as_bits(x)
-    count_depth = max(depth, source.memory)
-    s0 = state_code(past, count_depth)
-    occ, ones = _kernels.count_batch(bits[None, :], s0, count_depth)
-    z = _deviations(source, occ[0], ones[0], depth)
-    return DeviationStats(depth, z, float(z.sum()), deviation_threshold(len(bits), depth))
+    counts = count_table(x, past, max(depth, source.memory))
+    z = _deviations(source, counts.occurrences, counts.ones, depth)
+    return DeviationStats(depth, z, float(z.sum()), deviation_threshold(counts.total, depth))
 
 
 def verify_deviation(
@@ -408,22 +406,20 @@ def verify_truncation(
     """Exact check that truncating memory to ell costs at most
     n log2(1 + delta(ell)) <= 2 n delta(ell) bits for this sample, and
     that the depth-ell maximized likelihood is at least as close."""
-    bits = as_bits(x)
-    n = len(bits)
     d = delta(ell)
     truncated = source.truncate(ell)
-    # one count at the deepest depth any term needs, folded to each term's
-    # own: the same integers as counting at that depth
-    depth = max(ell, source.memory)
-    occ, ones = _kernels.count_batch(bits[None, :], state_code(past, depth), depth)
+    # one count at the deepest depth any term needs, aggregated to each
+    # term's own: the same integers as counting at that depth
+    counts = count_table(x, past, max(ell, source.memory))
+    n = counts.total
 
     def log2_prob(src):
-        m = src.memory
-        return float(src.log2_prob_counts(_fold(occ, m), _fold(ones, m))[0])
+        at = counts.aggregate(src.memory)
+        return float(src.log2_prob_counts(at.occurrences[None], at.ones[None])[0])
 
     log_p = log2_prob(source)
     margin = log_p - log2_prob(truncated)
-    margin_ml = log_p - float(ml_log2_from_counts(_fold(occ, ell)[0], _fold(ones, ell)[0]))
+    margin_ml = log_p - ml_log2(counts.aggregate(ell))
     bound_log = n * math.log2(1.0 + d)
     bound_linear = 2.0 * n * d
     ok = margin <= bound_log + EXACT_TOL_LOG and margin_ml <= bound_linear + EXACT_TOL_LOG
@@ -487,14 +483,11 @@ def verify_chaining(
 ) -> ChainingCheck:
     """Exact check that refining the aggregation depth by one can raise the
     empirical product by at most 2 n delta(ell)^2 + 2 z_{ell+1} delta(ell) bits."""
-    bits = as_bits(x)
-    n = len(bits)
-    count_depth = max(ell + 1, source.memory)
-    s0 = state_code(past, count_depth)
-    occ, ones = _kernels.count_batch(bits[None, :], s0, count_depth)
-    n_w, n_w1, weighted = aggregate_moments(source, occ[0], ones[0], ell + 1)
+    counts = count_table(x, past, max(ell + 1, source.memory))
+    n = counts.total
+    n_w, n_w1, weighted = aggregate_moments(source, counts.occurrences, counts.ones, ell + 1)
     lhs = log2_empirical_product(n_w, n_w1, weighted)
-    rhs = log2_empirical_product(*aggregate_moments(source, occ[0], ones[0], ell))
+    rhs = log2_empirical_product(*aggregate_moments(source, counts.occurrences, counts.ones, ell))
     z_next = float(np.abs(n_w1 - weighted).sum())  # deviation_stats(..., ell + 1).aggregate
     d = delta(ell)
     allowance = 2.0 * n * d * d + 2.0 * z_next * d

@@ -400,8 +400,6 @@ class MarkovSource:
         _check_horizon(n, 0)
         if rng is None:
             rng = np.random.default_rng(seed)
-        if n == 0:
-            return np.empty(0, np.uint8)
         u = rng.random((1, n))
         return _kernels.sample_batch(self.state_theta, self._past_code(past), self.memory, u)[0]
 
@@ -475,10 +473,11 @@ class MarkovSource:
         w = bits_to_str(as_bits(w)) if not isinstance(w, str) else w
         if len(w) >= self.memory:
             return self.theta(self.tree.context_of(w))
-        mass, weighted = _aggregate_at(self, self.stationary, w)
-        if mass <= 0.0:
+        mass, weighted = _aggregate(self, self.stationary, len(w))
+        col = state_code(w, len(w))
+        if mass[col] <= 0.0:
             raise ValueError(f"context {w!r} has zero stationary mass")
-        return weighted / mass
+        return float(weighted[col] / mass[col])
 
     # -- truncation ---------------------------------------------------------
 
@@ -509,28 +508,19 @@ def empirical_aggregate(source: MarkovSource, x, past, w) -> float | None:
     w = bits_to_str(as_bits(w)) if not isinstance(w, str) else w
     if len(w) >= source.memory:
         return source.theta(source.tree.context_of(w))
-    n_w, weighted = _aggregate_at(source, count_table(x, past, source.memory).occurrences, w)
-    return weighted / n_w if n_w else None
+    n_w, weighted = _aggregate(source, count_table(x, past, source.memory).occurrences, len(w))
+    col = state_code(w, len(w))
+    return float(weighted[col] / n_w[col]) if n_w[col] else None
 
 
-def _aggregate_at(source: MarkovSource, weights: np.ndarray, w: str) -> tuple[float, float]:
-    """Total weight of the length-`memory` states ending in w, and that
-    total weighted by P(1 | state): the column of w in aggregate_moments
-    for per-state weights such as counts or the stationary law."""
-    k = len(w)
-    col = state_code(w, k)
-    return float(_fold(weights, k)[col]), float(_fold(weights * source.state_theta, k)[col])
-
-
-def expanded_theta(source: MarkovSource, depth: int) -> np.ndarray:
-    """P(1 | state) over 2**depth states for depth >= memory.
-
-    Tiling works because a deeper state's leaf is determined by its low
-    (most recent) `memory` bits.
-    """
-    if depth < source.memory:
-        raise ValueError("expansion depth below the source memory")
-    return np.tile(source.state_theta, 1 << (depth - source.memory))
+def _aggregate(source: MarkovSource, weights: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Total weight of the states ending in each depth-`depth` context w,
+    and that total weighted by P(1 | state), from (possibly batched)
+    per-state weights such as counts or the stationary law over 2**D
+    states, D >= memory.  A deeper state's parameter is that of its low
+    (most recent) `memory` bits, so theta is tiled to the weights' states."""
+    theta = np.tile(source.state_theta, weights.shape[-1] >> source.memory)
+    return _fold(weights, depth), _fold(weights * theta, depth)
 
 
 def aggregate_moments(
@@ -546,8 +536,8 @@ def aggregate_moments(
         raise ValueError("count arrays must span a power-of-two state space")
     if depth > count_depth or count_depth < source.memory:
         raise ValueError("count depth must cover both the target depth and the memory")
-    weighted = _fold(occ * expanded_theta(source, count_depth), depth)
-    return _fold(occ, depth), _fold(ones, depth), weighted
+    mass, weighted = _aggregate(source, occ, depth)
+    return mass, _fold(ones, depth), weighted
 
 
 def log2_empirical_product(n_w: np.ndarray, n_w1: np.ndarray, weighted: np.ndarray) -> float:

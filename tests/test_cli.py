@@ -247,6 +247,39 @@ def test_generation_errors_exit_two(monkeypatch, tmp_path, capsys, error):
     assert not out.exists()
 
 
+def test_out_of_memory_exits_two(monkeypatch, tmp_path, capsys):
+    # numpy's failed allocations raise a MemoryError subclass; nothing is allocated here
+    from mdelta.source import MarkovSource
+
+    def fail(*args, **kwargs):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (1, 4000000000)")
+
+    src, out = tmp_path / "src.txt", tmp_path / "x.txt"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+                 "--out", str(src)]) == 0
+    monkeypatch.setattr(MarkovSource, "sample", fail)
+    assert main(["sample", "--source", str(src), "--n", "4000000000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == "error: not enough memory for the requested size"
+    assert not out.exists()
+
+
+def test_non_utf8_inputs_exit_two_with_their_path(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\x84memory 0\n")
+    src = tmp_path / "src.txt"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+                 "--out", str(src)]) == 0
+    capsys.readouterr()
+    for argv in (
+        ["sample", "--source", str(bad), "--n", "4", "--out", str(tmp_path / "o.txt")],
+        ["prob", "--source", str(src), "--in", str(bad)],
+        ["--config", str(bad), "nml", "--ell", "1", "--n", "2"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+
+
 def test_unknown_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["bounds", "--n", "64", "--delta", "exp:1", "--frobnicate"])

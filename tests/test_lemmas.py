@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mdelta import _kernels
+from mdelta.coders import NMLCoder
 from mdelta.delta import DeltaSpec
 from mdelta.lemmas import (
     AZUMA_KINDS,
@@ -27,6 +28,7 @@ from mdelta.lemmas import (
 from mdelta.source import (
     ContextTree,
     MarkovSource,
+    aggregate_moments,
     count_table,
     empirical_aggregate,
     full_tree,
@@ -120,6 +122,17 @@ def test_domination_deterministic():
 def test_state_count_threshold_value():
     k = state_count_threshold(2**14, 2)
     assert k == pytest.approx(1024 - math.sqrt(2**14 * 14 / 8), abs=1e-9)
+
+
+def test_state_count_threshold_needs_a_positive_depth():
+    # at ell = 0 the default threshold would divide by ell; an explicit
+    # threshold needs no depth and still runs
+    with pytest.raises(ValueError, match="^the state-count threshold needs ell >= 1, got 0$"):
+        state_count_threshold(64, 0)
+    with pytest.raises(ValueError, match="needs ell >= 1"):
+        verify_state_count(ell=0, n=64, trials=2)
+    rep = verify_state_count(ell=0, n=64, trials=2, threshold=3.0)
+    assert rep.trials == 2 and rep.params["k"] == 3.0
 
 
 def test_state_count_fair_source_never_starves():
@@ -480,3 +493,64 @@ def test_harness_reports_match_their_recorded_digest():
         h.update(repr([getattr(rep, f) for f in REPORT_FIELDS]).encode())
         h.update(b"-" if rep.samples is None else rep.samples.tobytes())
     assert h.hexdigest() == HARNESS_DIGEST
+
+
+# one sha256 over every output of the per-sample upper-bound checks and
+# the aggregates they rest on, recorded while each check still counted
+# its sample through its own count_batch call and the aggregates folded
+# through their own helpers
+UPPER_BOUND_DIGEST = "efd72948d7b7b29f36547b5c04880e4fe8f8e89d4119358a5b620f4c29e6a5d5"
+
+
+def _digest_value(v):
+    # a bit-exact, type-stable text for floats, arrays and check records
+    if isinstance(v, np.ndarray):
+        return f"{v.dtype.str}{v.shape}{v.tobytes().hex()}"
+    if isinstance(v, (bool, np.bool_, type(None), str)):
+        return repr(v)
+    if isinstance(v, (tuple, list)):
+        return "(" + ",".join(_digest_value(u) for u in v) + ")"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return float(v).hex()
+    return _digest_value([getattr(v, f) for f in v.__dataclass_fields__])
+
+
+def upper_bound_outputs():
+    delta = DeltaSpec.parse("exp:1")
+    uneven = MarkovSource(ContextTree(["0", "01", "011", "111"]), [0.3, 0.55, 0.8, 0.45])
+    sources = [uneven, random_hypercube_source(0, 0.2, seed=3), random_hypercube_source(3, 0.2, seed=4)]
+    sources += [random_continuity_source(m, delta, seed=10 + m) for m in range(1, 7)]
+    for i, src in enumerate(sources):
+        L = src.memory
+        past = src.sample("0" * L, L + 3, seed=100 + i)
+        x = src.sample(past, 96, seed=200 + i)
+        for ell in range(L + 2):
+            yield verify_truncation(src, past, ell, x, delta)
+            yield verify_chaining(src, past, ell, x, delta)
+        for depth in range(L + 3):
+            yield deviation_stats(src, past, x, depth)
+        for k in range(L + 1):
+            for code in range(1 << k):
+                w = format(code, f"0{k}b") if k else ""
+                try:
+                    yield src.aggregate_conditional(w)
+                except ValueError as exc:
+                    yield str(exc)
+                yield empirical_aggregate(src, x, past, w)
+        rows = np.stack([src.sample(past, 40, seed=300 + i + t) for t in range(3)])
+        occ, ones = _kernels.count_batch(rows, 5 & ((2 << L) - 1), L + 1)
+        for depth in range(L + 2):
+            yield aggregate_moments(src, occ, ones, depth)
+    for d, n in ((0, 4), (1, 6), (2, 8)):
+        coder = NMLCoder(d, "1" * d, horizon=n)
+        for code in range(1 << n):
+            yield coder.log2_prob(format(code, f"0{n}b"))
+
+
+def test_upper_bound_checks_match_their_recorded_digest():
+    h = hashlib.sha256()
+    for out in upper_bound_outputs():
+        h.update(_digest_value(out).encode() + b";")
+    assert h.hexdigest() == UPPER_BOUND_DIGEST

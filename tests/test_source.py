@@ -14,6 +14,7 @@ from mdelta.source import (
     ContextTree,
     ContinuityGenerationError,
     MarkovSource,
+    aggregate_moments,
     as_bits,
     bits_to_str,
     check_continuity,
@@ -277,7 +278,12 @@ def test_sample_settled_or_row_by_row_leaves_the_rng_after_one_row():
 
 
 def test_sample_empty():
-    assert fair().sample("", 0, seed=1).size == 0
+    # an empty sample is an empty uint8 row and draws nothing from the rng
+    for src, past in ((fair(), ""), (random_hypercube_source(3, 0.2, seed=4), "101")):
+        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
+        bits = src.sample(past, 0, rng=rng)
+        assert bits.dtype == np.uint8 and bits.shape == (0,)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_refuses_a_negative_length():
@@ -403,13 +409,18 @@ def test_aggregates_average_every_state_ending_in_w(w):
     src = shallow_leaf_source()
     past = "000"
     x = src.sample(past, 500, seed=4)
-    occ = count_table(x, past, 3).occurrences
+    counts = count_table(x, past, 3)
+    occ = counts.occurrences
     pi, th = src.stationary, src.state_theta
     ending = [s for s in range(8) if s & ((1 << len(w)) - 1) == state_code(w, len(w))]
     stationary = sum(pi[s] * th[s] for s in ending) / sum(pi[s] for s in ending)
     empirical = sum(occ[s] * th[s] for s in ending) / sum(occ[s] for s in ending)
     assert src.aggregate_conditional(w) == pytest.approx(stationary, abs=1e-12)
     assert empirical_aggregate(src, x, past, w) == pytest.approx(empirical, abs=1e-12)
+    # the single-context read is the column of w in the all-contexts fold
+    n_w, _, weighted = aggregate_moments(src, occ, counts.ones, len(w))
+    col = state_code(w, len(w))
+    assert empirical_aggregate(src, x, past, w) == weighted[col] / n_w[col]
 
 
 def test_aggregates_under_a_shorter_leaf_are_its_theta():
