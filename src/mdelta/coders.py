@@ -77,8 +77,24 @@ def kt_log2_from_counts(occ: np.ndarray, ones: np.ndarray) -> np.ndarray | float
 # ---------------------------------------------------------------------------
 
 
+_BIT = {0: 0, 1: 1}  # push's bit check: any integer kind of 0 or 1 to a plain int
+
+
+def _not_a_bit(bit) -> ValueError:
+    return ValueError(f"a pushed bit must be 0 or 1, not {bit!r}")
+
+
 class SequentialCoder:
-    """Common interface: reset / prob_one / push plus log-prob conveniences."""
+    """Common interface: reset / prob_one / push plus log-prob conveniences.
+
+    `prob_one()` is P(next bit = 1) given the bits pushed since the last
+    reset; `push(bit)` takes the next bit as 0 or 1 of any integer kind
+    (Python or numpy ints, bools), so a bit array's elements can be pushed
+    as they are, and raises ValueError, changing nothing, for a value not
+    equal to 0 or 1.  A sequential decode asks `prob_one` once per bit,
+    and each coder computes that conditional once: what `push` needs of
+    it is kept, not recomputed.
+    """
 
     depth: int
 
@@ -158,6 +174,7 @@ class KTCoder(CountCoder):
     def __init__(self, depth: int, past=""):
         self.depth = depth
         self.state0 = state_code(past, depth)
+        self._mask = (1 << depth) - 1
         self.reset()
 
     def reset(self) -> None:
@@ -171,11 +188,14 @@ class KTCoder(CountCoder):
         return (self._ones[s] + 0.5) / (self._occ[s] + 1.0)
 
     def push(self, bit: int) -> None:
+        try:
+            bit = _BIT[bit]
+        except (KeyError, TypeError):
+            raise _not_a_bit(bit) from None
         s = self._state
         self._occ[s] += 1
         self._ones[s] += bit
-        mask = (1 << self.depth) - 1 if self.depth else 0
-        self._state = ((s << 1) | bit) & mask
+        self._state = ((s << 1) | bit) & self._mask
 
     def conditionals(self, bits) -> np.ndarray:
         # one stable sort by context puts each context's positions in
@@ -228,19 +248,22 @@ class MixtureCoder(CountCoder):
         self._kt.reset()
         self._t = 0
         self._log_qkt = 0.0  # log2 of the add-half mass of the current prefix
+        self._p1_kt = self._kt.prob_one()  # add-half p1 of the next bit
 
     def prob_one(self) -> float:
         t = self._t
         if t >= self.horizon:
             raise IndexError(f"mixture coder queried past its horizon n={self.horizon}")
-        return _mix_conditional(self._log_qkt, self._kt.prob_one(), t)
+        return _mix_conditional(self._log_qkt, self._p1_kt, t)
 
     def push(self, bit: int) -> None:
         if self._t >= self.horizon:
             raise IndexError(f"mixture coder pushed past its horizon n={self.horizon}")
-        p1_kt = self._kt.prob_one()
+        kt = self._kt
+        kt.push(bit)  # checks the bit before any state of ours moves
+        p1_kt = self._p1_kt
         self._log_qkt += math.log2(p1_kt if bit else 1.0 - p1_kt)
-        self._kt.push(bit)
+        self._p1_kt = kt.prob_one()
         self._t += 1
 
     def conditionals(self, bits) -> np.ndarray:
@@ -303,17 +326,23 @@ class SourceCoder(CountCoder):
         self.depth = source.memory
         self.state0 = state_code(past, self.depth)
         self._past = past
+        # the source is frozen: its per-state conditionals as plain floats
+        self._theta = source.state_theta.tolist()
+        self._mask = (1 << self.depth) - 1
         self.reset()
 
     def reset(self) -> None:
         self._state = self.state0
 
     def prob_one(self) -> float:
-        return float(self.source.state_theta[self._state])
+        return self._theta[self._state]
 
     def push(self, bit: int) -> None:
-        mask = (1 << self.depth) - 1 if self.depth else 0
-        self._state = ((self._state << 1) | bit) & mask
+        try:
+            bit = _BIT[bit]
+        except (KeyError, TypeError):
+            raise _not_a_bit(bit) from None
+        self._state = ((self._state << 1) | bit) & self._mask
 
     def conditionals(self, bits) -> np.ndarray:
         return self.source.state_theta[_contexts(as_bits(bits), self.state0, self.depth)]
@@ -396,6 +425,10 @@ class NMLCoder(SequentialCoder):
     def push(self, bit: int) -> None:
         if self._t >= self.horizon:
             raise IndexError(f"NML coder pushed past its horizon n={self.horizon}")
+        try:
+            bit = _BIT[bit]
+        except (KeyError, TypeError):
+            raise _not_a_bit(bit) from None
         self._prefix = 2 * self._prefix + bit
         self._t += 1
 

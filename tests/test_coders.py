@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mdelta._kernels import count_batch
+from mdelta.codec import decode, encode
 from mdelta.coders import (
     ENUMERATION_CAP,
     KTCoder,
@@ -455,3 +456,110 @@ def test_mixture_conditionals_at_the_codec_shape():
             want.append(float(2.0 ** (num - den)))
             log_qkt += math.log2(p1 if bit else 1.0 - p1)
         assert np.array_equal(got, np.array(want))
+
+
+# ---------------------------------------------------------------------------
+# the push contract and the conditional each coder keeps between calls
+# ---------------------------------------------------------------------------
+
+
+def _wide_coder(kind):
+    """A coder whose context codes pass 255, and a uint8 sequence for it."""
+    rng = np.random.default_rng(47)
+    past = "".join(rng.choice(["0", "1"], 10))
+    n = 12 if kind == "nml" else 700
+    x = rng.integers(0, 2, n).astype(np.uint8)
+    if kind == "kt":
+        return KTCoder(9, past), x
+    if kind == "mixture":
+        return MixtureCoder(9, past, horizon=n), x
+    if kind == "source":
+        return SourceCoder(MarkovSource(full_tree(10), rng.uniform(0.01, 0.99, 1 << 10)), past), x
+    return NMLCoder(1, "0", horizon=n), x
+
+
+@pytest.mark.parametrize("kind", ["kt", "mixture", "source", "nml"])
+def test_replay_over_any_integer_kind_of_bits_equals_conditionals(kind):
+    # first a bit array's uint8 elements pushed as they are (a uint8 context
+    # state would overflow at depth 9, or wrap NML's prefix past 8 bits), then
+    # every integer kind in turn
+    coder, x = _wide_coder(kind)
+    want = coder.conditionals(x)
+    kinds = [int, bool, np.uint8, np.int64, np.bool_]
+    for bits in (x, [kinds[t % len(kinds)](b) for t, b in enumerate(x.tolist())]):
+        coder.reset()
+        got = []
+        for b in bits:
+            got.append(coder.prob_one())
+            coder.push(b)
+        assert np.array_equal(np.array(got), want)
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.int64(3), None, "1"])
+@pytest.mark.parametrize("kind", ["kt", "mixture", "source", "nml"])
+def test_push_rejects_anything_but_a_bit_and_keeps_its_state(kind, bad):
+    coder, x = _wide_coder(kind)
+    want = coder.conditionals(x)
+    coder.reset()
+    got = []
+    for t, b in enumerate(x.tolist()):
+        got.append(coder.prob_one())
+        if t == len(x) // 2:
+            with pytest.raises(ValueError, match="must be 0 or 1"):
+                coder.push(bad)
+        coder.push(b)
+    assert np.array_equal(np.array(got), want)
+
+
+def test_mixture_keeps_its_add_half_conditional_through_odd_call_orders():
+    rng = np.random.default_rng(53)
+    n = 400
+    x = rng.integers(0, 2, n).astype(np.uint8)
+    coder = MixtureCoder(3, "101", horizon=n)
+    want = coder.conditionals(x)
+    bits = x.tolist()
+
+    coder.reset()  # push with no prob_one before it, every third bit
+    for t, b in enumerate(bits):
+        if t % 3:
+            assert coder.prob_one() == want[t]
+        coder.push(b)
+
+    coder.reset()  # prob_one twice, and conditionals in mid-sequence
+    for t, b in enumerate(bits):
+        assert coder.prob_one() == want[t]
+        assert coder.prob_one() == want[t]
+        if t == n // 2:
+            assert np.array_equal(coder.conditionals(x), want)
+        coder.push(b)
+    with pytest.raises(IndexError):
+        coder.push(0)
+
+    coder.reset()  # reset in mid-sequence, with and without a prob_one last
+    for b in bits[: n // 3]:
+        coder.push(b)
+    coder.reset()
+    for b in bits[: n // 2]:
+        coder.push(b)
+        coder.prob_one()
+    assert np.array_equal(_replay(coder, x), want)
+
+
+def test_mixture_decode_asks_the_add_half_coder_once_per_bit(monkeypatch):
+    # one KT prob_one per push plus one per reset (decode resets before and
+    # after); asking again in prob_one would be 2n
+    n = 500
+    x = np.random.default_rng(59).integers(0, 2, n).astype(np.uint8)
+    coder = MixtureCoder(4, "0110", horizon=n)
+    code = encode(coder, x)
+    calls = 0
+    kt_prob_one = KTCoder.prob_one
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return kt_prob_one(self)
+
+    monkeypatch.setattr(KTCoder, "prob_one", counted)
+    assert np.array_equal(decode(coder, code, n), x)
+    assert 0 < calls <= n + 2
