@@ -17,7 +17,17 @@ Conventions shared by every kernel:
   adds rather than ``<<`` (numpy runs ``<<`` on uint8 and uint16 element
   by element, an add vectorized: about 14x faster on uint8 under numpy
   2.4), then one integer ``bincount`` per row block of about 2**16
-  positions.
+  positions.  Short contexts in large batches (depth at most 4, rows of
+  at least 1024 bits, at least 2**15 positions in all) are counted from
+  bit planes instead: each row packed 64 positions to a word, plane j
+  the words shifted j positions, one mask word per context built by
+  splitting the row's mask by each plane in turn, and the counts are the
+  masks' popcounts (``np.bitwise_count``), per row blocks of about 2**18
+  positions.  That path costs about 2**(depth + 1) word operations per
+  64 positions: it was 6x faster at 64 rows of 16384 bits at depth 2 and
+  2.3x at 256 rows of 4096 bits at depth 4, and slower from depth 5 or 6
+  on and at the smallest batches, where its fixed costs dominate.  Both
+  paths give the same integers.
 * ``log2_prob_batch`` is derived from the count table, so it differs
   from a sequential chain-rule sum by rounding only (about 1e-9 at
   n = 65536).
@@ -195,9 +205,30 @@ _SETTLE_DRAWS = 1 << 17
 # over positions, a block's own set-up included (the crossover measured over
 # ell 1-7, T 36-2048 and n 256-16384, see CHANGES.md)
 _SETTLE_PASS_POSITIONS = 3
-# counting walks row blocks of about this many positions (or one row), so
-# its scratch codes stay small whatever T and n
+# counting by bincount walks row blocks of about this many positions (or
+# one row), so its scratch codes stay small whatever T and n
 _COUNT_POSITIONS = 1 << 16
+# contexts of at most this depth, in rows of at least _PLANE_ROW bits and
+# batches of at least _PLANE_POSITIONS, are counted from bit planes.  A
+# plane count costs about 2**(depth + 1) word operations per 64 positions,
+# and per row a sum over its words that numpy runs slowly on short rows;
+# a bincount costs about the same at every depth.  Measured over T 1-256,
+# n 256-65536 and depth 0-7 (numpy 2.4.6, one core of a 2-core x86_64; see
+# BENCH_count_planes.json), the planes won at all 85 shapes inside this
+# rule: (256, 4096, 2) 2.56 against 0.40 ms, (256, 4096, 4) 2.79 against
+# 1.23 ms, the narrowest (32, 1024, 4) 0.093 against 0.090 ms.  Outside it
+# they lost at depth 4 with n = 512 (64 rows: 0.096 against 0.113 ms),
+# with 8 rows of 1024 bits from depth 3 on, at depth 5 below about 2**17
+# positions and at depth 6 and deeper everywhere (48 rows of 16384 bits at
+# depth 7: 2.00 against 6.16 ms).  The wins left outside are on short
+# rows at depth 3 or less (10x at depth 0 in 256 rows of 512 bits) and at
+# depth 5 in large batches (at most 1.3x)
+_PLANE_DEPTH = 4
+_PLANE_ROW = 1024
+_PLANE_POSITIONS = 1 << 15
+# the bit-plane count walks row blocks of about this many 64-bit words (or
+# one row), so its scratch stays small whatever T and n
+_PLANE_WORDS = 1 << 12
 
 
 def sample_batch(theta: np.ndarray, state0: int, ell: int, u: np.ndarray) -> np.ndarray:
@@ -365,7 +396,16 @@ def _windows(ext, k, n):
 
 
 def _count(bits, state0, depth):
-    # shared by both public counting kernels, so neither traces as the other.
+    # shared by both public counting kernels, so neither traces as the other;
+    # short contexts in large batches are counted from bit planes, the rest
+    # by bincount (the rule and its measurement are at _PLANE_DEPTH)
+    T, n = bits.shape
+    if depth <= _PLANE_DEPTH and n >= _PLANE_ROW and T * n >= _PLANE_POSITIONS:
+        return _count_planes(bits, state0, depth)
+    return _count_codes(bits, state0, depth)
+
+
+def _count_codes(bits, state0, depth):
     # Per row block, every position's code (context << 1) | bit is the
     # (depth + 1)-bit window of the past and the bits ending at it; one
     # bincount with an offset per row then counts the block
@@ -384,6 +424,59 @@ def _count(bits, state0, depth):
         table = np.bincount(codes.ravel(), minlength=rows * m2).reshape(rows, m2 >> 1, 2)
         np.add(table[:, :, 0], table[:, :, 1], out=occ[r : r + rows])
         ones[r : r + rows] = table[:, :, 1]
+    return occ, ones
+
+
+def _count_planes(bits, state0, depth):
+    # Per row block, each row is packed 64 positions to a little-endian word
+    # (position i at bit i % 64 of word i // 64), after one word that holds
+    # the past as positions -depth .. -1, its top bits.  Plane j, bit i, is the
+    # bit j positions before position i: the words shifted left by j, with
+    # the top j bits of the word before carried in.  The context masks are
+    # built level by level: level 0 is the positions of the row (the padding
+    # of the last word excluded), and level j splits each mask by plane j,
+    # the ones to masks[k:2k] and the zeros kept in masks[:k], so plane j
+    # gives bit j - 1 of the mask's index and the oldest bit the top one, as
+    # in a context code.  A mask's popcount is its context's occurrences and
+    # that of the mask and plane 0 its ones.  The bytes past a row's packed
+    # bits are never written: every mask excludes them, and no position of
+    # the row reads a later one
+    T, n = bits.shape
+    m = 1 << depth
+    words_per_row = -(-n // 64)
+    valid = np.full(words_per_row, _M64, np.uint64)
+    if n % 64:
+        valid[-1] = (1 << (n % 64)) - 1
+    past = sum(((int(state0) >> j) & 1) << (63 - j) for j in range(depth))
+    occ = np.empty((T, m), np.int64)
+    ones = np.empty((T, m), np.int64)
+    step = max(1, min(T, _PLANE_WORDS // max(words_per_row, 1)))
+    # one block's scratch, reused by every block: its words, after the past,
+    # its masks, and one plane and its carry
+    words_of = np.empty((step, words_per_row + 1), "<u8")
+    words_of[:, 0] = past
+    masks_of = np.empty((m, step, words_per_row), np.uint64)
+    plane_of = np.empty((step, words_per_row), np.uint64)
+    carry_of = np.empty_like(plane_of)
+    for r in range(0, T, step):
+        rows = min(step, T - r)
+        words, masks = words_of[:rows], masks_of[:, :rows]
+        plane, carry = plane_of[:rows], carry_of[:rows]
+        packed = np.packbits(bits[r : r + rows], axis=1, bitorder="little")
+        words.view(np.uint8)[:, 8 : 8 + packed.shape[1]] = packed
+        now, before = words[:, 1:], words[:, :-1]
+        masks[0] = valid
+        for j in range(1, depth + 1):
+            k = 1 << (j - 1)
+            np.left_shift(now, np.uint64(j), out=plane)
+            np.right_shift(before, np.uint64(64 - j), out=carry)
+            plane |= carry
+            np.bitwise_and(masks[:k], plane, out=masks[k : 2 * k])
+            np.invert(plane, out=plane)
+            masks[:k] &= plane
+        occ[r : r + rows] = np.bitwise_count(masks).sum(axis=-1).T
+        masks &= now
+        ones[r : r + rows] = np.bitwise_count(masks).sum(axis=-1).T
     return occ, ones
 
 

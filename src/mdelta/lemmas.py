@@ -202,6 +202,8 @@ def verify_state_count(
     """MC check that a near-fair chain rarely starves any one state:
     P(n_s <= threshold) <= 1/n, threshold defaulting to
     n/(2^{ell+1} ell) - sqrt(n log2(n)/(2^ell ell))."""
+    if threshold is not None and not math.isfinite(threshold):
+        raise ValueError(f"the state-count threshold must be finite, got {threshold}")
     source, code, params = _state_setup(ell, delta_at, n, seed, state, source)
     k = threshold if threshold is not None else state_count_threshold(n, ell)
     params["k"] = k
@@ -288,8 +290,8 @@ def verify_azuma_stopped(
     and "random" (first return of the walk to zero after ten steps).
     """
     _check_horizon(n)
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (gamma > 0 and math.isfinite(gamma)):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if kind not in AZUMA_KINDS:
         raise ValueError(f"unknown stopping kind {kind!r}; choose from {sorted(AZUMA_KINDS)}")
     bound = n * math.exp(-gamma * gamma / 2.0)

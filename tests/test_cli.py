@@ -212,6 +212,14 @@ def test_bad_bound_inputs_exit_two_with_their_own_message(tmp_path, capsys, argv
     assert capsys.readouterr().err == message
 
 
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_non_finite_gamma_exits_two(tmp_path, capsys, gamma):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "azuma", "--gamma", gamma, "--trials", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: gamma must be positive and finite, got {gamma}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64), str(5 + 2**64)])
 def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed):
     with pytest.raises(SystemExit) as err:

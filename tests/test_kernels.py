@@ -8,6 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdelta
 from mdelta import _kernels
@@ -119,19 +121,21 @@ def chain_rule_log2(lt1, lt0, state0, ell, row):
 
 
 def _py_count_batch(bits, state0, depth):
-    T, n = bits.shape
+    # plain Python ints and lists, so no bit width can wrap the state
     m = 1 << depth
     mask = m - 1 if depth > 0 else 0
-    occ = np.zeros((T, m), np.int64)
-    ones = np.zeros((T, m), np.int64)
-    for t in range(T):
+    occ, ones = [], []
+    for row in bits.tolist():
+        occ_t, ones_t = [0] * m, [0] * m
         s = state0
-        for i in range(n):
-            b = bits[t, i]
-            occ[t, s] += 1
-            ones[t, s] += b
+        for b in row:
+            occ_t[s] += 1
+            ones_t[s] += b
             s = ((s << 1) | b) & mask
-    return occ, ones
+        occ.append(occ_t)
+        ones.append(ones_t)
+    shape = (len(bits), m)
+    return np.array(occ, np.int64).reshape(shape), np.array(ones, np.int64).reshape(shape)
 
 
 def _py_enum_ml_log2(depth, state0, n):
@@ -234,7 +238,22 @@ COUNT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES)
+def _pasts(depth):
+    # the all-zeros past, the all-ones past and a mixed one
+    return sorted({0, (1 << depth) - 1, 0b0110 & ((1 << depth) - 1)})
+
+
+# shapes the bit-plane count serves: every depth it takes, rows on both
+# sides of a word edge and with padding, each batch just over the rule
+PLANE_CASES = [
+    (-(-_kernels._PLANE_POSITIONS // n), n, depth, state0)
+    for depth in range(_kernels._PLANE_DEPTH + 1)
+    for n in (_kernels._PLANE_ROW + k for k in (0, 63, 64, 65, 3 * _kernels._PLANE_ROW + 1))
+    for state0 in _pasts(depth)
+]
+
+
+@pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES + PLANE_CASES)
 def test_counts_match_python_reference(trials, n, depth, state0):
     bits = np.random.default_rng(n + depth).integers(0, 2, (trials, n)).astype(np.uint8)
     occ, ones = _kernels.count_batch(bits, state0, depth)
@@ -243,6 +262,61 @@ def test_counts_match_python_reference(trials, n, depth, state0):
     assert np.array_equal(occ, ref_occ)
     assert np.array_equal(ones, ref_ones)
     assert (occ.sum(axis=1) == n).all()
+
+
+def test_count_takes_the_bit_planes_only_inside_its_rule(monkeypatch):
+    taken = []
+    for path in ("_count_planes", "_count_codes"):
+        real = getattr(_kernels, path)
+        monkeypatch.setattr(_kernels, path, lambda *a, p=path, f=real: taken.append(p) or f(*a))
+    row, top = _kernels._PLANE_ROW, _kernels._PLANE_DEPTH
+    rows = _kernels._PLANE_POSITIONS // row
+    cases = {
+        (rows, row, top): "_count_planes",
+        (1, _kernels._PLANE_POSITIONS, 0): "_count_planes",
+        (rows, row, top + 1): "_count_codes",  # deeper contexts
+        (rows - 1, row, 2): "_count_codes",  # a batch too small
+        (4 * rows, row - 1, 2): "_count_codes",  # rows too short
+        (1, 0, 2): "_count_codes",
+    }
+    for (T, n, depth), path in cases.items():
+        taken.clear()
+        bits = np.zeros((T, n), np.uint8)
+        _kernels.count_batch(bits, 0, depth)
+        _kernels.log2_prob_batch(np.zeros(1 << depth), np.zeros(1 << depth), 0, depth, bits)
+        assert taken == [path, path], (T, n, depth)
+
+
+@pytest.mark.parametrize("depth", range(_kernels._PLANE_DEPTH + 1))
+def test_plane_count_matches_python_reference_at_word_edges(depth):
+    # called directly, since the rule sends rows this short to bincount: a
+    # row inside one word, one word short, exact and one over, and a long
+    # row with padding, in batches of one row and of several
+    rng = np.random.default_rng(200 + depth)
+    for n in (0, 1, 63, 64, 65, 4097):
+        for trials in (1, 3):
+            bits = rng.integers(0, 2, (trials, n)).astype(np.uint8)
+            for state0 in _pasts(depth):
+                occ, ones = _kernels._count_planes(bits, state0, depth)
+                ref_occ, ref_ones = _py_count_batch(bits, state0, depth)
+                assert occ.dtype == ones.dtype == np.int64
+                assert np.array_equal(occ, ref_occ)
+                assert np.array_equal(ones, ref_ones)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40), st.integers(0, 2000), st.integers(0, 6),
+    st.integers(0, 2**6 - 1), st.integers(0, 2**32 - 1),
+)
+def test_count_paths_agree(trials, n, depth, state0, seed):
+    # the bit-plane and bincount counts are the same integers at any shape
+    state0 &= (1 << depth) - 1
+    bits = np.random.default_rng(seed).integers(0, 2, (trials, n)).astype(np.uint8)
+    planes = _kernels._count_planes(bits, state0, depth)
+    codes = _kernels._count_codes(bits, state0, depth)
+    assert np.array_equal(planes[0], codes[0])
+    assert np.array_equal(planes[1], codes[1])
 
 
 @pytest.mark.parametrize("depth", [7, 8, 15, 16])
@@ -259,14 +333,13 @@ def test_counts_match_python_reference_at_code_width_edges(depth):
             bits[0] = 1
             for state0 in (top, 0b1011):
                 occ, ones = _kernels.count_batch(bits, state0, depth)
-                # Python ints in the reference: uint8 bits would wrap its state
-                ref_occ, ref_ones = _py_count_batch(bits.astype(np.int64), state0, depth)
+                ref_occ, ref_ones = _py_count_batch(bits, state0, depth)
                 assert occ.dtype == ones.dtype == np.int64
                 assert np.array_equal(occ, ref_occ)
                 assert np.array_equal(ones, ref_ones)
 
 
-@pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES)
+@pytest.mark.parametrize("trials,n,depth,state0", COUNT_CASES + [(32, 1024, 2, 3), (8, 4097, 4, 6)])
 def test_log_prob_matches_chain_rule(trials, n, depth, state0):
     rng = np.random.default_rng(100 + n + depth)
     theta = rng.uniform(0.05, 0.95, 1 << depth)
@@ -634,10 +707,11 @@ def test_source_enumeration_peak_memory():
     assert traced_peak(lambda: redundancy.exact_avg_redundancy(src, "0101", coder, 16)) < 2e6
 
 
-@pytest.mark.parametrize("shape", [(256, 4096, 4), (48, 16384, 7)])
+@pytest.mark.parametrize("shape", [(256, 4096, 4), (48, 16384, 7), (64, 16384, 2), (256, 4096, 3)])
 def test_count_peak_memory(shape):
-    # row blocks of narrow codes: about 0.8 MB at both shapes, where a single
-    # (T, n) int64 array of codes or states would take 6-8 MB
+    # row blocks: narrow codes at depth 7, about 0.8 MB, and bit planes at
+    # the others, at most 2**4 masks of 2**12 words, where a single (T, n)
+    # int64 array of codes or states would take 6-8 MB
     T, n, depth = shape
     bits = (np.random.default_rng(depth).random((T, n)) < 0.5).astype(np.uint8)
     assert traced_peak(lambda: _kernels.count_batch(bits, 1, depth)) < 1.5e6

@@ -233,6 +233,21 @@ def test_azuma_validation():
         verify_azuma_stopped(kind="martian", trials=10)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_azuma_rejects_a_non_finite_gamma(gamma):
+    # NaN passed a gamma <= 0 check and ran every walk against a NaN bound;
+    # inf passed vacuously, with a bound of 0 that no walk crosses
+    with pytest.raises(ValueError, match=f"^gamma must be positive and finite, got {gamma}$"):
+        verify_azuma_stopped(gamma=gamma, trials=10)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_state_count_rejects_a_non_finite_threshold(threshold):
+    # a NaN threshold starved no trial and passed; -inf skipped as <= 0
+    with pytest.raises(ValueError, match=f"^the state-count threshold must be finite, got {threshold}$"):
+        verify_state_count(ell=2, n=64, trials=2, threshold=threshold)
+
+
 @pytest.mark.parametrize("harness", [estimate_inv_ns, verify_mse])
 def test_standard_error_harnesses_need_two_trials(harness):
     with pytest.raises(ValueError):
