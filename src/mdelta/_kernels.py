@@ -451,17 +451,17 @@ def _count_planes(bits, state0, depth):
     occ = np.empty((T, m), np.int64)
     ones = np.empty((T, m), np.int64)
     step = max(1, min(T, _PLANE_WORDS // max(words_per_row, 1)))
-    # one block's scratch, reused by every block: its words, after the past,
-    # its masks, and one plane and its carry
-    words_of = np.empty((step, words_per_row + 1), "<u8")
-    words_of[:, 0] = past
-    masks_of = np.empty((m, step, words_per_row), np.uint64)
-    plane_of = np.empty((step, words_per_row), np.uint64)
-    carry_of = np.empty_like(plane_of)
+    # one block's scratch, allocated once and viewed by every block: its
+    # words, after the past, its masks, and one plane and its carry
+    scratch_words = np.empty((step, words_per_row + 1), "<u8")
+    scratch_words[:, 0] = past
+    scratch_masks = np.empty((m, step, words_per_row), np.uint64)
+    scratch_plane = np.empty((step, words_per_row), np.uint64)
+    scratch_carry = np.empty_like(scratch_plane)
     for r in range(0, T, step):
         rows = min(step, T - r)
-        words, masks = words_of[:rows], masks_of[:, :rows]
-        plane, carry = plane_of[:rows], carry_of[:rows]
+        words, masks = scratch_words[:rows], scratch_masks[:, :rows]
+        plane, carry = scratch_plane[:rows], scratch_carry[:rows]
         packed = np.packbits(bits[r : r + rows], axis=1, bitorder="little")
         words.view(np.uint8)[:, 8 : 8 + packed.shape[1]] = packed
         now, before = words[:, 1:], words[:, :-1]
