@@ -59,25 +59,28 @@ Conventions shared by every kernel:
   memory than one result (8 * 2**n bytes; at most 8 plans, the oldest
   dropped first), so a repeat call only gathers, sums and scatters into
   a fresh output.
-* The sampler goes in blocks of about 2**17 draws: each block prefills
-  every bit that is the same in every state (u < min theta is a 1,
-  u >= max theta a 0) and settles the ambiguous draws in between run by
-  run.  A run is a maximal sequence of ambiguous draws, each within ell
+* The sampler settles a batch in blocks of about 2**17 draws: each block
+  prefills every bit that is the same in every state (u < min theta is a
+  1, u >= max theta a 0) and settles the ambiguous draws in between run
+  by run.  A run is a maximal sequence of ambiguous draws, each within ell
   positions of the one before; pass k evaluates the k-th draw of every
   run, whose ell bits before it are final by then, so each draw is
-  evaluated once and the block is the sequential result.  Where a
-  block's longest run makes settling dearer, the block hands the rest of
-  the batch to a fallback.  From 36 rows on that is a loop over
-  positions, all rows at once, chosen when the longest run times the
-  blocks left exceeds a third of the row length: a pass costs about
-  three of that loop's positions.  Smaller batches, single rows
-  included, fall back to a row-by-row loop in plain Python, chosen when
-  1024 draws, plus 64 per pass of the longest run, plus half a draw per
-  ambiguous draw exceed the block's draws; a small batch of fewer than
-  4096 draws runs row by row at once.  The block loop takes each block's
-  uniforms as it reaches it, so the Monte Carlo chunks draw them from
-  their generator block by block and hold a whole chunk's uniforms only
-  when a block gives up.
+  evaluated once and the block is the sequential result.  Where a block's
+  longest run makes settling dearer, a fallback takes the whole batch:
+  from 36 rows on a loop over positions, all rows at once, and below that
+  a row-by-row loop in plain Python.  The path is chosen once per batch
+  from (T, n, ell, p), p = max theta - min theta, before any uniform is
+  drawn: a draw is ambiguous with probability p, a run goes on past it
+  with probability 1 - (1 - p)**ell, and the longest-run law of Erdos and
+  Renyi predicts a block's longest run from these.  The loop over
+  positions is chosen when the predicted longest run times the blocks
+  exceeds a third of the row length (a pass costs about three of its
+  positions), the row loop when 1024 draws, plus 64 per pass, plus half a
+  draw per ambiguous draw, exceed a block's draws; so a small batch of
+  fewer than 1024 draws runs row by row.  Every path gives the same bits,
+  so a wrong prediction costs only time.  A fallback takes its batch's
+  uniforms at once, a settle one block's at a time, so the Monte Carlo
+  chunks hold a whole chunk's uniforms only when they fall back.
 * All randomness enters as pre-drawn uniforms (or an explicit 64-bit
   seed for the hash-derived process generator), so every public kernel
   is a deterministic function of its arguments.
@@ -184,17 +187,13 @@ def kt_tables(nmax: int) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 # below this many rows the plain-Python row loop, not the loop over
-# positions, takes what settling leaves: it is faster there whatever n and
+# positions, is the fallback to settling: it is faster there whatever n and
 # ell (see CHANGES.md)
 _ROW_LOOP_ROWS = 36
-# such a batch is settled only from this many draws on: below, a settle's
-# fixed cost and, where its runs turn out too long, the work done before it
-# gives up (1.24x the row loop in all at 35 x 64 draws) leave too little to
-# gain.  A settle of a block costs about as much as the row loop on
+# a settle of a block costs about as much as the row loop on
 # _SETTLE_FIXED_DRAWS draws, plus _SETTLE_PASS_DRAWS per pass, plus half a
 # draw per ambiguous draw (fit over T 1-35, n 64-4096, ell 1-7, with some
-# margin; see CHANGES.md)
-_SETTLE_MIN_DRAWS = 4096
+# margin; see CHANGES.md), so a small batch of fewer draws runs row by row
 _SETTLE_FIXED_DRAWS = 1024
 _SETTLE_PASS_DRAWS = 64
 # larger batches are settled in blocks of about this many draws, so the
@@ -239,31 +238,59 @@ def sample_batch(theta: np.ndarray, state0: int, ell: int, u: np.ndarray) -> np.
     ``u[i] < theta[s]`` with s the state before it.  Row t is the same
     whatever the batch size.
     """
-    return _sample_rows(theta, state0, ell, u.shape, lambda r, k, head: u[r : r + k])
+    return _sample_rows(theta, state0, ell, u.shape, lambda r, k: u[r : r + k])
 
 
 def _sample_rows(theta, state0, ell, shape, draw):
-    # Sample a (T, n) batch whose uniforms come from draw(r, k, head): the
-    # uniforms of rows r .. r + k - 1, asked for in row order.  head is None,
-    # except when a block gives up: it then holds that block's uniforms,
-    # already handed out, and the rows asked for (the rest of the batch)
-    # start with them.
+    # Sample a (T, n) batch whose uniforms come from draw(r, k): the
+    # uniforms of rows r .. r + k - 1, asked for in row order, all at once
+    # for a fallback and one settle block at a time otherwise.
     T, n = shape
     out = np.empty((T, n), np.uint8)
-    small = T < _ROW_LOOP_ROWS  # the row loop, not the loop over positions, is the fallback
-    if small and T * n < _SETTLE_MIN_DRAWS:
-        _row_loop(theta, state0, ell, draw(0, T, None), out)
-        return out
     step = max(1, _SETTLE_DRAWS // max(n, 1))
+    loop = _fallback(theta, ell, T, n, step)
+    if loop is not None:
+        loop(theta, state0, ell, draw(0, T), out)
+        return out
     for r in range(0, T, step):
-        u = draw(r, min(step, T - r), None)
-        bits = _settle(theta, state0, ell, u, 0 if small else -(-(T - r) // step))
-        if bits is None:  # the fallback is cheaper: it takes the rest
-            u = draw(r, T - r, u)  # and the block's own uniforms are freed
-            (_row_loop if small else _sample_loop)(theta, state0, ell, u, out[r:])
-            break
-        out[r : r + len(u)] = bits
+        out[r : r + step] = _settle(theta, state0, ell, draw(r, min(step, T - r)))
     return out
+
+
+def _fallback(theta, ell, T, n, step):
+    # The path of a (T, n) batch settled in blocks of step rows, chosen
+    # before any uniform is drawn: the fallback loop where it is cheaper
+    # than settling, else None.  A settle costs a pass per draw of its
+    # longest run, which _longest_run predicts from theta.
+    draws = min(step, T) * n
+    p = float(theta.max() - theta.min())
+    longest = min(_longest_run(draws, p, ell), n)  # no run outlasts its row
+    if T < _ROW_LOOP_ROWS:
+        costly = _SETTLE_FIXED_DRAWS + longest * _SETTLE_PASS_DRAWS + draws * p / 2 > draws
+        return _row_loop if costly else None
+    costly = -(-T // step) * longest * _SETTLE_PASS_POSITIONS > n
+    return _sample_loop if costly else None
+
+
+def _longest_run(draws, p, ell):
+    # The expected longest run among draws uniforms, each ambiguous with
+    # probability p = max theta - min theta.  A run goes on past a draw
+    # with probability q = 1 - (1 - p)**ell, so the draws hold about
+    # N = draws * p * (1 - q) runs of geometric size, and the longest is
+    # near log(N) / log(1/q) + 1 (the longest-run law: P. Erdos and
+    # A. Renyi, "On a new law of large numbers", J. Analyse Math. 23,
+    # 1970; M. F. Schilling, "The longest run of heads", College Math. J.
+    # 21, 1990).  Under e runs the law fails (it falls under 1 draw below
+    # one run) and the mean size 1 / (1 - q) stands in: theta U(.01, .99)
+    # at ell 6 has p near 0.97 and 1 - q near 1e-9, so fewer than one run,
+    # longer than any row, is expected.  Infinite at q = 1.
+    if not p:
+        return 0.0
+    q = 1.0 - (1.0 - p) ** ell
+    runs = draws * p * (1.0 - q)
+    if runs >= math.e and q:
+        return math.log(runs) / -math.log(q) + 1.0
+    return 1.0 / (1.0 - q) if q < 1.0 else math.inf
 
 
 def _row_loop(theta, state0, ell, u, out):
@@ -290,7 +317,7 @@ def _sample_loop(theta, state0, ell, u, out):
         s = ((s << 1) | b) & mask
 
 
-def _settle(theta, state0, ell, u, blocks):
+def _settle(theta, state0, ell, u):
     # Exact pre-pass for a block of rows.  A draw u < min(theta) is a 1 and
     # one with u >= max(theta) a 0 in every state, so every bit is prefilled
     # with u < min(theta); only the ambiguous draws in between read their
@@ -299,54 +326,26 @@ def _settle(theta, state0, ell, u, blocks):
     # columns, so no run crosses into the next row.  Pass k evaluates the
     # k-th draw of every run that has one: the ell bits before it are then
     # final (prefilled, the past, or earlier draws of its run), so each
-    # draw is evaluated once and the block is the sequential result.
-    # Returns None, before any draw is evaluated, where the fallback is
-    # cheaper.  With blocks > 0 that is the loop over positions, for the
-    # rest of the batch (blocks blocks, this one included): when the
-    # longest run's passes, each worth _SETTLE_PASS_POSITIONS positions,
-    # times the blocks left outweigh the n positions.  blocks == 0 marks a
-    # batch under _ROW_LOOP_ROWS rows, whose fallback is the row loop: when
-    # the settle's cost in row-loop draws, _row_loop_cheaper, outweighs the
-    # block's draws.  A pass carries each run's state forward in a fixed
-    # number of steps, so its cost does not grow with ell.
+    # draw is evaluated once and the block is the sequential result.  A
+    # pass carries each run's state forward in a fixed number of steps, so
+    # its cost does not grow with ell.
     T, n = u.shape
     lo, hi = theta.min(), theta.max()
-    ambiguous = (u >= lo) & (u < hi)
-    if not blocks:
-        # a run starts at each ambiguous draw with none in the ell draws
-        # before it in its row; the longest run is at least the mean, so
-        # where even the mean is too long (theta spread wide, most draws
-        # ambiguous), give up on bools, before the runs are indexed
-        near = np.zeros_like(ambiguous)
-        for j in range(1, ell + 1):
-            near[:, j:] |= ambiguous[:, :-j]
-        count = int(np.count_nonzero(ambiguous))
-        runs = int(np.count_nonzero(ambiguous > near))  # ambiguous and not near
-        if count and _row_loop_cheaper(-(-count // runs), count, u.size):
-            return None
-    at = np.flatnonzero(ambiguous)  # ambiguous draws in row-major order
-    del ambiguous  # a block's worth of bools, not held through the passes
-    if at.size:
-        pos = at + ell * (at // n + 1)  # and where they sit in ext below
-        gap = np.empty_like(pos)  # from the draw before; the first one starts a run
-        gap[0] = ell + 1
-        np.subtract(pos[1:], pos[:-1], out=gap[1:])
-        first = np.flatnonzero(gap > ell)  # each run's first draw
-        size = np.empty_like(first)  # and its draws
-        np.subtract(first[1:], first[:-1], out=size[:-1])
-        size[-1] = pos.size - first[-1]
-        longest = int(size.max())
-        if blocks:
-            costly = blocks * longest * _SETTLE_PASS_POSITIONS > n
-        else:
-            costly = _row_loop_cheaper(longest, pos.size, u.size)
-        if costly:
-            return None
+    at = np.flatnonzero((u >= lo) & (u < hi))  # ambiguous draws in row-major order
     ext = np.empty((T, ell + n), np.uint8)  # per row: the past, oldest bit first, then the bits
     ext[:, :ell] = (state0 >> np.arange(ell - 1, -1, -1)) & 1
     np.less(u, lo, out=ext[:, ell:], casting="unsafe")
     if not at.size:
         return ext[:, ell:]
+    pos = at + ell * (at // n + 1)  # and where they sit in ext
+    gap = np.empty_like(pos)  # from the draw before; the first one starts a run
+    gap[0] = ell + 1
+    np.subtract(pos[1:], pos[:-1], out=gap[1:])
+    first = np.flatnonzero(gap > ell)  # each run's first draw
+    size = np.empty_like(first)  # and its draws
+    np.subtract(first[1:], first[:-1], out=size[:-1])
+    size[-1] = pos.size - first[-1]
+    longest = int(size.max())
     flat = ext.reshape(-1)
     # each draw's state from the prefilled bits, where the ambiguous ones
     # read 0; the earlier draws of its run are or-ed in as they settle
@@ -369,12 +368,6 @@ def _settle(theta, state0, ell, u, blocks):
         carry = (si << 1) | b
     flat[pos] = bits
     return ext[:, ell:]
-
-
-def _row_loop_cheaper(longest, ambiguous, draws):
-    # whether settling a block of draws, with this longest run and this
-    # many ambiguous draws, costs more than the row loop on the block
-    return _SETTLE_FIXED_DRAWS + longest * _SETTLE_PASS_DRAWS + ambiguous // 2 > draws
 
 
 def _windows(ext, k, n):

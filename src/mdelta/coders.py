@@ -107,10 +107,6 @@ class SequentialCoder:
     def push(self, bit: int) -> None:
         raise NotImplementedError
 
-    def probs(self) -> tuple[float, float]:
-        p1 = self.prob_one()
-        return 1.0 - p1, p1
-
     def conditionals(self, bits) -> np.ndarray:
         """Every next-bit probability of a known sequence: entry t is what
         prob_one() returns after a reset and bits[:t] pushed.

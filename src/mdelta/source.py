@@ -407,23 +407,18 @@ class MarkovSource:
         """Yield `trials` length-n samples as (t, n) bit batches, drawing
         the uniforms from rng row after row under the trial budget.
 
-        The sampler draws them one settle block at a time.  A chunk's
-        uniforms are held at once only when a block hands the rest of the
-        chunk to the loop over positions (theta spread wide enough that
-        its runs of state-dependent draws are long); the rest is then
-        drawn after that block's own uniforms.  Every bit and the rng
+        The sampler picks its path for a chunk from theta before drawing
+        (see _kernels._fallback).  A chunk that settles draws its uniforms
+        one settle block at a time; a chunk that falls back to a loop
+        (theta spread wide enough that its runs of state-dependent draws
+        are long) draws the whole chunk's at once.  Every bit and the rng
         state afterwards equal one sample_batch call on
         rng.random((trials, n)).
         """
         s0 = self._past_code(past)
 
-        def draw(r, k, head):
-            if head is None:
-                return rng.random((k, n))
-            u = np.empty((k, n))
-            u[: len(head)] = head
-            rng.random(out=u[len(head) :])
-            return u
+        def draw(r, k):
+            return rng.random((k, n))
 
         for t in _chunk_sizes(trials, n):
             yield _kernels._sample_rows(self.state_theta, s0, self.memory, (t, n), draw)
@@ -456,11 +451,6 @@ class MarkovSource:
             raise StationaryConvergenceError(residual, STATIONARY_MAX_ITER)
         pi.setflags(write=False)
         return pi
-
-    def leaf_stationary(self) -> np.ndarray:
-        """Stationary mass of each leaf, aligned with tree.leaves."""
-        pi = self.stationary
-        return np.bincount(self.tree.state_leaf_index, weights=pi, minlength=len(self.tree.leaves))
 
     def aggregate_conditional(self, w) -> float:
         """Stationary-weighted P(1 | recent history ends with w).

@@ -132,8 +132,7 @@ def test_mixture_marginalization():
     coder = MixtureCoder(0, horizon=5)
     coder.reset()
     for b in (1, 0, 1):
-        p0, p1 = coder.probs()
-        assert p0 + p1 == 1.0
+        p1 = coder.prob_one()
         assert 0.0 < p1 < 1.0
         coder.push(b)
 
@@ -366,8 +365,7 @@ def test_source_coder_probabilities():
     x = src.sample("00", 30, seed=9)
     assert coder.log2_prob(x) == pytest.approx(src.log_prob("00", x), abs=1e-12)
     coder.reset()
-    p0, p1 = coder.probs()
-    assert p0 + p1 == 1.0
+    assert coder.prob_one() == src.state_theta[0]  # the past "00" is state 0
 
 
 # ---------------------------------------------------------------------------

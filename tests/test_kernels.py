@@ -790,9 +790,9 @@ def counted_row_loop(monkeypatch):
 
 @pytest.mark.parametrize("trials", [1, 2, ROWS - 1])
 def test_small_batches_settle_or_fall_back_to_the_row_loop(trials, monkeypatch):
-    # batches under ROWS rows settle first: near-fair theta settles every
-    # block, wide theta at ell 6 has runs too long and hands the rest of the
-    # batch to the row loop; n = 4096 puts 35 rows in blocks of 32 and 3
+    # under ROWS rows, near-fair theta settles every block (n = 4096 puts
+    # 35 rows in blocks of 32 and 3), and wide theta at ell 6, its runs
+    # predicted too long, goes to the row loop before any block
     rows = counted_row_loop(monkeypatch)
     rng = np.random.default_rng(90 + trials)
     near_fair, wide = 0.5 + rng.uniform(-1, 1, 64) / 16, rng.uniform(0.01, 0.99, 64)
@@ -807,8 +807,9 @@ def test_small_batches_settle_or_fall_back_to_the_row_loop(trials, monkeypatch):
 
 
 def test_small_batches_of_few_draws_run_row_by_row(monkeypatch):
-    # batches of fewer than _SETTLE_MIN_DRAWS draws skip the settle; from
-    # there on near-fair theta settles
+    # batches under ROWS rows and _SETTLE_FIXED_DRAWS draws, a settle's
+    # fixed cost, run row by row whatever theta, equal thetas included;
+    # from there on near-fair theta settles
     rows = counted_row_loop(monkeypatch)
     settled, settle = [], _kernels._settle
 
@@ -818,26 +819,29 @@ def test_small_batches_of_few_draws_run_row_by_row(monkeypatch):
 
     monkeypatch.setattr(_kernels, "_settle", counted_settle)
     rng = np.random.default_rng(95)
-    theta = 0.5 + rng.uniform(-1, 1, 8) / 16
-    least = _kernels._SETTLE_MIN_DRAWS
-    for trials, n in ((1, least - 1), (2, 1000), (ROWS - 1, 58), (1, least), (ROWS - 1, 118)):
+    near_fair = 0.5 + rng.uniform(-1, 1, 8) / 16
+    least = _kernels._SETTLE_FIXED_DRAWS
+    cases = [(theta, shape, False) for theta in (np.full(8, 0.3), near_fair, rng.uniform(0.01, 0.99, 8))
+             for shape in ((1, 1), (1, least - 1), (8, 100), (ROWS - 1, 29))]
+    # at exactly the fixed cost a near-fair batch's passes tip it to the row loop
+    cases += [(near_fair, shape, shape != (1, least)) for shape in ((1, least), (1, 4096), (2, 1000), (ROWS - 1, 58))]
+    for theta, (trials, n), settles in cases:
         u = rng.random((trials, n))
         rows.clear()
         settled.clear()
         assert np.array_equal(_kernels.sample_batch(theta, 5, 3, u), loop_sample(theta, 5, 3, u))
-        tried = trials * n >= least
-        assert rows == ([] if tried else [trials])
-        assert settled == ([(trials, n)] if tried else [])
+        assert rows == ([] if settles else [trials])
+        assert settled == ([(trials, n)] if settles else [])
 
 
 # batches of at least ROWS rows settle the draws that read their state in
-# run order; the thetas below drive both that path and the loop it hands
-# the rest of the batch to, on blocks that split T unevenly
+# run order, or fall back to the loop over positions; the thetas below
+# drive both paths, on blocks that split T unevenly
 
 
 def sampler_cases(ell, rng):
     """(theta, uniforms sampler) pairs: near-fair hypercube thetas (which
-    settle), wide ones (which may give up), ties u == theta[s] with 0 and 1
+    settle), wide ones (which may fall back), ties u == theta[s] with 0 and 1
     in theta, and all-equal theta (no draw reads its state)."""
     size = 1 << ell
     grid = np.array([0.0, 0.25, 0.5, 0.75])
@@ -882,63 +886,85 @@ def test_sample_full_blocks_bit_identical_to_position_loop(ell):
 
 def longest_run(theta, ell, u):
     """Size of the longest run of ambiguous draws (min theta <= u < max
-    theta), each within ell positions of the one before, in any row."""
+    theta), each within ell positions of the one before, in any row: a
+    run breaks where two ambiguous draws are more than ell apart, and at
+    a row's end."""
     lo, hi = theta.min(), theta.max()
     best = 0
-    for row in u.tolist():
-        last, size = None, 0
-        for i, x in enumerate(row):
-            if lo <= x < hi:
-                size = size + 1 if last is not None and i - last <= ell else 1
-                last, best = i, max(best, size)
+    for row in u:
+        at = np.flatnonzero((row >= lo) & (row < hi))
+        if at.size:
+            ends = np.flatnonzero(np.diff(at) > ell)
+            best = max(best, int(np.diff(np.concatenate(([-1], ends, [at.size - 1]))).max()))
     return best
 
 
-def most_settled_blocks(theta, ell, u):
-    """The most blocks left at which a block of u still settles: the
-    passes of its longest run, times the blocks left, may not outweigh
-    its n positions."""
-    return u.shape[1] // (longest_run(theta, ell, u) * _kernels._SETTLE_PASS_POSITIONS)
+def spread_theta(p, ell):
+    """A theta whose min and max are p apart about 1/2."""
+    return np.linspace(0.5 - p / 2, 0.5 + p / 2, 1 << ell)
 
 
-def test_settle_runs_on_near_fair_theta_and_gives_up_on_dense_ambiguous_draws():
-    rng = np.random.default_rng(80)
-    u = rng.random((16, 4096))
-    near_fair = 0.5 + rng.uniform(-1, 1, 128) / 128
-    bits = _kernels._settle(near_fair, 5, 7, u, 1)
-    assert bits is not None
-    assert np.array_equal(bits, loop_sample(near_fair, 5, 7, u))
-    # every draw but the extremes reads its state: each row is one run
-    assert _kernels._settle(np.array([0.999, 0.001]), 0, 1, u, 1) is None
-    # 43 % of the draws read their state, in short runs: the block settles
-    # alone and gives up once enough blocks are left
-    dense = np.array([0.47, 0.37, 0.36, 0.78])
-    most = most_settled_blocks(dense, 2, u)
-    assert most >= 8
-    assert np.array_equal(_kernels._settle(dense, 0, 2, u, most), loop_sample(dense, 0, 2, u))
-    assert _kernels._settle(dense, 0, 2, u, most + 1) is None
+@pytest.mark.parametrize(
+    "T, n, ell, p, predicted",
+    [
+        (32, 4096, 2, 1 / 8, 7.5),
+        (128, 1024, 4, 1 / 8, 11.4),
+        (32, 4096, 2, 0.3, 15.7),
+        (512, 256, 2, 0.6, 55.1),
+        (8, 4096, 3, 0.6, 108.9),
+    ],
+)
+def test_predicted_longest_run_tracks_the_observed_one(T, n, ell, p, predicted):
+    # the longest-run law's prediction for T * n draws, and the longest
+    # run observed on three batches of uniforms, each within [0.75, 1.5] of
+    # it (observed on five batches each: 6-8, 10-12, 15-18, 51-57 and
+    # 100-148)
+    got = _kernels._longest_run(T * n, p, ell)
+    assert got == pytest.approx(predicted, abs=0.05)
+    theta = spread_theta(p, ell)
+    rng = np.random.default_rng(int(p * 1000) + ell)
+    for _ in range(3):
+        assert 0.75 * got <= longest_run(theta, ell, rng.random((T, n))) <= 1.5 * got
 
 
-def test_settle_gives_up_when_the_longest_run_outweighs_the_loop():
-    alternating = np.array([0.999, 0.001])
-    run = np.full((1, 4096), 0.9995)  # a 0 in every state
-    run[0, 100:400] = 0.5  # one 300-draw run, each draw flipping the next
-    assert longest_run(alternating, 1, run) == 300
-    most = most_settled_blocks(alternating, 1, run)
-    assert np.array_equal(_kernels._settle(alternating, 0, 1, run, most), loop_sample(alternating, 0, 1, run))
-    assert _kernels._settle(alternating, 0, 1, run, most + 1) is None
-    # theta reads only the bit two back; per 13 positions: two fixed 1s,
-    # then A, B1, B2 that read their state, then fixed 0s: runs of 3
-    two_back = np.array([0.5, 0.5, 0.75, 0.75])
-    group = [0.1, 0.1, 0.6, 0.6, 0.6] + [0.9] * 8
-    stall = np.tile(group, (8, 315))
-    assert longest_run(two_back, 2, stall) == 3
-    most = most_settled_blocks(two_back, 2, stall)
-    assert np.array_equal(_kernels._settle(two_back, 3, 2, stall, most), loop_sample(two_back, 3, 2, stall))
-    assert _kernels._settle(two_back, 3, 2, stall, most + 1) is None
-    for theta, ell, u in ((alternating, 1, run), (two_back, 2, stall)):
-        batch = np.repeat(u, 36 // len(u) + 1, axis=0)
-        assert np.array_equal(_kernels.sample_batch(theta, 0, ell, batch), loop_sample(theta, 0, ell, batch))
+def test_longest_run_reads_no_run_without_spread_and_single_draws_without_memory():
+    for ell in (0, 1, 6):
+        assert _kernels._longest_run(4096, 0.0, ell) == 0.0
+    # at ell 0 no draw reads another's bit: every run is one draw, whatever p
+    for p in (0.01, 0.5, 1.0):
+        assert _kernels._longest_run(4096, p, 0) == 1.0
+    # a theta holding 0 and 1 at ell >= 1: every draw is ambiguous, one run
+    assert _kernels._longest_run(4096, 1.0, 1) == math.inf
+
+
+@pytest.mark.parametrize("ell", [0, 1, 6])
+def test_fallback_settles_when_no_draw_reads_its_state(ell):
+    theta = np.full(1 << ell, 0.3)
+    least = _kernels._SETTLE_FIXED_DRAWS
+    for T, n in ((1, least + 1), (1, 4096), (ROWS - 1, 1024), (ROWS, 1), (ROWS, 4096), (2048, 100)):
+        assert _kernels._fallback(theta, ell, T, n, max(1, _kernels._SETTLE_DRAWS // n)) is None
+
+
+def test_fallback_takes_the_row_loop_for_one_wide_row_at_ell_6():
+    # theta U(.01, .99) over 64 states: p over 0.9, q within 1e-6 of 1, so
+    # fewer than one run is expected and the law would predict under one
+    # draw; the mean run, longer than the row, sends it to the row loop
+    theta = np.random.default_rng(2).uniform(0.01, 0.99, 64)
+    p = float(theta.max() - theta.min())
+    assert p > 0.9
+    assert _kernels._longest_run(4096, p, 6) > 4096
+    assert _kernels._fallback(theta, 6, 1, 4096, 32) is _kernels._row_loop
+
+
+def test_fallback_switches_loops_at_the_row_loop_rows():
+    # wide theta falls back to the row loop under ROWS rows and to the loop
+    # over positions from there on; near-fair theta settles on both sides
+    step = _kernels._SETTLE_DRAWS // 4096
+    wide, near_fair = spread_theta(0.9, 4), spread_theta(1 / 16, 4)
+    assert _kernels._fallback(wide, 4, ROWS - 1, 4096, step) is _kernels._row_loop
+    assert _kernels._fallback(wide, 4, ROWS, 4096, step) is _kernels._sample_loop
+    assert _kernels._fallback(near_fair, 4, ROWS - 1, 4096, step) is None
+    assert _kernels._fallback(near_fair, 4, ROWS, 4096, step) is None
 
 
 class LookupCounter(np.ndarray):
@@ -967,11 +993,20 @@ def settle_cases():
         [0.1, 0.9, 0.9, 0.1, 0.1, 0.9, 0.9, 0.9, 0.1, 0.9, 0.1, 0.9],
     ])
     near_fair = 0.5 + rng.uniform(-1, 1, 128) / 16
+    # one 300-draw run at ell 1, each draw flipping the next; elsewhere a 0
+    # in every state
+    long_run = np.full((1, 4096), 0.9995)
+    long_run[0, 100:400] = 0.5
+    # theta reads only the bit two back; per 13 positions: two fixed 1s,
+    # then A, B1, B2 that read their state, then fixed 0s: runs of 3
+    stall = np.tile([0.1, 0.1, 0.6, 0.6, 0.6] + [0.9] * 8, (8, 315))
     return [
         ("edges", spread, 2, edges),
         ("none", spread, 2, np.tile(edges[2], (4, 1))),
         ("ell0", np.array([0.3]), 0, rng.random((40, 50))),
         ("ell7", near_fair, 7, rng.random((4, 600))),
+        ("run300", np.array([0.999, 0.001]), 1, long_run),
+        ("stall", np.array([0.5, 0.5, 0.75, 0.75]), 2, stall),
     ]
 
 
@@ -982,13 +1017,15 @@ def test_settle_evaluates_each_ambiguous_draw_once(case):
     for state0 in range(1 << ell) if ell < 3 else pasts(ell):
         counted = theta.view(LookupCounter)
         counted.lookups = 0
-        bits = _kernels._settle(counted, state0, ell, u, 1)
+        bits = _kernels._settle(counted, state0, ell, u)
         assert np.array_equal(bits, loop_sample(theta, state0, ell, u))
         assert counted.lookups == np.count_nonzero((u >= lo) & (u < hi))
         if case[0] == "edges":
             # the first draw of each row reads the past alone
             assert bits[0, 0] == (state0 != 0)
             assert bits[1, 0] == state0 >> 1
+        if case[0] in ("run300", "stall"):
+            assert longest_run(theta, ell, u) == (300 if case[0] == "run300" else 3)
 
 
 @pytest.mark.parametrize("rows", [512, 1024])
@@ -1014,21 +1051,3 @@ def test_wide_theta_at_ell_1_settles_every_block(rows, monkeypatch):
     bits = _kernels.sample_batch(theta, 1, 1, u)
     assert calls == {"settle": rows // 32, "loop": 0}
     assert np.array_equal(bits, loop_sample(theta, 1, 1, u))
-
-
-def test_sample_block_that_gives_up_hands_the_rest_to_the_loop(monkeypatch):
-    monkeypatch.setattr(_kernels, "_SETTLE_DRAWS", 4096)
-    theta = np.array([0.999, 0.001])
-    rng = np.random.default_rng(81)
-    u = rng.random((40, 1024))
-    u[:4] = 0.9995  # the first block has no draw that reads its state
-    shapes, real = [], _kernels._sample_loop
-
-    def loop(theta, state0, ell, u, out=None):
-        shapes.append(u.shape)
-        return real(theta, state0, ell, u, out)
-
-    monkeypatch.setattr(_kernels, "_sample_loop", loop)
-    for state0 in (0, 1):
-        assert np.array_equal(_kernels.sample_batch(theta, state0, 1, u), loop_sample(theta, state0, 1, u))
-    assert shapes == [(36, 1024), (36, 1024)]  # the 4 settled rows are not sampled again

@@ -215,51 +215,46 @@ def one_batch_and_state(src, past, n, trials, seed):
     return bits, rng.bit_generator.state
 
 
+# per trial count, the path each chunk of the near-fair and the alternating
+# source takes: a single 512-bit row is under a settle's fixed cost; the
+# alternating source's runs fill its rows, so from 36 rows on it takes the
+# loop over positions and below that the row loop
+CHUNK_PATHS = {
+    1: (["_row_loop"], ["_row_loop"]),
+    35: (["_settle"], ["_row_loop"]),
+    36: (["_settle"], ["_sample_loop"]),
+    300: (["_settle"] * 3, ["_sample_loop"] * 3),
+}
+
+
 @pytest.mark.parametrize("trials", [1, 35, 36, 300])
 def test_sample_chunks_equal_one_sample_batch(trials, monkeypatch):
     # chunks of 120 rows (the last one short), 4096-draw settle blocks of
-    # 8 rows; the near-fair source settles, the alternating one gives up in
-    # its first block
+    # 8 rows; every path gives the bits and leaves the rng where one
+    # sample_batch call on rng.random((trials, 512)) does
     from mdelta import source as source_mod
 
     monkeypatch.setattr(source_mod, "_TRIAL_BUDGET_BYTES", 8 * 512 * 120)
     monkeypatch.setattr(_kernels, "_SETTLE_DRAWS", 4096)
+    paths, fallback = [], _kernels._fallback
+
+    def recorded_fallback(*args):
+        loop = fallback(*args)
+        paths.append("_settle" if loop is None else loop.__name__)
+        return loop
+
+    monkeypatch.setattr(_kernels, "_fallback", recorded_fallback)
     near_fair = random_hypercube_source(3, 0.05, seed=4)
     alternating = MarkovSource(full_tree(1), [0.999, 0.001])
-    for src in (near_fair, alternating):
+    for src, taken in zip((near_fair, alternating), CHUNK_PATHS[trials]):
         past = "1" * src.memory
+        paths.clear()
         chunks, state = sample_chunks_and_state(src, past, 512, trials, 9)
+        assert paths == taken
         assert [len(c) for c in chunks] == [min(120, trials - r) for r in range(0, trials, 120)]
         bits, want = one_batch_and_state(src, past, 512, trials, 9)
         assert np.array_equal(np.concatenate(chunks), bits)
         assert state == want
-
-
-def test_sample_chunks_block_giving_up_mid_chunk_keeps_the_stream(monkeypatch):
-    # the third block of each chunk gives up: the loop over positions takes
-    # that block's uniforms, already drawn, and the rest of the chunk
-    from mdelta import source as source_mod
-
-    monkeypatch.setattr(source_mod, "_TRIAL_BUDGET_BYTES", 8 * 512 * 120)
-    monkeypatch.setattr(_kernels, "_SETTLE_DRAWS", 4096)
-    calls, real = [], _kernels._settle
-
-    def settle(theta, state0, ell, u, blocks):
-        calls.append((len(u), blocks))
-        return None if len(calls) % 3 == 0 else real(theta, state0, ell, u, blocks)
-
-    monkeypatch.setattr(_kernels, "_settle", settle)
-    src = random_hypercube_source(3, 0.05, seed=5)
-    chunks, state = sample_chunks_and_state(src, "010", 512, 250, 3)
-    # chunks of 120, 120 and 10 rows, 15 blocks of 8 rows each in the first
-    # two; the last chunk, under _ROW_LOOP_ROWS rows, settles its block of
-    # 8 rows with the row loop as its fallback (blocks 0), which takes the
-    # 2-row block: its 1024 draws are no more than a settle's fixed cost
-    assert calls == [(8, 15), (8, 14), (8, 13)] * 2 + [(8, 0), (2, 0)]
-    monkeypatch.setattr(_kernels, "_settle", real)
-    bits, want = one_batch_and_state(src, "010", 512, 250, 3)
-    assert np.array_equal(np.concatenate(chunks), bits)
-    assert state == want
 
 
 def test_sample_settled_or_row_by_row_leaves_the_rng_after_one_row():
@@ -392,7 +387,7 @@ def test_aggregation_mass_consistency():
     for w in ("", "1", "01", "10"):
         k = len(w)
         members = [s for s in src.tree.leaves if s.endswith(w)]
-        leaf_mass = src.leaf_stationary()
+        leaf_mass = np.bincount(src.tree.state_leaf_index, weights=src.stationary)
         total = sum(leaf_mass[src.tree.leaves.index(s)] for s in members)
         cols = pi.reshape(1 << (3 - k), 1 << k)[:, state_code(w, k) if k else 0].sum()
         assert total == pytest.approx(float(cols), abs=1e-12)
