@@ -480,7 +480,12 @@ def count_batch(bits: np.ndarray, state0: int, depth: int) -> tuple[np.ndarray, 
 
 def log2_prob_batch(lt1, lt0, state0: int, ell: int, bits: np.ndarray) -> np.ndarray:
     """Per-trial log2 probability given per-state log2 symbol weights,
-    sum_s n_s1 lt1[s] + n_s0 lt0[s] over the depth-ell count table."""
+    sum_s n_s1 lt1[s] + n_s0 lt0[s] over the depth-ell count table.
+
+    The package counts and scores through count_batch instead.  This
+    stays only because perfbench's warm-up calls it and its metrics name
+    it; ROADMAP.md ("Delete what the system no longer needs") deletes it
+    with the benchmark's next upkeep."""
     occ, ones = _count(bits, state0, ell)
     return _source_log2(occ, ones, lt1, lt0)
 

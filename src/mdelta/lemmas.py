@@ -3,13 +3,14 @@ redundancy bounds rest on: exact small-n path enumeration where feasible,
 seeded Monte Carlo with explicit statistical slack elsewhere.
 
 Statistical contract: every Monte Carlo harness runs exactly the
-`trials` it is given, from one stream seeded by `child_seed(seed,
-"trials")`, and its verdict uses slack equal to 3 standard errors of
-the empirical quantity and records it; exact checks use no statistical
-slack, only a float tolerance (1e-9 for accumulated log products, 1e-12
-for direct sums).  A report's verdict is derived from its empirical
-value, bound and slack, so no report can disagree with them.  Fixed
-seed means a bit-identical report.
+`trials` it is given, from one generator seeded by `child_seed(seed,
+"trials")`; the source harnesses read them as count tables through the
+source's one stream (`MarkovSource._count_chunks`).  Each verdict uses
+slack equal to 3 standard errors of the empirical quantity and records
+it; exact checks use no statistical slack, only a float tolerance (1e-9
+for accumulated log products, 1e-12 for direct sums).  A report's
+verdict is derived from its empirical value, bound and slack, so no
+report can disagree with them.  Fixed seed means a bit-identical report.
 """
 
 from __future__ import annotations
@@ -160,27 +161,25 @@ def _state_setup(ell, delta_at, n, seed, state, source):
     (a seeded hypercube one unless supplied), the target state's code and
     the params."""
     _check_horizon(n)
+    state = state if state is not None else "1" * ell
+    if len(state) != ell:
+        raise ValueError(f"state {state!r} must have length ell = {ell}")
     if source is None:
         source = random_hypercube_source(ell, delta_at, seed=_kernels.child_seed(seed, "source"))
     elif source.memory != ell:
         raise ValueError("supplied source must have memory equal to ell")
-    state = state if state is not None else "1" * ell
     params = {"ell": ell, "delta_at": delta_at, "n": n, "state": state, "seed": seed}
     return source, state_code(state, ell), params
 
 
 def _state_counts(source, n, trials, rng, code):
-    """Per-trial (n_s, n_s1) for one target state, sampled in chunks from
-    the all-zeros past."""
+    """Per-trial (n_s, n_s1) for one target state, from the all-zeros past."""
     ell = source.memory
     occ_out = np.empty(trials, np.int64)
     ones_out = np.empty(trials, np.int64)
-    done = 0
-    for bits in source._sample_chunks("0" * ell, n, trials, rng):
-        occ, ones = _kernels.count_batch(bits, 0, ell)
-        occ_out[done : done + len(bits)] = occ[:, code]
-        ones_out[done : done + len(bits)] = ones[:, code]
-        done += len(bits)
+    for rows, occ, ones in source._count_chunks("0" * ell, n, trials, rng, ell):
+        occ_out[rows] = occ[:, code]
+        ones_out[rows] = ones[:, code]
     return occ_out, ones_out
 
 
@@ -231,6 +230,8 @@ def estimate_inv_ns(
     """MC estimate of E[1/n_s] (taken as 1 when n_s = 0) against the
     asymptotic ceiling; both the tight constant ell 2^{ell+1}/n and its
     doubled, safer companion are recorded, and the looser one decides."""
+    if ell < 1:
+        raise ValueError(f"the inverse-count bound needs ell >= 1, got {ell}")
     source, code, params = _state_setup(ell, delta_at, n, seed, state, source)
     bound_tight = ell * 2.0 ** (ell + 1) / n
     bound_loose = 2.0 * ell * 2.0 ** (ell + 1) / n
@@ -371,11 +372,8 @@ def verify_deviation(
     thresh = deviation_threshold(n, ell)
     rng = _trials_rng(trials, seed)
     zs = np.empty(trials)
-    done = 0
-    for bits in source._sample_chunks(past, n, trials, rng):
-        occ, ones = _kernels.count_batch(bits, 0, source.memory)  # the past 0...0 has code 0
-        zs[done : done + len(bits)] = _deviations(source, occ, ones, ell).sum(axis=1)
-        done += len(bits)
+    for rows, occ, ones in source._count_chunks(past, n, trials, rng, source.memory):
+        zs[rows] = _deviations(source, occ, ones, ell).sum(axis=1)
     max_z = float(zs.max())
     extras = {
         "threshold": thresh, "max_z": max_z, "max_z_over_threshold": max_z / thresh,

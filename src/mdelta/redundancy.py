@@ -22,10 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
-from .coders import CountCoder, SequentialCoder, _require_cap
+from .coders import CountCoder, SequentialCoder
 from .delta import DeltaSpec
-from .source import MAX_SCAN_DEPTH, MarkovSource, _check_horizon, _fold, as_bits, state_code
+from .source import MAX_SCAN_DEPTH, MarkovSource, _check_horizon, _fold, _require_cap, as_bits, state_code
 
 __all__ = [
     "MCEstimate",
@@ -102,37 +101,31 @@ def mc_avg_redundancy(
     _check_horizon(n)
     if trials < 2:
         raise ValueError("need at least two trials for a standard error")
-    shared = _shared_count(source, past, coder)
     rng = np.random.default_rng(seed)
     logp = np.empty(trials)
     logq = np.empty(trials)
-    done = 0
-    for bits in source._sample_chunks(past, n, trials, rng):
-        rows = slice(done, done + len(bits))
-        if shared is None:
-            logp[rows] = source.log2_prob_batch(past, bits)
-            logq[rows] = coder.log2_prob_batch(bits)
-        else:
-            occ, ones = _kernels.count_batch(bits, shared, max(source.memory, coder.depth))
+    if _shared_count(source, past, coder):
+        depth = max(source.memory, coder.depth)
+        for rows, occ, ones in source._count_chunks(past, n, trials, rng, depth):
             logp[rows] = source.log2_prob_counts(_fold(occ, source.memory), _fold(ones, source.memory))
             logq[rows] = coder.log2_prob_counts(_fold(occ, coder.depth), _fold(ones, coder.depth))
-        done += len(bits)
+    else:
+        for rows, bits in source._sample_chunks(past, n, trials, rng):
+            logp[rows] = source.log2_prob_batch(past, bits)
+            logq[rows] = coder.log2_prob_batch(bits)
     r = logp - logq
     mean = float(r.sum()) / trials
     var = max(float((r * r).sum()) / trials - mean * mean, 0.0)
     return MCEstimate(mean, math.sqrt(var / trials), trials, logp, logq)
 
 
-def _shared_count(source: MarkovSource, past, coder: SequentialCoder) -> int | None:
-    """Context code of the past at max(memory, coder depth) when one count
-    table serves both the source and the coder, else None."""
-    if not isinstance(coder, CountCoder):
-        return None
-    depth = max(source.memory, coder.depth)
-    if len(as_bits(past)) < depth:
-        return None
-    code = state_code(past, depth)
-    return code if code & ((1 << coder.depth) - 1) == coder.state0 else None
+def _shared_count(source: MarkovSource, past, coder: SequentialCoder) -> bool:
+    """Whether one count table of the past's continuations, at
+    max(memory, coder depth), serves both the source and the coder: the
+    coder counts them and its own past is the tail of the past."""
+    if not isinstance(coder, CountCoder) or len(as_bits(past)) < max(source.memory, coder.depth):
+        return False
+    return state_code(past, coder.depth) == coder.state0
 
 
 # ---------------------------------------------------------------------------

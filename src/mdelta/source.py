@@ -82,11 +82,8 @@ def _require_cap(n: int) -> None:
 def _chunk_sizes(trials: int, n: int):
     """Split `trials` rows of n uniforms into chunks under the trial budget."""
     chunk = max(1, _TRIAL_BUDGET_BYTES // (8 * max(n, 1)))
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        yield t
-        done += t
+    for done in range(0, trials, chunk):
+        yield min(chunk, trials - done)
 
 
 class StationaryConvergenceError(RuntimeError):
@@ -379,12 +376,12 @@ class MarkovSource:
         return float(self.log2_prob_batch(past, as_bits(x)[None, :])[0])
 
     def log2_prob_batch(self, past, bits: np.ndarray) -> np.ndarray:
-        lt1, lt0 = self._log_tables
-        return _kernels.log2_prob_batch(lt1, lt0, self._past_code(past), self.memory, as_bit_rows(bits))
+        counts = _kernels.count_batch(as_bit_rows(bits), self._past_code(past), self.memory)
+        return self.log2_prob_counts(*counts)
 
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """Per-trial log2 probability from depth-`memory` count tables, the
-        same closed form log2_prob_batch takes after counting."""
+        """Per-trial log2 probability from depth-`memory` count tables of
+        whole samples, counted from the past."""
         return _kernels._source_log2(occ, ones, *self._log_tables)
 
     def log2_prob_all(self, past, n: int) -> np.ndarray:
@@ -400,28 +397,39 @@ class MarkovSource:
         _check_horizon(n, 0)
         if rng is None:
             rng = np.random.default_rng(seed)
-        u = rng.random((1, n))
-        return _kernels.sample_batch(self.state_theta, self._past_code(past), self.memory, u)[0]
+        ((_, bits),) = self._sample_chunks(past, n, 1, rng)
+        return bits[0]
 
     def _sample_chunks(self, past, n: int, trials: int, rng):
-        """Yield `trials` length-n samples as (t, n) bit batches, drawing
-        the uniforms from rng row after row under the trial budget.
+        """Yield `trials` length-n samples continuing the past as (rows,
+        bits) chunks: a (t, n) bit batch and its slice of the trials, the
+        uniforms drawn from rng row after row under the trial budget.
 
-        The sampler picks its path for a chunk from theta before drawing
-        (see _kernels._fallback).  A chunk that settles draws its uniforms
-        one settle block at a time; a chunk that falls back to a loop
-        (theta spread wide enough that its runs of state-dependent draws
-        are long) draws the whole chunk's at once.  Every bit and the rng
-        state afterwards equal one sample_batch call on
-        rng.random((trials, n)).
+        This is the one stream that sample and every Monte Carlo estimator
+        read, most of them as counts through _count_chunks.  The sampler
+        picks its path for a chunk from theta before drawing
+        (_kernels._fallback): a chunk that settles draws its uniforms one
+        settle block at a time, one that falls back to a loop (theta spread
+        wide, so runs of state-dependent draws are long) the whole chunk's
+        at once.  Every bit and the rng state afterwards equal one
+        sample_batch call on rng.random((trials, n)).
         """
         s0 = self._past_code(past)
-
-        def draw(r, k):
-            return rng.random((k, n))
-
+        done = 0
         for t in _chunk_sizes(trials, n):
-            yield _kernels._sample_rows(self.state_theta, s0, self.memory, (t, n), draw)
+            bits = _kernels._sample_rows(
+                self.state_theta, s0, self.memory, (t, n), lambda r, k: rng.random((k, n))
+            )
+            yield slice(done, done + t), bits
+            done += t
+
+    def _count_chunks(self, past, n: int, trials: int, rng, depth: int):
+        """Yield the chunks of _sample_chunks as (rows, occ, ones): each
+        chunk's slice of the trials and its (t, 2**depth) context counts,
+        rolled from the past's depth-`depth` code."""
+        s0 = state_code(past, depth)
+        for rows, bits in self._sample_chunks(past, n, trials, rng):
+            yield (rows, *_kernels.count_batch(bits, s0, depth))
 
     # -- stationary law -----------------------------------------------------
 

@@ -135,6 +135,24 @@ def test_state_count_threshold_needs_a_positive_depth():
     assert rep.trials == 2 and rep.params["k"] == 3.0
 
 
+def test_inverse_count_estimate_needs_a_positive_depth():
+    # at ell = 0 both bounds, ell 2^(ell+1)/n and twice that, are 0, so
+    # every trial would fail by construction
+    for ell in (0, -1):
+        with pytest.raises(ValueError, match=f"^the inverse-count bound needs ell >= 1, got {ell}$"):
+            estimate_inv_ns(ell=ell, n=64, trials=2)
+
+
+def test_state_harnesses_take_a_state_of_length_ell():
+    # only the last ell bits were measured while params recorded the whole
+    # string, so "111" at ell 2 reported the state "11" under another name
+    for harness in (verify_state_count, estimate_inv_ns, verify_mse):
+        for state in ("111", "1", ""):
+            with pytest.raises(ValueError, match=f"^state '{state}' must have length ell = 2$"):
+                harness(ell=2, n=64, trials=2, state=state)
+    assert verify_mse(ell=2, n=64, trials=2, state="01").params["state"] == "01"
+
+
 def test_state_count_fair_source_never_starves():
     rep = verify_state_count(ell=2, delta_at=0.0, n=2**12, trials=400, seed=1)
     assert rep.failures == 0

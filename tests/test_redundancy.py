@@ -175,11 +175,11 @@ def test_mc_chunking_keeps_the_stream(monkeypatch):
 def two_count_estimate(src, past, coder, n, trials, seed):
     """The per-trial values with the source and the coder each scoring the bits."""
     rng = np.random.default_rng(seed)
-    logp, logq = [], []
-    for bits in src._sample_chunks(past, n, trials, rng):
-        logp.append(src.log2_prob_batch(past, bits))
-        logq.append(coder.log2_prob_batch(bits))
-    return np.concatenate(logp), np.concatenate(logq)
+    logp, logq = np.empty(trials), np.empty(trials)
+    for rows, bits in src._sample_chunks(past, n, trials, rng):
+        logp[rows] = src.log2_prob_batch(past, bits)
+        logq[rows] = coder.log2_prob_batch(bits)
+    return logp, logq
 
 
 # (memory, coder depth, past, coder past): depths below, at and above the

@@ -231,7 +231,9 @@ CHUNK_PATHS = {
 def test_sample_chunks_equal_one_sample_batch(trials, monkeypatch):
     # chunks of 120 rows (the last one short), 4096-draw settle blocks of
     # 8 rows; every path gives the bits and leaves the rng where one
-    # sample_batch call on rng.random((trials, 512)) does
+    # sample_batch call on rng.random((trials, 512)) does, and the count
+    # stream yields each chunk's rows with the tables count_batch gives its
+    # bits from the past's code, at depths below, at and above the memory
     from mdelta import source as source_mod
 
     monkeypatch.setattr(source_mod, "_TRIAL_BUDGET_BYTES", 8 * 512 * 120)
@@ -247,14 +249,24 @@ def test_sample_chunks_equal_one_sample_batch(trials, monkeypatch):
     near_fair = random_hypercube_source(3, 0.05, seed=4)
     alternating = MarkovSource(full_tree(1), [0.999, 0.001])
     for src, taken in zip((near_fair, alternating), CHUNK_PATHS[trials]):
-        past = "1" * src.memory
+        past = "10" + "1" * src.memory
         paths.clear()
         chunks, state = sample_chunks_and_state(src, past, 512, trials, 9)
         assert paths == taken
-        assert [len(c) for c in chunks] == [min(120, trials - r) for r in range(0, trials, 120)]
+        assert [rows for rows, _ in chunks] == [slice(r, min(r + 120, trials)) for r in range(0, trials, 120)]
         bits, want = one_batch_and_state(src, past, 512, trials, 9)
-        assert np.array_equal(np.concatenate(chunks), bits)
+        assert np.array_equal(np.concatenate([b for _, b in chunks]), bits)
         assert state == want
+        for depth in (src.memory - 1, src.memory, src.memory + 2):
+            paths.clear()
+            rng = np.random.default_rng(9)
+            counted = list(src._count_chunks(past, 512, trials, rng, depth))
+            assert paths == taken
+            assert rng.bit_generator.state == want
+            assert [rows for rows, _, _ in counted] == [rows for rows, _ in chunks]
+            for (rows, occ, ones), (_, b) in zip(counted, chunks):
+                want_occ, want_ones = _kernels.count_batch(b, state_code(past, depth), depth)
+                assert np.array_equal(occ, want_occ) and np.array_equal(ones, want_ones)
 
 
 def test_sample_settled_or_row_by_row_leaves_the_rng_after_one_row():
