@@ -11,7 +11,6 @@ from ._kernels import active_backend, child_seed, splitmix64
 from .codec import CodecError, decode, encode, pack_stream, unpack_stream
 from .coders import (
     ENUMERATION_CAP,
-    CountCoder,
     KTCoder,
     MixtureCoder,
     NMLCoder,
@@ -50,7 +49,6 @@ from .redundancy import (
     minimax_lower_bound_value,
     mc_avg_redundancy,
     optimal_ell,
-    truncation_upper_bound,
     truncation_upper_bound_at,
     refined_upper_bound,
     regret_bits,

@@ -507,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_depth, default=0)
     p.add_argument("--past", default=None)
     p.add_argument("--source", default=None)
-    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_encode, subparser=p)
 
     p = sub.add_parser("decode", help="decode a stream back to bits")

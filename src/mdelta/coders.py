@@ -9,11 +9,11 @@ probability of a known sequence at once, equal (`==`) to the
 reset/`prob_one`/`push` replay; count-based coders compute it from the
 sequence in one pass.
 
-Count-scored coders (KT, mixture, known source) derive from
-`CountCoder`: their code length is a closed form of the per-context
-counts of the whole sequence, so each defines only `log2_prob_counts`,
-and single-sequence and batched log probabilities both count the bits
-and apply it rather than replaying the sequence.
+Every coder (KT, mixture, known source, NML) has a code length that is a
+closed form of the per-context counts of the whole sequence, rolled from
+its past, so each defines only `log2_prob_counts`, and single-sequence
+and batched log probabilities both count the bits and apply it rather
+than replaying the sequence.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .source import (
 )
 
 __all__ = [
-    "CountCoder",
     "KTCoder",
     "MixtureCoder",
     "SourceCoder",
@@ -94,9 +93,14 @@ class SequentialCoder:
     equal to 0 or 1.  A sequential decode asks `prob_one` once per bit,
     and each coder computes that conditional once: what `push` needs of
     it is kept, not recomputed.
+
+    log2 q(x) is a closed form of the depth-`depth` context counts of x,
+    rolled from the context code `state0` of the coder's past; subclasses
+    define that closed form as `log2_prob_counts`.
     """
 
     depth: int
+    state0: int
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -123,23 +127,6 @@ class SequentialCoder:
         return out
 
     def log2_prob(self, x) -> float:
-        raise NotImplementedError
-
-    def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
-        return np.array([self.log2_prob(row) for row in bits])
-
-    def log2_prob_all(self, n: int) -> np.ndarray:
-        raise NotImplementedError
-
-
-class CountCoder(SequentialCoder):
-    """A coder whose log2 q(x) is a closed form of the depth-`depth`
-    context counts of x, rolled from the context code `state0` of its
-    past; subclasses define that closed form as `log2_prob_counts`."""
-
-    state0: int
-
-    def log2_prob(self, x) -> float:
         return float(self.log2_prob_batch(as_bits(x)[None, :])[0])
 
     def log2_prob_batch(self, bits: np.ndarray) -> np.ndarray:
@@ -148,6 +135,9 @@ class CountCoder(SequentialCoder):
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
         """Per-trial log2 q from (trials, 2**depth) count tables of whole
         sequences, counted from the coder's past."""
+        raise NotImplementedError
+
+    def log2_prob_all(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -160,7 +150,7 @@ def _contexts(bits: np.ndarray, state0: int, depth: int) -> np.ndarray:
     return _kernels._windows(ext, depth, len(bits))
 
 
-class KTCoder(CountCoder):
+class KTCoder(SequentialCoder):
     """Per-context add-half rule: q(1 | history) = (a + 1/2) / (a + b + 1)
 
     with (a, b) the 1/0 counts seen so far in the current depth-`depth`
@@ -222,7 +212,7 @@ class KTCoder(CountCoder):
         return _kernels.enum_kt_log2(self.depth, self.state0, n)
 
 
-class MixtureCoder(CountCoder):
+class MixtureCoder(SequentialCoder):
     """Half-half mixture of the add-half coder with the uniform law on
     {0,1}^n: q(x) = (q_kt(x) + 2^-n) / 2, realized sequentially.
 
@@ -314,7 +304,7 @@ def _logaddexp2(x: float, y: float) -> float:
     return y + _LOG2E * math.log1p(math.exp2(d))
 
 
-class SourceCoder(CountCoder):
+class SourceCoder(SequentialCoder):
     """Codes with the exact conditionals of a known source (zero regret)."""
 
     def __init__(self, source: MarkovSource, past=""):
@@ -362,10 +352,19 @@ class ShtarkovResult:
     log2_sum: float
     n: int
     depth: int
-    probs: np.ndarray | None = None  # normalized per-sequence probabilities
 
 
-def shtarkov_sum(depth: int, past="", n: int = 1, return_probs: bool = False) -> ShtarkovResult:
+def _ml_masses(depth: int, past, n: int) -> tuple[np.ndarray, float]:
+    """Every length-n sequence's maximized likelihood after the past, in
+    lexicographic order, and their float sum (the Shtarkov normalizer)."""
+    _require_cap(n)
+    ml = _kernels.enum_ml_log2(depth, state_code(past, depth), n)
+    # stable summation: the values lie in (0, 1], no rescaling needed
+    np.exp2(ml, out=ml)
+    return ml, float(ml.sum())
+
+
+def shtarkov_sum(depth: int, past="", n: int = 1) -> ShtarkovResult:
     """Exact normalizer of per-sequence maximized likelihoods at depth `depth`.
 
     Enumerates all 2^n sequences; log2 of the sum is the worst-case
@@ -375,16 +374,7 @@ def shtarkov_sum(depth: int, past="", n: int = 1, return_probs: bool = False) ->
     continuity-constrained sub-families this is an upper bound on the
     constrained normalizer, which is what the truncation argument needs.
     """
-    _require_cap(n)
-    ml = _kernels.enum_ml_log2(depth, state_code(past, depth), n)
-    # stable summation: the values lie in (0, 1], no rescaling needed
-    np.exp2(ml, out=ml)
-    total = float(ml.sum())
-    log2_sum = math.log2(total)
-    probs = None
-    if return_probs:
-        probs = ml / total
-    return ShtarkovResult(log2_sum, n, depth, probs)
+    return ShtarkovResult(math.log2(_ml_masses(depth, past, n)[1]), n, depth)
 
 
 class NMLCoder(SequentialCoder):
@@ -392,16 +382,19 @@ class NMLCoder(SequentialCoder):
 
     Exact minimax-optimal for the depth-`depth` class at horizon n;
     feasible only under the enumeration cap.  Conditionals come from
-    prefix masses of the normalized table.
+    prefix masses of the normalized table; a whole sequence's code length
+    is its maximized likelihood, a closed form of its counts, over the
+    Shtarkov normalizer.
     """
 
     def __init__(self, depth: int, past="", horizon: int = 1):
         self.depth = depth
         self.horizon = horizon
-        result = shtarkov_sum(depth, past, horizon, return_probs=True)
-        self.log2_sum = result.log2_sum
-        self._probs = result.probs
-        self._levels = [result.probs]
+        probs, self._total = _ml_masses(depth, past, horizon)
+        self.state0 = state_code(past, depth)
+        self.log2_sum = math.log2(self._total)
+        probs /= self._total
+        self._levels = [probs]
         while len(self._levels[-1]) > 1:
             self._levels.append(self._levels[-1].reshape(-1, 2).sum(axis=1))
         self._levels.reverse()  # _levels[t] has 2^t prefix masses
@@ -428,14 +421,12 @@ class NMLCoder(SequentialCoder):
         self._prefix = 2 * self._prefix + bit
         self._t += 1
 
-    def log2_prob(self, x) -> float:
-        bits = as_bits(x)
-        if bits.size != self.horizon:
+    def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
+        if (occ.sum(axis=-1) != self.horizon).any():
             raise ValueError(f"NML coder is defined on length-{self.horizon} sequences")
-        # a whole sequence's context code is its lexicographic index
-        return float(np.log2(self._probs[state_code(bits, self.horizon)]))
+        return np.log2(np.exp2(_kernels._ml_log2(occ, ones)) / self._total)
 
     def log2_prob_all(self, n: int) -> np.ndarray:
         if n != self.horizon:
             raise ValueError(f"NML coder is defined on length-{self.horizon} sequences")
-        return np.log2(self._probs)
+        return np.log2(self._levels[-1])

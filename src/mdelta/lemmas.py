@@ -317,17 +317,17 @@ def verify_azuma_stopped(
 @dataclass(frozen=True)
 class DeviationStats:
     """Per-context deviations z_w = |n_w1 - ptilde_w n_w| at one depth,
-    their sum, and the high-probability radius log2(n) sqrt(n 2^depth)."""
+    their sum, set from them when the stats are built, and the
+    high-probability radius log2(n) sqrt(n 2^depth)."""
 
     depth: int
     per_context: np.ndarray
-    aggregate: float
+    aggregate: float = field(init=False)
     threshold: float
 
     def __post_init__(self):
         self.per_context.setflags(write=False)
-        if not math.isclose(self.aggregate, float(self.per_context.sum()), rel_tol=0, abs_tol=1e-9):
-            raise ValueError("aggregate does not match the stored per-context deviations")
+        object.__setattr__(self, "aggregate", float(self.per_context.sum()))
 
 
 def deviation_threshold(n: int, depth: int) -> float:
@@ -345,7 +345,7 @@ def deviation_stats(source: MarkovSource, past, x, depth: int) -> DeviationStats
     """Deviations of ones-counts from their aggregated means for one sample."""
     counts = count_table(x, past, max(depth, source.memory))
     z = _deviations(source, counts.occurrences, counts.ones, depth)
-    return DeviationStats(depth, z, float(z.sum()), deviation_threshold(counts.total, depth))
+    return DeviationStats(depth, z, deviation_threshold(counts.total, depth))
 
 
 def verify_deviation(

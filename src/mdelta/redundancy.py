@@ -3,16 +3,17 @@ estimation, and the closed-form bound evaluators with optimal-depth scans.
 
 All quantities are in bits (log base 2), including the constants inside
 the bound formulas; reports flag wherever the continuity rate was
-clamped by admissibility.
+clamped by admissibility.  Every coder scores a sequence from its
+context counts, so a Monte Carlo estimate counts each sampled chunk once
+for the source and the coder alike when their pasts agree.
 
 The refined upper bound and its comparison radius exist in two
 arithmetic variants, "plain" and "doubled" (factor 2 on the quadratic
-term and a one-step-wider radical).  "safe" means the larger of the
-two, which is always the doubled one, so it is evaluated as that:
-each doubled term is at least its plain counterpart (2 n d^2 against
-n d^2, 2 log2(n) >= log2(n) for n >= 1, sqrt(n 2^{k+1}) >= sqrt(n 2^k))
-and float rounding is monotone, so every partial sum is at least the
-plain one.
+term and a one-step-wider radical).  The default is "doubled", the safe
+choice: it is always the larger of the two, since each doubled term is
+at least its plain counterpart (2 n d^2 against n d^2, 2 log2(n) >=
+log2(n) for n >= 1, sqrt(n 2^{k+1}) >= sqrt(n 2^k)) and float rounding
+is monotone, so every partial sum is at least the plain one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coders import CountCoder, SequentialCoder
+from .coders import SequentialCoder
 from .delta import DeltaSpec
 from .source import MAX_SCAN_DEPTH, MarkovSource, _check_horizon, _fold, _require_cap, as_bits, state_code
 
@@ -34,7 +35,6 @@ __all__ = [
     "minimax_lower_bound_value",
     "minimax_lower_bound",
     "truncation_upper_bound_at",
-    "truncation_upper_bound",
     "refined_upper_bound",
     "comparison_radius",
     "default_ell_range",
@@ -93,10 +93,10 @@ def mc_avg_redundancy(
 ) -> MCEstimate:
     """Monte Carlo mean +- standard error of the regret over sampled sequences.
 
-    Coders that score count tables (KT, mixture, source) share one count
-    of each chunk with the source, taken at the larger of the two depths
-    from the past and summed down to each depth, when the coder's own past
-    is the tail of that past; any other coder scores the bits.
+    A coder whose own past is the tail of the source's past shares one
+    count of each chunk with the source, taken at the larger of the two
+    depths from the past and summed down to each depth; only a coder whose
+    past differs from the source's scores the bits.
     """
     _check_horizon(n)
     if trials < 2:
@@ -122,8 +122,8 @@ def mc_avg_redundancy(
 def _shared_count(source: MarkovSource, past, coder: SequentialCoder) -> bool:
     """Whether one count table of the past's continuations, at
     max(memory, coder depth), serves both the source and the coder: the
-    coder counts them and its own past is the tail of the past."""
-    if not isinstance(coder, CountCoder) or len(as_bits(past)) < max(source.memory, coder.depth):
+    coder's own past is the tail of the past."""
+    if len(as_bits(past)) < max(source.memory, coder.depth):
         return False
     return state_code(past, coder.depth) == coder.state0
 
@@ -163,14 +163,6 @@ def truncation_upper_bound_at(n: int, ell: int, delta: DeltaSpec) -> float:
     return 2.0 ** (ell - 1) * math.log2(n) + 2.0 * n * delta(ell)
 
 
-def truncation_upper_bound(n: int, delta: DeltaSpec, ells=None) -> tuple[float, int]:
-    """Minimize the truncation bound over depths; returns (value, argmin)."""
-    ells = list(ells) if ells is not None else list(default_ell_range(n))
-    vals = [truncation_upper_bound_at(n, ell, delta) for ell in ells]
-    i = int(np.argmin(vals))
-    return vals[i], ells[i]
-
-
 def comparison_radius(n: int, ell: int, delta: DeltaSpec, variant: str = "doubled") -> float:
     """Radius r_ell of the high-probability comparison with the depth-ell
     empirical aggregated product.
@@ -192,15 +184,15 @@ def comparison_radius(n: int, ell: int, delta: DeltaSpec, variant: str = "double
     return acc
 
 
-def refined_upper_bound(n: int, ell: int, delta: DeltaSpec, variant: str = "safe") -> float:
+def refined_upper_bound(n: int, ell: int, delta: DeltaSpec, variant: str = "doubled") -> float:
     """Refined upper bound at depth ell:
 
     2^{ell-1} log2 n + r_ell + (2^{2 ell + 1} - 2^ell) / n^2
 
-    with r_ell in the chosen variant; "safe" takes the larger radius,
-    the doubled one (see the module docstring).
+    with r_ell in the chosen variant; the default, doubled, is the larger
+    radius (see the module docstring).
     """
-    return _refined(n, ell, comparison_radius(n, ell, delta, "doubled" if variant == "safe" else variant))
+    return _refined(n, ell, comparison_radius(n, ell, delta, variant))
 
 
 def _refined(n: int, ell: int, rad: float) -> float:
@@ -213,6 +205,14 @@ def _refined(n: int, ell: int, rad: float) -> float:
 def default_ell_range(n: int) -> range:
     """Depths 1 .. min(ceil(log2 n), 16); larger state tables exceed desk scale."""
     return range(1, min(math.ceil(math.log2(n)), MAX_SCAN_DEPTH) + 1)
+
+
+def _ell_grid(n: int, ells) -> list[int]:
+    """The depths a scan evaluates: `ells`, or the default range for n."""
+    ells = list(ells) if ells is not None else list(default_ell_range(n))
+    if not ells:
+        raise ValueError("empty depth range: no ell to evaluate")
+    return ells
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def optimal_ell(n: int, delta: DeltaSpec, regime: str = "refined", ells=None) ->
     _check_horizon(n, 4)
     if regime not in _REGIMES:
         raise ValueError(f"unknown regime {regime!r} (use lower, truncation or refined)")
-    ells = list(ells) if ells is not None else list(default_ell_range(n))
+    ells = _ell_grid(n, ells)
     if regime == "lower":
         vals = [minimax_lower_bound(n, ell, delta) for ell in ells]
         scan_i = int(np.argmax(vals))
@@ -283,9 +283,8 @@ class BoundRow:
     ell: int
     lower: float
     upper_truncation: float
-    upper_refined: float  # safe = max of the two variants, the doubled one
+    upper_refined: float  # the doubled variant, the larger of the two
     upper_refined_plain: float
-    upper_refined_doubled: float
     r_ell: float  # doubled-form radius
     r_ell_plain: float
     clamped: bool
@@ -304,23 +303,19 @@ class BoundReport:
 def bound_report(n: int, delta: DeltaSpec, ells=None) -> BoundReport:
     """Evaluate every bound on a depth grid and locate the optima."""
     _check_horizon(n, 2)  # the default grid needs ceil(log2 n) >= 1
-    ells = list(ells) if ells is not None else list(default_ell_range(n))
-    if not ells:
-        raise ValueError("empty depth range: no ell to evaluate")
+    ells = _ell_grid(n, ells)
     rows = []
     for ell in ells:
         lower = minimax_lower_bound(n, ell, delta)  # first: a depth under 1 fails with its message
         r_ell = comparison_radius(n, ell, delta, "doubled")
         r_plain = comparison_radius(n, ell, delta, "plain")
-        refined = _refined(n, ell, r_ell)
         rows.append(
             BoundRow(
                 ell=ell,
                 lower=lower,
                 upper_truncation=truncation_upper_bound_at(n, ell, delta),
-                upper_refined=refined,
+                upper_refined=_refined(n, ell, r_ell),
                 upper_refined_plain=_refined(n, ell, r_plain),
-                upper_refined_doubled=refined,
                 r_ell=r_ell,
                 r_ell_plain=r_plain,
                 clamped=any(delta.eval_detail(m)[1] for m in range(ell, 2 * ell + 1)),

@@ -82,6 +82,17 @@ def test_encode_decode_files(tmp_path):
     assert read_data_lines(bits) == read_data_lines(dec)
 
 
+def test_encode_takes_no_seed(tmp_path, capsys):
+    # encoding is deterministic and writes no metadata, so a seed would do nothing
+    bits = tmp_path / "bits.txt"
+    bits.write_text("0101\n")
+    with pytest.raises(SystemExit) as err:
+        main(["encode", "--seed", "1", "--in", str(bits), "--out", str(tmp_path / "enc.bin")])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not (tmp_path / "enc.bin").exists()
+
+
 def test_truncated_stream_exits_two(tmp_path, capsys):
     bits = tmp_path / "bits.txt"
     enc = tmp_path / "enc.bin"

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +21,7 @@ from mdelta.coders import (
     shtarkov_sum,
 )
 from mdelta.delta import DeltaSpec
+from mdelta.redundancy import mc_avg_redundancy
 from mdelta.source import (
     MarkovSource,
     count_table,
@@ -357,6 +360,66 @@ def test_nml_sequential_consistency():
             acc += math.log2(p1 if b else 1 - p1)
             coder.push(int(b))
         assert acc == pytest.approx(coder.log2_prob(x), abs=1e-10)
+
+
+# one sha256 over NML code lengths, recorded while NMLCoder.log2_prob
+# looked each sequence up in its normalized table and log2_prob_batch
+# scored row by row: every sequence of each shape in lexicographic order,
+# three single rows as arrays and as strings, and Monte Carlo logp/logq
+# bytes with a source past that the coder's past is the tail of and one
+# that it is not
+NML_DIGEST = "4b35e44dc027a6c4d75d20f32296a5a62b63c3541b09ef1f195b1683afd79e45"
+
+
+def all_rows(n):
+    """Every length-n bit row, in lexicographic order."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def test_nml_code_lengths_match_their_recorded_digest():
+    h = hashlib.sha256()
+    for depth in range(4):
+        for past in ("000", "101", "0110"):
+            for n in (0, 1, 2, 5, 8, 12):
+                coder = NMLCoder(depth, past, horizon=n)
+                rows = all_rows(n)
+                every = coder.log2_prob_all(n)
+                assert coder.log2_prob_batch(rows).tobytes() == every.tobytes()
+                h.update(every.tobytes())
+                for i in (0, (1 << n) - 1, (5 * (1 << n)) // 7):
+                    h.update(np.float64(coder.log2_prob(rows[i])).tobytes())
+                    h.update(np.float64(coder.log2_prob("".join(map(str, rows[i])))).tobytes())
+                for memory in (0, 2, 3) if n else ():
+                    src = random_hypercube_source(memory, 0.2, seed=10 * memory + depth)
+                    for src_past in (past, past[:-1] + str(1 - int(past[-1]))):
+                        est = mc_avg_redundancy(src, src_past, coder, n, 40, seed=n + depth)
+                        h.update(est.logp.tobytes() + est.logq.tobytes())
+    assert h.hexdigest() == NML_DIGEST
+
+
+NML_ERRORS = {  # the horizon is checked before the past, bits before the length
+    "short": (lambda c: c.log2_prob("101"), "NML coder is defined on length-4 sequences"),
+    "long": (lambda c: c.log2_prob("10101"), "NML coder is defined on length-4 sequences"),
+    "bad-string": (lambda c: c.log2_prob("10a1"), "bit string may contain only 0/1, got '10a1'"),
+    "bad-short-list": (lambda c: c.log2_prob([0, 1, 2]), "bit sequence may contain only 0/1"),
+    "batch": (lambda c: c.log2_prob_batch(np.zeros((2, 3), np.uint8)), "NML coder is defined on length-4 sequences"),
+    "counts": (lambda c: c.log2_prob_counts(*count_batch(np.zeros((1, 5), np.uint8), 1, 2)),
+               "NML coder is defined on length-4 sequences"),
+    "all": (lambda c: c.log2_prob_all(3), "NML coder is defined on length-4 sequences"),
+    "negative-n": (lambda c: NMLCoder(1, "", horizon=-1), "n must be at least 0, got -1"),
+    "negative-n-bad-past": (lambda c: NMLCoder(1, "2", horizon=-1), "n must be at least 0, got -1"),
+    "n-over-cap": (lambda c: NMLCoder(1, "", horizon=ENUMERATION_CAP + 1),
+                   "exhaustive enumeration over 2^21 sequences refused"),
+    "short-past": (lambda c: NMLCoder(1, "", horizon=3), "history of length 0 is shorter than depth 1"),
+    "bad-past": (lambda c: NMLCoder(1, "2", horizon=3), "bit string may contain only 0/1, got '2'"),
+}
+
+
+@pytest.mark.parametrize("case", NML_ERRORS)
+def test_nml_errors_keep_their_messages(case):
+    call, message = NML_ERRORS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(NMLCoder(2, "01", horizon=4))
 
 
 def test_source_coder_probabilities():

@@ -16,7 +16,6 @@ from mdelta.redundancy import (
     minimax_lower_bound_value,
     mc_avg_redundancy,
     optimal_ell,
-    truncation_upper_bound,
     truncation_upper_bound_at,
     refined_upper_bound,
     regret_bits,
@@ -117,9 +116,8 @@ def test_exact_redundancy_equals_the_out_of_place_sum():
 def test_shtarkov_probs_equal_the_out_of_place_quotient(depth, past):
     ml = _kernels.enum_ml_log2(depth, state_code(past, depth), 12)
     total = float(np.exp2(ml).sum())
-    result = shtarkov_sum(depth, past, 12, return_probs=True)
-    assert result.log2_sum == math.log2(total)
-    assert np.array_equal(result.probs, np.exp2(ml) / total)
+    assert shtarkov_sum(depth, past, 12).log2_sum == math.log2(total)
+    assert np.array_equal(NMLCoder(depth, past, horizon=12).log2_prob_all(12), np.log2(np.exp2(ml) / total))
 
 
 def test_mc_agrees_with_exact():
@@ -210,12 +208,29 @@ def test_mc_shared_count_equals_two_counts(memory, depth, past, coder_past, monk
         assert est.mean == float((logp - logq).sum()) / trials
 
 
+@pytest.mark.parametrize("depth,past", [(0, "01"), (1, "01"), (2, "101"), (3, "0110")])
+def test_mc_shares_the_count_with_an_nml_coder(depth, past, monkeypatch):
+    from mdelta.source import MarkovSource as Source
+
+    def no_bits(*args):
+        raise AssertionError("the source scored the bits")
+
+    src = random_hypercube_source(2, 0.2, seed=depth)
+    n, trials = 10, 40
+    coder = NMLCoder(depth, past, horizon=n)
+    logp, logq = two_count_estimate(src, past, coder, n, trials, depth)
+    monkeypatch.setattr(Source, "log2_prob_batch", no_bits)
+    est = mc_avg_redundancy(src, past, coder, n, trials, seed=depth)
+    assert est.logp.tobytes() == logp.tobytes()
+    assert est.logq.tobytes() == logq.tobytes()
+
+
 def test_mc_falls_back_to_two_counts(monkeypatch):
-    # a coder past that is not the tail of the past, a past shorter than the
-    # coder depth, and a coder that scores sequences only (NML)
+    # coder pasts that are not the tail of the past, and a past shorter than
+    # the coder depth
     src = random_hypercube_source(2, 0.2, seed=3)
     n, trials = 10, 40
-    for past, coder in (("01", KTCoder(1, "0")), ("01", KTCoder(3, "101")), ("11", NMLCoder(2, "11", horizon=n)),
+    for past, coder in (("01", KTCoder(1, "0")), ("01", KTCoder(3, "101")), ("01", NMLCoder(1, "0", horizon=n)),
                         ("10", MixtureCoder(2, "11", horizon=n))):
         calls = []
         real = type(coder).log2_prob_batch
@@ -278,9 +293,9 @@ def test_lower_bound_survives_rate_underflow():
 
 def test_prop_bound_tiny_delta_prefers_depth_one():
     spec = DeltaSpec("table", values=tuple([1e-12] * 16), cap0=1e-12)
-    value, ell = truncation_upper_bound(2**16, spec)
-    assert ell == 1
-    assert value == pytest.approx(2.0 ** (1 - 1) * 16 + 2 * 2**16 * 1e-12, rel=1e-9)
+    choice = optimal_ell(2**16, spec, "truncation")
+    assert choice.scanned == 1
+    assert choice.scanned_value == pytest.approx(2.0 ** (1 - 1) * 16 + 2 * 2**16 * 1e-12, rel=1e-9)
 
 
 def test_prop_bound_scan_beats_prescription():
@@ -293,7 +308,9 @@ def test_prop_bound_scan_beats_prescription():
 
 def test_prop_bound_dominates_lead_term():
     spec = DeltaSpec.parse("exp:1")
-    value, ell = truncation_upper_bound(2**16, spec)
+    choice = optimal_ell(2**16, spec, "truncation")
+    ell, value = choice.scanned, choice.scanned_value
+    assert bound_report(2**16, spec).best_upper_truncation == (ell, value)
     assert value >= 2.0 ** (ell - 1) * 16
 
 
@@ -324,15 +341,17 @@ def test_radius_variants_ordering():
             doubled = comparison_radius(n, ell, spec, "doubled")
             plain = comparison_radius(n, ell, spec, "plain")
             assert doubled > plain  # doubled terms and a wider radical
-    # "safe" is the larger radius, and that is always the doubled one: each
-    # doubled term is at least the plain one and rounding is monotone
+    # the default is the larger radius, and that is always the doubled one:
+    # each doubled term is at least the plain one and rounding is monotone
     for delta in RADIUS_SPECS:
         for n in RADIUS_NS:
             for ell in range(1, 17):
                 assert comparison_radius(n, ell, delta, "doubled") >= comparison_radius(n, ell, delta, "plain")
                 doubled = refined_upper_bound(n, ell, delta, "doubled")
                 assert doubled >= refined_upper_bound(n, ell, delta, "plain")
-                assert refined_upper_bound(n, ell, delta, "safe") == doubled
+                assert refined_upper_bound(n, ell, delta) == doubled
+    with pytest.raises(ValueError, match="unknown variant 'safe'"):
+        refined_upper_bound(2**12, 2, RADIUS_SPECS[0], "safe")
 
 
 def test_bound_report_rows_equal_the_public_evaluators():
@@ -342,9 +361,8 @@ def test_bound_report_rows_equal_the_public_evaluators():
                 ell = row.ell
                 assert row.lower == minimax_lower_bound(n, ell, delta)
                 assert row.upper_truncation == truncation_upper_bound_at(n, ell, delta)
-                assert row.upper_refined == refined_upper_bound(n, ell, delta, "safe")
+                assert row.upper_refined == refined_upper_bound(n, ell, delta, "doubled")
                 assert row.upper_refined_plain == refined_upper_bound(n, ell, delta, "plain")
-                assert row.upper_refined_doubled == refined_upper_bound(n, ell, delta, "doubled")
                 assert row.r_ell == comparison_radius(n, ell, delta, "doubled")
                 assert row.r_ell_plain == comparison_radius(n, ell, delta, "plain")
                 assert row.clamped == any(delta.eval_detail(m)[1] for m in range(ell, 2 * ell + 1))
@@ -377,6 +395,16 @@ def test_optimal_ell_validation():
         optimal_ell(2, DeltaSpec.parse("exp:1"))
     with pytest.raises(ValueError):
         optimal_ell(2**10, DeltaSpec.parse("exp:1"), "sideways")
+
+
+@pytest.mark.parametrize("regime", ["lower", "truncation", "refined"])
+def test_scans_reject_an_empty_depth_grid(regime):
+    spec = DeltaSpec.parse("exp:1")
+    for ells in ([], range(3, 1)):
+        with pytest.raises(ValueError, match="^empty depth range: no ell to evaluate$"):
+            optimal_ell(2**16, spec, regime, ells=ells)
+        with pytest.raises(ValueError, match="^empty depth range: no ell to evaluate$"):
+            bound_report(2**16, spec, ells)
 
 
 def test_bound_report_needs_two_steps():
