@@ -17,7 +17,6 @@ from .coders import (
     ShtarkovResult,
     SourceCoder,
     kt_log2_from_counts,
-    ml_log2,
     ml_log2_from_counts,
     shtarkov_sum,
 )
@@ -56,7 +55,6 @@ from .redundancy import (
 from .source import (
     ContextTree,
     ContinuityGenerationError,
-    CountTable,
     MarkovSource,
     StationaryConvergenceError,
     as_bits,

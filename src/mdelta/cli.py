@@ -275,7 +275,7 @@ def _cmd_bounds(args) -> int:
         [args.n, r.ell, report.delta, r.lower, r.upper_truncation, r.upper_refined, r.r_ell, r.clamped]
         for r in report.rows
     ]
-    meta = _meta(args) | {"log_base": 2, "ub_t12_variant": "safe(max of plain,doubled)"}
+    meta = _meta(args) | {"log_base": 2, "ub_t12_variant": "doubled"}
     _write_csv(args.out, meta, ["n", "ell", "delta", "lb_t1", "ub_prop", "ub_t12", "r_ell", "clamped"], rows)
     best_l = report.best_lower
     best_p = report.best_upper_truncation
@@ -370,6 +370,11 @@ def _verify_tasks(args) -> list[tuple[str, object]]:
         kwargs = dict(task.kwargs, seed=_kernels.child_seed(args.seed, task.seed_label))
         if task.trials is not None:
             default, divisor = task.trials
+            if args.trials is not None and divisor > 1 and args.trials < divisor:
+                raise ValueError(
+                    f"--trials must be at least {divisor} for {task.name}, which runs "
+                    f"--trials // {divisor} trials, got {args.trials}"
+                )
             kwargs["trials"] = (default if args.trials is None else args.trials) // divisor
         kwargs.update((key, options[key]) for key in task.options)
         tasks.append((task.name, functools.partial(_run_harness, task.harness, kwargs)))
@@ -516,7 +521,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=_depth, default=None)
     p.add_argument("--past", default=None)
     p.add_argument("--source", default=None)
-    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_decode, subparser=p)
 
     p = sub.add_parser("bounds", help="evaluate the closed-form bounds over a depth grid")
@@ -524,7 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--ell", default=None, help="depth grid, e.g. 1..12 (default: full scan range)")
     p.add_argument("--out", default="bounds.csv")
-    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_bounds, subparser=p)
 
     p = sub.add_parser("redundancy", help="measure regret of a coder against a source")

@@ -26,7 +26,6 @@ import numpy as np
 from . import _kernels
 from .source import (
     ENUMERATION_CAP,
-    CountTable,
     MarkovSource,
     _require_cap,
     as_bit_rows,
@@ -39,7 +38,6 @@ __all__ = [
     "MixtureCoder",
     "SourceCoder",
     "NMLCoder",
-    "ml_log2",
     "ml_log2_from_counts",
     "kt_log2_from_counts",
     "ShtarkovResult",
@@ -56,11 +54,6 @@ def ml_log2_from_counts(occ: np.ndarray, ones: np.ndarray) -> np.ndarray | float
     """Per-context maximized log2 likelihood sum, with 0*log(0) = 0."""
     out = _kernels._ml_log2(np.asarray(occ), np.asarray(ones))
     return float(out) if np.ndim(out) == 0 else out
-
-
-def ml_log2(counts: CountTable) -> float:
-    """log2 of the per-state maximum-likelihood probability of the sample."""
-    return float(ml_log2_from_counts(counts.occurrences, counts.ones))
 
 
 def kt_log2_from_counts(occ: np.ndarray, ones: np.ndarray) -> np.ndarray | float:

@@ -22,12 +22,13 @@ from math import comb
 import numpy as np
 
 from . import _kernels
-from .coders import ml_log2
+from .coders import ml_log2_from_counts
 from .delta import DeltaSpec
 from .source import (
     MarkovSource,
     _check_horizon,
     _chunk_sizes,
+    _fold,
     _require_cap,
     aggregate_moments,
     count_table,
@@ -343,9 +344,9 @@ def _deviations(source, occ, ones, depth):
 
 def deviation_stats(source: MarkovSource, past, x, depth: int) -> DeviationStats:
     """Deviations of ones-counts from their aggregated means for one sample."""
-    counts = count_table(x, past, max(depth, source.memory))
-    z = _deviations(source, counts.occurrences, counts.ones, depth)
-    return DeviationStats(depth, z, deviation_threshold(counts.total, depth))
+    occ, ones = count_table(x, past, max(depth, source.memory))
+    z = _deviations(source, occ, ones, depth)
+    return DeviationStats(depth, z, deviation_threshold(int(occ.sum()), depth))
 
 
 def verify_deviation(
@@ -410,16 +411,16 @@ def verify_truncation(
     truncated = source.truncate(ell)
     # one count at the deepest depth any term needs, aggregated to each
     # term's own: the same integers as counting at that depth
-    counts = count_table(x, past, max(ell, source.memory))
-    n = counts.total
+    occ, ones = count_table(x, past, max(ell, source.memory))
+    n = int(occ.sum())
 
     def log2_prob(src):
-        at = counts.aggregate(src.memory)
-        return float(src.log2_prob_counts(at.occurrences[None], at.ones[None])[0])
+        at_occ, at_ones = _fold(occ, src.memory), _fold(ones, src.memory)
+        return float(src.log2_prob_counts(at_occ[None], at_ones[None])[0])
 
     log_p = log2_prob(source)
     margin = log_p - log2_prob(truncated)
-    margin_ml = log_p - ml_log2(counts.aggregate(ell))
+    margin_ml = log_p - ml_log2_from_counts(_fold(occ, ell), _fold(ones, ell))
     bound_log = n * math.log2(1.0 + d)
     bound_linear = 2.0 * n * d
     ok = margin <= bound_log + EXACT_TOL_LOG and margin_ml <= bound_linear + EXACT_TOL_LOG
@@ -483,11 +484,11 @@ def verify_chaining(
 ) -> ChainingCheck:
     """Exact check that refining the aggregation depth by one can raise the
     empirical product by at most 2 n delta(ell)^2 + 2 z_{ell+1} delta(ell) bits."""
-    counts = count_table(x, past, max(ell + 1, source.memory))
-    n = counts.total
-    n_w, n_w1, weighted = aggregate_moments(source, counts.occurrences, counts.ones, ell + 1)
+    occ, ones = count_table(x, past, max(ell + 1, source.memory))
+    n = int(occ.sum())
+    n_w, n_w1, weighted = aggregate_moments(source, occ, ones, ell + 1)
     lhs = log2_empirical_product(n_w, n_w1, weighted)
-    rhs = log2_empirical_product(*aggregate_moments(source, counts.occurrences, counts.ones, ell))
+    rhs = log2_empirical_product(*aggregate_moments(source, occ, ones, ell))
     z_next = float(np.abs(n_w1 - weighted).sum())  # deviation_stats(..., ell + 1).aggregate
     d = delta(ell)
     allowance = 2.0 * n * d * d + 2.0 * z_next * d

@@ -10,7 +10,9 @@ a suffix of it, and a "past" is any bit string supplying at least
 Integer encoding of contexts follows `_kernels`: bit j of the code is
 the bit emitted j+1 steps ago, which makes "suffix" equal to "low
 bits" and lets depth-(d+1) count tables aggregate to depth-d ones by a
-reshape-sum.
+reshape-sum.  A count table is the pair (occ, ones) of n_w and n_w1 per
+context code, in a last axis of length 2**depth (one row per sample when
+batched); `count_table` returns one sample's.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .delta import DeltaSpec
 __all__ = [
     "ContextTree",
     "MarkovSource",
-    "CountTable",
     "ContinuityViolation",
     "ContinuityGenerationError",
     "StationaryConvergenceError",
@@ -258,55 +259,23 @@ def full_tree(ell: int) -> ContextTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CountTable:
-    """Per-context counts for one sample: occurrences n_w and ones n_w1.
-
-    Arrays are indexed by context code; Sum_w n_w equals the sample
-    length, and a depth-(d+1) table aggregates exactly to the depth-d
-    table for the same sample and past.
-    """
-
-    depth: int
-    occurrences: np.ndarray
-    ones: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.occurrences, self.ones):
-            arr.setflags(write=False)
-
-    @property
-    def total(self) -> int:
-        return int(self.occurrences.sum())
-
-    def row(self, w: str) -> tuple[int, int]:
-        """(n_w, n_w1) for a context given as a bit string."""
-        if len(w) != self.depth:
-            raise ValueError(f"context {w!r} is not of depth {self.depth}")
-        code = state_code(w, self.depth) if self.depth else 0
-        return int(self.occurrences[code]), int(self.ones[code])
-
-    def aggregate(self, depth: int) -> "CountTable":
-        """Collapse to a shallower depth by summing sibling rows."""
-        if not 0 <= depth <= self.depth:
-            raise ValueError("can only aggregate to a shallower depth")
-        return CountTable(depth, _fold(self.occurrences, depth), _fold(self.ones, depth))
-
-
 def _fold(counts: np.ndarray, depth: int) -> np.ndarray:
     """Sum the trailing 2**D context axis of (possibly batched) counts down
-    to the 2**depth contexts of their low `depth` bits, for depth <= D."""
+    to the 2**depth contexts of their low `depth` bits, for depth <= D.
+
+    Folding a depth-(d+1) table gives exactly the depth-d table of the
+    same sample and past."""
     top = counts.shape[-1].bit_length() - 1
     shape = counts.shape[:-1] + (1 << (top - depth), 1 << depth)
     return counts.reshape(shape).sum(axis=-2)
 
 
-def count_table(x, past, depth: int) -> CountTable:
-    """Count contexts of each bit of x, rolling through past then x."""
-    bits = as_bits(x)
-    s0 = state_code(past, depth)
-    occ, ones = _kernels.count_batch(bits[None, :], s0, depth)
-    return CountTable(depth, occ[0], ones[0])
+def count_table(x, past, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-context counts (occ, ones) of one sample: n_w and n_w1 for every
+    depth-`depth` context code w, rolling through past then x, so that
+    occ.sum() is the sample length."""
+    occ, ones = _kernels.count_batch(as_bits(x)[None, :], state_code(past, depth), depth)
+    return occ[0], ones[0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +475,7 @@ def empirical_aggregate(source: MarkovSource, x, past, w) -> float | None:
     w = bits_to_str(as_bits(w)) if not isinstance(w, str) else w
     if len(w) >= source.memory:
         return source.theta(source.tree.context_of(w))
-    n_w, weighted = _aggregate(source, count_table(x, past, source.memory).occurrences, len(w))
+    n_w, _, weighted = aggregate_moments(source, *count_table(x, past, source.memory), len(w))
     col = state_code(w, len(w))
     return float(weighted[col] / n_w[col]) if n_w[col] else None
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 from mdelta import lemmas
 from mdelta.cli import main
+from mdelta.delta import DeltaSpec
+from mdelta.redundancy import refined_upper_bound
 from mdelta.source import ContinuityGenerationError, StationaryConvergenceError
 
 
@@ -93,6 +96,20 @@ def test_encode_takes_no_seed(tmp_path, capsys):
     assert not (tmp_path / "enc.bin").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["decode", "--in", "unused.bin", "--out"],
+    ["bounds", "--n", "1024", "--delta", "exp:1", "--out"],
+])
+def test_commands_that_draw_nothing_take_no_seed(tmp_path, capsys, command):
+    # neither command draws anything, so a seed would only change the metadata
+    out = tmp_path / "out.txt"
+    with pytest.raises(SystemExit) as err:
+        main(command + [str(out), "--seed", "1"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_truncated_stream_exits_two(tmp_path, capsys):
     bits = tmp_path / "bits.txt"
     enc = tmp_path / "enc.bin"
@@ -137,6 +154,38 @@ def test_bounds_row_count_and_metadata(tmp_path):
     header = [l for l in lines if l.startswith("n,")]
     assert header == ["n,ell,delta,lb_t1,ub_prop,ub_t12,r_ell,clamped"]
     assert len(read_data_lines(out)) == 13  # header + 12 rows
+
+
+# sha256 of the data lines (header and rows, no `#` lines) of `bounds`
+# CSVs over four grids, each with clamped rows
+BOUNDS_ROWS_SHA256 = {
+    ("4096", "exp:1", None): "4e6fa9f7a81068fd4d950f864363faf124ad9fdab726f6450e4bff8e52c61306",
+    ("1048576", "poly:2", "1..12"): "f57a59b491800260259e8db49ae75aa8b86bf26c5c6cad76ff6097551d3e2c79",
+    ("65536", "dexp:1", None): "3ace60c5b8cb3531aa25c6f98c5cac97ba8f5853c923310183742b61104b4e6f",
+    ("64", "exp:0.5", "1..10"): "f3091173970c51f13dfe76fd91f985c555f2c88ee6c6c383a4633f8d9d6df24d",
+}
+
+
+@pytest.mark.parametrize("grid", BOUNDS_ROWS_SHA256)
+def test_bounds_rows_are_pinned(tmp_path, grid):
+    n, delta, ell = grid
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--n", n, "--delta", delta, "--out", str(out)]
+                + (["--ell", ell] if ell else [])) == 0
+    lines = read_data_lines(out)
+    assert any(line.endswith(",true") for line in lines[1:])
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BOUNDS_ROWS_SHA256[grid]
+
+
+def test_bounds_variant_line_reproduces_ub_t12(tmp_path):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--n", "4096", "--delta", "exp:1", "--out", str(out)]) == 0
+    meta = dict(l[2:].split("=", 1) for l in Path(out).read_text().splitlines() if l.startswith("# "))
+    header, *rows = (line.split(",") for line in read_data_lines(out))
+    for row in rows:
+        row = dict(zip(header, row))
+        ub = refined_upper_bound(4096, int(row["ell"]), DeltaSpec.parse("exp:1"), meta["ub_t12_variant"])
+        assert ub == float(row["ub_t12"])
 
 
 def test_redundancy_writes_regret_rows(tmp_path):
@@ -406,6 +455,17 @@ def test_too_few_trials_for_a_standard_error_exit_two(tmp_path):
     assert main(["verify", "mse", "--trials", "1"]) == 2
     assert main(["verify", "inv-ns", "--trials", "1"]) == 2
     assert main(["verify", "azuma", "--trials", "0"]) == 2  # 0 is a count, not "unset"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "azuma", "--trials", "3"], "--trials must be at least 5 for azuma-fixed, "
+     "which runs --trials // 5 trials, got 3"),
+    (["verify", "all", "--trials", "4"], "--trials must be at least 5 for azuma-fixed, "
+     "which runs --trials // 5 trials, got 4"),
+], ids=["azuma", "all"])
+def test_trials_below_a_task_divisor_name_the_flag(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("lemma", ["truncation", "chaining"])

@@ -16,7 +16,6 @@ from mdelta.coders import (
     SourceCoder,
     _logaddexp2,
     kt_log2_from_counts,
-    ml_log2,
     ml_log2_from_counts,
     shtarkov_sum,
 )
@@ -209,15 +208,15 @@ def test_batch_scores_reject_rows_that_are_not_bits(rows):
 
 
 def test_ml_degenerate_all_ones():
-    assert ml_log2(count_table("11111", "0", 1)) == 0.0
+    assert ml_log2_from_counts(*count_table("11111", "0", 1)) == 0.0
 
 
 def test_ml_memoryless_balanced():
-    assert ml_log2(count_table("01", "0", 0)) == pytest.approx(math.log2(1 / 4), abs=1e-12)
+    assert ml_log2_from_counts(*count_table("01", "0", 0)) == pytest.approx(math.log2(1 / 4), abs=1e-12)
 
 
 def test_ml_per_state_balanced():
-    assert ml_log2(count_table("01", "0", 1)) == pytest.approx(math.log2(1 / 4), abs=1e-12)
+    assert ml_log2_from_counts(*count_table("01", "0", 1)) == pytest.approx(math.log2(1 / 4), abs=1e-12)
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.float64])

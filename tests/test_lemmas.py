@@ -34,6 +34,7 @@ from mdelta.source import (
     full_tree,
     random_continuity_source,
     random_hypercube_source,
+    state_code,
 )
 
 
@@ -350,7 +351,7 @@ def test_deviation_stats_double_entry():
     x = src.sample(past, 512, seed=12)
     depth = 2
     stats = deviation_stats(src, past, x, depth)
-    table = count_table(x, past, src.memory)
+    table_occ, table_ones = count_table(x, past, src.memory)
     by_hand = {}
     for w_code in range(1 << depth):
         w = format(w_code, f"0{depth}b")[::-1]  # code low bit = most recent
@@ -359,15 +360,14 @@ def test_deviation_stats_double_entry():
         weighted = 0.0
         for s in src.tree.leaves:
             if s.endswith(w):
-                occ, ones = table.row(s)
+                code = state_code(s, len(s))
+                occ, ones = int(table_occ[code]), int(table_ones[code])
                 n_w1 += ones
                 weighted += occ * src.theta(s)
         by_hand[w] = abs(n_w1 - weighted)
     total = sum(by_hand.values())
     assert stats.aggregate == pytest.approx(total, abs=1e-9)
     for w, z in by_hand.items():
-        from mdelta.source import state_code
-
         assert stats.per_context[state_code(w, depth)] == pytest.approx(z, abs=1e-9)
 
 
@@ -376,13 +376,11 @@ def test_deviation_full_depth_context_unbiased():
     src = random_hypercube_source(2, 0.1, seed=5)
     x = src.sample("00", 2048, seed=6)
     stats = deviation_stats(src, "00", x, 2)
-    table = count_table(x, "00", 2)
+    table_occ, table_ones = count_table(x, "00", 2)
     for w in ("00", "01", "10", "11"):
-        occ, ones = table.row(w)
-        from mdelta.source import state_code
-
-        expect = abs(ones - occ * src.theta(w))
-        assert stats.per_context[state_code(w, 2)] == pytest.approx(expect, abs=1e-9)
+        code = state_code(w, 2)
+        expect = abs(int(table_ones[code]) - int(table_occ[code]) * src.theta(w))
+        assert stats.per_context[code] == pytest.approx(expect, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +411,6 @@ def truncation_by_three_counts(source, past, ell, x, delta):
     truncated source's and the depth-ell one of the ML term."""
     from mdelta.coders import ml_log2_from_counts
     from mdelta.lemmas import TruncationCheck
-    from mdelta.source import state_code
 
     n, d = len(x), delta(ell)
     log_p = source.log_prob(past, x)
@@ -550,15 +547,21 @@ def _digest_value(v):
     return _digest_value([getattr(v, f) for f in v.__dataclass_fields__])
 
 
-def upper_bound_outputs():
+def upper_bound_samples():
+    """(index, source, past, sample) of every source the digest covers."""
     delta = DeltaSpec.parse("exp:1")
     uneven = MarkovSource(ContextTree(["0", "01", "011", "111"]), [0.3, 0.55, 0.8, 0.45])
     sources = [uneven, random_hypercube_source(0, 0.2, seed=3), random_hypercube_source(3, 0.2, seed=4)]
     sources += [random_continuity_source(m, delta, seed=10 + m) for m in range(1, 7)]
     for i, src in enumerate(sources):
+        past = src.sample("0" * src.memory, src.memory + 3, seed=100 + i)
+        yield i, src, past, src.sample(past, 96, seed=200 + i)
+
+
+def upper_bound_outputs():
+    delta = DeltaSpec.parse("exp:1")
+    for i, src, past, x in upper_bound_samples():
         L = src.memory
-        past = src.sample("0" * L, L + 3, seed=100 + i)
-        x = src.sample(past, 96, seed=200 + i)
         for ell in range(L + 2):
             yield verify_truncation(src, past, ell, x, delta)
             yield verify_chaining(src, past, ell, x, delta)
@@ -587,3 +590,15 @@ def test_upper_bound_checks_match_their_recorded_digest():
     for out in upper_bound_outputs():
         h.update(_digest_value(out).encode() + b";")
     assert h.hexdigest() == UPPER_BOUND_DIGEST
+
+
+def test_chaining_z_next_is_the_next_depth_deviation_sum():
+    # verify_chaining sums the depth-(ell+1) deviations inline
+    delta = DeltaSpec.parse("exp:1")
+    cases = 0
+    for _, src, past, x in upper_bound_samples():
+        for ell in range(src.memory + 2):
+            z_next = verify_chaining(src, past, ell, x, delta).z_next
+            assert z_next == deviation_stats(src, past, x, ell + 1).aggregate
+            cases += 1
+    assert cases == 45

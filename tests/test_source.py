@@ -14,6 +14,7 @@ from mdelta.source import (
     ContextTree,
     ContinuityGenerationError,
     MarkovSource,
+    _fold,
     aggregate_moments,
     as_bits,
     bits_to_str,
@@ -302,12 +303,12 @@ def test_empirical_state_frequencies_match_stationary():
     src = random_hypercube_source(2, 1 / 16, seed=3)
     n = 10**6
     bits = src.sample("00", n, seed=4)
-    table = count_table(bits, "00", 2)
+    occ, _ = count_table(bits, "00", 2)
     pi = src.stationary
     for code in range(4):
         expect = pi[code] * n
         sigma = math.sqrt(n * pi[code] * (1 - pi[code]))
-        assert abs(table.occurrences[code] - expect) <= 5 * sigma
+        assert abs(occ[code] - expect) <= 5 * sigma
 
 
 # ---------------------------------------------------------------------------
@@ -315,36 +316,51 @@ def test_empirical_state_frequencies_match_stationary():
 # ---------------------------------------------------------------------------
 
 
+def row(table, w):
+    """(n_w, n_w1) of a context given as a bit string."""
+    occ, ones = table
+    code = state_code(w, len(w))
+    return int(occ[code]), int(ones[code])
+
+
 def test_count_table_depth_one():
     table = count_table("11010", "0", 1)
-    assert table.row("0") == (2, 2)
-    assert table.row("1") == (3, 1)
-    assert table.total == 5
+    assert row(table, "0") == (2, 2)
+    assert row(table, "1") == (3, 1)
+    assert table[0].sum() == 5
 
 
 def test_count_table_all_ones():
     table = count_table("1111", "1", 1)
-    assert table.row("1") == (4, 4)
-    assert table.row("0") == (0, 0)
+    assert row(table, "1") == (4, 4)
+    assert row(table, "0") == (0, 0)
 
 
 def test_count_table_depth_two():
     # contexts of 0,1,0,1 after past "10" are 10, 00, 01, 10
     table = count_table("0101", "10", 2)
-    assert table.row("10") == (2, 1)
-    assert table.row("00") == (1, 1)
-    assert table.row("01") == (1, 0)
-    assert table.row("11") == (0, 0)
+    assert row(table, "10") == (2, 1)
+    assert row(table, "00") == (1, 1)
+    assert row(table, "01") == (1, 0)
+    assert row(table, "11") == (0, 0)
+
+
+def test_count_table_is_row_zero_of_the_batched_count():
+    x = fair().sample("", 300, seed=5)
+    for depth in range(4):
+        occ, ones = count_table(x, "110", depth)
+        batch_occ, batch_ones = _kernels.count_batch(x[None, :], state_code("110", depth), depth)
+        assert occ.shape == ones.shape == (1 << depth,)
+        assert np.array_equal(occ, batch_occ[0]) and np.array_equal(ones, batch_ones[0])
 
 
 @settings(max_examples=60, deadline=None)
 @given(bit_strings)
 def test_count_marginalization(x):
-    deep = count_table(x, "101", 3)
-    shallow = count_table(x, "101", 2)
-    agg = deep.aggregate(2)
-    assert np.array_equal(agg.occurrences, shallow.occurrences)
-    assert np.array_equal(agg.ones, shallow.ones)
+    deep_occ, deep_ones = count_table(x, "101", 3)
+    occ, ones = count_table(x, "101", 2)
+    assert np.array_equal(_fold(deep_occ, 2), occ)
+    assert np.array_equal(_fold(deep_ones, 2), ones)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +432,7 @@ def test_aggregates_average_every_state_ending_in_w(w):
     src = shallow_leaf_source()
     past = "000"
     x = src.sample(past, 500, seed=4)
-    counts = count_table(x, past, 3)
-    occ = counts.occurrences
+    occ, ones = count_table(x, past, 3)
     pi, th = src.stationary, src.state_theta
     ending = [s for s in range(8) if s & ((1 << len(w)) - 1) == state_code(w, len(w))]
     stationary = sum(pi[s] * th[s] for s in ending) / sum(pi[s] for s in ending)
@@ -425,7 +440,7 @@ def test_aggregates_average_every_state_ending_in_w(w):
     assert src.aggregate_conditional(w) == pytest.approx(stationary, abs=1e-12)
     assert empirical_aggregate(src, x, past, w) == pytest.approx(empirical, abs=1e-12)
     # the single-context read is the column of w in the all-contexts fold
-    n_w, _, weighted = aggregate_moments(src, occ, counts.ones, len(w))
+    n_w, _, weighted = aggregate_moments(src, occ, ones, len(w))
     col = state_code(w, len(w))
     assert empirical_aggregate(src, x, past, w) == weighted[col] / n_w[col]
 
@@ -450,8 +465,7 @@ def test_empirical_aggregate_full_depth_is_theta():
 def test_empirical_aggregate_two_term_mean():
     src = MarkovSource(full_tree(1), {"0": 0.25, "1": 0.75})
     x, past = "11010", "0"
-    table = count_table(x, past, 1)
-    n0, n1 = table.row("0")[0], table.row("1")[0]
+    (n0, n1), _ = count_table(x, past, 1)
     expect = (n0 * 0.25 + n1 * 0.75) / (n0 + n1)
     assert empirical_aggregate(src, x, past, "") == pytest.approx(expect, abs=1e-12)
 
