@@ -57,6 +57,14 @@ STATIONARY_MAX_ITER = 10**6
 # slack on every continuity bound, for the rounding of a parameter ratio
 CONTINUITY_TOL = 1e-12
 _TRIAL_BUDGET_BYTES = 64 << 20  # float64 uniforms drawn at once for Monte Carlo trials
+# continuity-source tries drawn and checked at once: a first batch of eight
+# costs about one try at small depth, where numpy's per-call overhead rules,
+# and holds most exp:1 draws to depth 6 (3.9 tries on average there); each
+# rejected batch doubles the next, up to this many bytes of float64 uniforms
+# (one try from depth 14 on); at four times this budget, depths 12 and 14 ran
+# slower than one try at a time
+_CONTINUITY_FIRST_BATCH = 8
+_CONTINUITY_BATCH_BYTES = 256 << 10
 
 
 # longest horizon enumerated exhaustively (2^n sequences)
@@ -575,30 +583,48 @@ def check_continuity(source: MarkovSource, delta: DeltaSpec) -> list[ContinuityV
 
 
 def _full_tree_excesses(th, dmin, tol):
-    # the check of a source's state-ordered theta: the ratio excess
-    # max/min - 1 of every common-suffix class, for symbol 1 (theta, row 0)
-    # and symbol 0 (1 - theta, row 1), and whether it is over dmin[d] + tol.
-    # The depth-d classes, one per suffix code c < 2**d, sit at 2**d - 1 + c.
+    # the check of state-ordered thetas, one source per row of th's leading
+    # axes: the ratio excess max/min - 1 of every common-suffix class, for
+    # symbol 1 (theta, row 0 of the axis before last) and symbol 0
+    # (1 - theta, row 1), and whether it is over dmin[d] + tol.  The
+    # depth-d classes, one per suffix code c < 2**d, sit at 2**d - 1 + c.
     # Each class's max and min fold bottom up, depth d's from the two depth
-    # d + 1 classes that share its suffix, and symbol 0's come from symbol
-    # 1's: max(1 - theta) is 1 - min(theta) exactly, as rounding is monotone
-    L = th.size.bit_length() - 1
-    hi = np.empty(2 << L)  # heap order: the depth-d classes at 2**d + c
-    lo = np.empty(2 << L)
-    hi[1 << L :] = lo[1 << L :] = th
+    # d + 1 classes that share its suffix; the min folds as the max of
+    # -theta, and symbol 0's come from symbol 1's: max(1 - theta) is
+    # 1 - min(theta) exactly, as rounding is monotone
+    L = th.shape[-1].bit_length() - 1
+    ext = np.empty(th.shape[:-1] + (2, 2 << L))  # heap order: the depth-d classes at 2**d + c
+    ext[..., 0, 1 << L :] = th
+    np.negative(th, out=ext[..., 1, 1 << L :])
     for d in range(L - 1, -1, -1):
         k = 1 << d
-        np.maximum(hi[2 * k : 3 * k], hi[3 * k : 4 * k], out=hi[k : 2 * k])
-        np.minimum(lo[2 * k : 3 * k], lo[3 * k : 4 * k], out=lo[k : 2 * k])
-    hi, lo = hi[1 : 1 << L], lo[1 : 1 << L]
-    excess = np.stack((hi / lo, (1.0 - lo) / (1.0 - hi))) - 1.0
-    allowed = np.repeat(dmin[:L] + tol, 1 << np.arange(L))
-    return excess, excess > allowed
+        np.maximum(ext[..., 2 * k : 3 * k], ext[..., 3 * k : 4 * k], out=ext[..., k : 2 * k])
+    hi, lo = ext[..., 0, 1 : 1 << L], -ext[..., 1, 1 : 1 << L]
+    excess = np.empty(ext.shape[:-1] + ((1 << L) - 1,))
+    np.divide(hi, lo, out=excess[..., 0, :])
+    np.divide(1.0 - lo, 1.0 - hi, out=excess[..., 1, :])
+    excess -= 1.0
+    return excess, excess > dmin[_class_depths(L)] + tol
+
+
+@functools.lru_cache(maxsize=MAX_SCAN_DEPTH + 1)
+def _class_depths(L: int) -> np.ndarray:
+    # the depth of each common-suffix class in _full_tree_excesses' order
+    depths = np.repeat(np.arange(L), 1 << np.arange(L))
+    depths.setflags(write=False)
+    return depths
 
 
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
+
+
+def _check_generator_depth(ell: int, least: int) -> None:
+    """Reject a generator depth outside least..MAX_SCAN_DEPTH before any
+    draw: a depth-ell source holds 2**ell parameters."""
+    if not least <= ell <= MAX_SCAN_DEPTH:
+        raise ValueError(f"depth must lie in {least}..{MAX_SCAN_DEPTH}, got {ell}")
 
 
 def random_hypercube_source(ell: int, half_width: float, seed: int | None = None, rng=None) -> MarkovSource:
@@ -608,6 +634,7 @@ def random_hypercube_source(ell: int, half_width: float, seed: int | None = None
     mixing fast.  The exact pairwise ratio band they satisfy is
     4h/(1-2h) at every common-suffix depth, which is asserted here.
     """
+    _check_generator_depth(ell, 0)
     if not 0.0 <= half_width < 0.25:
         raise ValueError("half_width must lie in [0, 1/4)")
     if rng is None:
@@ -636,32 +663,89 @@ def random_continuity_source(
     near 1/2 and each depth-d refinement perturbs both children within
     a multiplicative band of half-width delta(d)/3, so cumulative
     products stay inside the delta envelope with high probability; the
-    draw is verified and rejection-resampled on failure.
+    draw is verified and rejection-resampled on failure, up to
+    `max_tries` draws.
+
+    Tries are drawn and checked a batch at a time: eight, then twice as
+    many each batch, up to _CONTINUITY_BATCH_BYTES of uniforms and never
+    past max_tries.  The source returned, and the state rng is left in,
+    are those of drawing and checking one try after another: after an
+    admissible try that is not its batch's last, rng is reset to before
+    the batch and redraws the tries used.
 
     The band budget shrinks with depth: for delta = exp:1 generation
     succeeds up to depth 12 (seeds 0-4 all pass at 12, four of five at
-    13, none at 14, where the 200 draws take about 2.5 s before
-    ContinuityGenerationError).
+    13, none at 14, where the 200 draws take about 0.15 s before
+    ContinuityGenerationError: the median call over seeds 0-4 in fresh
+    processes on a 2-core x86_64 machine).
     """
-    if ell < 1:
-        raise ValueError("depth must be at least 1")
+    _check_generator_depth(ell, 1)
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    bands = [delta(d) / 3.0 for d in range(ell)]
-    dmin = _prefix_min_delta(delta, ell - 1)
-    for _ in range(max_tries):
-        vals = np.array([rng.uniform(0.45, 0.55)])
-        for band in bands:
-            u = rng.uniform(-band, band, size=2 * len(vals))
-            vals = np.concatenate([vals, vals]) * (1.0 + u)
-        vals = np.clip(vals, 1e-4, 1.0 - 1e-4)
-        # a full tree's sorted leaves are the state codes in order, so vals
-        # is already the state-ordered theta check_continuity would test
-        if not _full_tree_excesses(vals, dmin, CONTINUITY_TOL)[1].any():
-            return MarkovSource(full_tree(ell), vals)
+    low, span, dmin = _refinement_plan(ell, delta)
+    width = low.size
+    cap = max(1, _CONTINUITY_BATCH_BYTES // (8 * width))
+    size = done = 0
+    while done < max_tries:
+        size = min(max(_CONTINUITY_FIRST_BATCH, 2 * size), cap, max_tries - done)
+        state = rng.bit_generator.state
+        vals = _refine(rng.random((size, width)), low, span, ell)
+        # a full tree's sorted leaves are the state codes in order, so each
+        # row is already the state-ordered theta check_continuity would test
+        bad = _full_tree_excesses(vals, dmin, CONTINUITY_TOL)[1].reshape(size, -1).any(axis=1)
+        first = int(bad.argmin())
+        if not bad[first]:
+            used = first + 1
+            if used < size:
+                rng.bit_generator.state = state
+                rng.random(used * width)
+            return MarkovSource(full_tree(ell), vals[used - 1])
+        done += size
     raise ContinuityGenerationError(
         f"no admissible source after {max_tries} draws; band budget too wide for {delta.describe()}"
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _refinement_plan(ell: int, delta: DeltaSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per uniform of a depth-ell try, rng.uniform's low and span (high -
+    low): 0.45..0.55 for the root, then -band..band, band = delta(d)/3,
+    for the 2**(d+1) of each depth d; and the running minimum of delta the
+    try is checked against.  Read-only, built once per (ell, delta)."""
+    width = (2 << ell) - 1
+    low, span = np.empty(width), np.empty(width)
+    low[0], span[0] = 0.45, 0.55 - 0.45
+    for d in range(ell):
+        band = delta(d) / 3.0
+        level = slice((2 << d) - 1, (4 << d) - 1)
+        low[level], span[level] = -band, band - -band
+    dmin = _prefix_min_delta(delta, ell - 1)
+    for arr in (low, span, dmin):
+        arr.setflags(write=False)
+    return low, span, dmin
+
+
+def _refine(u: np.ndarray, low: np.ndarray, span: np.ndarray, ell: int) -> np.ndarray:
+    # the (k, 2**ell) state-ordered thetas of k tries from their uniforms,
+    # in place and with the float operations of drawing one try at a time:
+    # rng.uniform(low, high) is low + (high - low) * u, a depth-d
+    # refinement multiplies both copies of the depth-(d - 1) parameters
+    # (the root's at d = 0) by its 2**(d+1) factors 1 + u, and np.clip is
+    # a max then a min
+    k = len(u)
+    u *= span
+    u += low
+    u[:, 1:] += 1.0
+    for d in range(ell):
+        m = 1 << d
+        level = u[:, 2 * m - 1 : 4 * m - 1].reshape(k, 2, m)  # a view: each row's slice halved
+        level *= u[:, None, m - 1 : 2 * m - 1]
+    vals = u[:, (1 << ell) - 1 :]
+    np.maximum(vals, 1e-4, out=vals)
+    np.minimum(vals, 1.0 - 1e-4, out=vals)
+    return vals
 
 
 # ---------------------------------------------------------------------------

@@ -517,10 +517,12 @@ def string_hypercube(ell, half_width, seed):
     return MarkovSource(tree, {w: float(vals[state_code(w, ell) if ell else 0]) for w in tree.leaves})
 
 
-def string_continuity(ell, delta, seed, max_tries=200):
-    rng = np.random.default_rng(seed)
+def string_continuity(ell, delta, rng, max_tries=200):
+    """The continuity generator drawn and checked one try at a time from a
+    caller's Generator, with string-keyed leaves: the source and the
+    number of tries it took."""
     tree = ContextTree("".join(p) for p in itertools.product("01", repeat=ell))
-    for _ in range(max_tries):
+    for tries in range(1, max_tries + 1):
         vals = np.array([rng.uniform(0.45, 0.55)])
         for d in range(ell):
             band = delta(d) / 3.0
@@ -529,7 +531,7 @@ def string_continuity(ell, delta, seed, max_tries=200):
         vals = np.clip(vals, 1e-4, 1.0 - 1e-4)
         src = MarkovSource(tree, {w: float(vals[state_code(w, ell)]) for w in tree.leaves})
         if not check_continuity(src, delta):
-            return src
+            return src, tries
     raise ContinuityGenerationError("no admissible source")
 
 
@@ -538,7 +540,7 @@ def test_generators_and_truncation_match_string_keyed_construction(ell):
     delta = DeltaSpec.parse("exp:1")
     for seed in range(20):
         src = random_continuity_source(ell, delta, seed=seed)
-        ref = string_continuity(ell, delta, seed)
+        ref, _ = string_continuity(ell, delta, np.random.default_rng(seed))
         assert src.probs == ref.probs and src.tree == ref.tree
         for depth in range(ell + 2):
             cut = src.truncate(depth)
@@ -546,6 +548,50 @@ def test_generators_and_truncation_match_string_keyed_construction(ell):
             assert cut.probs == want.probs and cut.tree == want.tree
         cube = random_hypercube_source(ell, 1 / 8, seed=seed)
         assert cube.probs == string_hypercube(ell, 1 / 8, seed).probs
+
+
+def test_continuity_generator_leaves_rng_where_one_try_at_a_time_does(monkeypatch):
+    # the generator draws and checks tries in batches and, when it accepts
+    # before a batch's last try, winds the caller's rng back to just after
+    # the accepted one; each outcome, and the rng state after it, must be
+    # those of drawing and checking one try at a time.  The batch sizes are
+    # observed, so the cases reached can be asserted: acceptance on the
+    # first and on the last try of a batch, in a batch after the first,
+    # and failure at max_tries 1, 3 and 13, none a multiple of the first batch
+    from mdelta import source
+
+    sizes = []
+    refine = source._refine
+    monkeypatch.setattr(source, "_refine", lambda u, *rest: sizes.append(len(u)) or refine(u, *rest))
+    reached = set()
+    for spec in ("exp:1", "poly:2", "exp:0.5"):
+        delta = DeltaSpec.parse(spec)
+        for ell in range(1, 9):
+            for seed in range(12):
+                for max_tries in (1, 3, 13, 40):
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    sizes.clear()
+                    try:
+                        src = random_continuity_source(ell, delta, rng=rng, max_tries=max_tries)
+                    except ContinuityGenerationError:
+                        src = None
+                    try:
+                        ref, tries = string_continuity(ell, delta, ref_rng, max_tries)
+                    except ContinuityGenerationError:
+                        ref = None
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    if ref is None:
+                        assert src is None and sum(sizes) == max_tries
+                        reached.add(("failure", max_tries))
+                        continue
+                    assert src.probs == ref.probs
+                    start = sum(sizes[:-1])  # tries before the accepting batch
+                    assert start < tries <= start + sizes[-1]
+                    if sizes[-1] > 1:
+                        reached.add({1: "first", sizes[-1]: "last"}.get(tries - start, "inside"))
+                    if len(sizes) > 1:
+                        reached.add("later batch")
+    assert reached >= {"first", "last", "later batch", ("failure", 1), ("failure", 3), ("failure", 13)}
 
 
 def test_truncation_ratio_within_band():
@@ -772,6 +818,51 @@ def test_full_tree_excesses_equal_the_per_depth_scan():
                     ref = view.max(axis=0) / view.min(axis=0) - 1.0
                     assert np.array_equal(excess[k, classes], ref)
                     assert np.array_equal(bad[k, classes], ref > dmin[d] + 1e-12)
+
+
+def test_full_tree_excesses_of_a_batch_equal_its_rows_one_at_a_time():
+    # the generator checks a batch of sources in one call, check_continuity
+    # one source; both read the same fold, so each row of a batched call
+    # must be exactly the single-row call, on uneven parameter sets (ties,
+    # near-ties, a few wide outliers) and dmin at every depth
+    from mdelta.source import _full_tree_excesses
+
+    rng = np.random.default_rng(30)
+    for ell in range(1, 9):
+        dmin = np.sort(rng.uniform(0.0, 0.5, ell))[::-1]
+        rows = [
+            rng.uniform(1e-4, 1 - 1e-4, 1 << ell),
+            rng.choice([0.2, 0.4, 0.4 + 2**-54, 0.4 + 2**-53, 0.6], 1 << ell),
+            np.full(1 << ell, 0.5),
+            np.where(rng.random(1 << ell) < 0.2, rng.uniform(1e-4, 0.05, 1 << ell), 0.5 + 1e-9 * rng.random(1 << ell)),
+            rng.uniform(0.45, 0.55, 1 << ell),
+        ]
+        excess, bad = _full_tree_excesses(np.stack(rows), dmin, 1e-12)
+        assert excess.shape == bad.shape == (len(rows), 2, (1 << ell) - 1)
+        for i, th in enumerate(rows):
+            one_excess, one_bad = _full_tree_excesses(th, dmin, 1e-12)
+            assert np.array_equal(excess[i], one_excess) and np.array_equal(bad[i], one_bad)
+        assert set(bad.any(axis=(1, 2)).tolist()) == {False, True}  # passing and failing rows
+
+
+def test_generators_reject_a_depth_over_the_cap_before_drawing():
+    from mdelta.source import MAX_SCAN_DEPTH
+
+    exp1 = DeltaSpec.parse("exp:1")
+    rng = np.random.default_rng(5)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"depth must lie in 1..{MAX_SCAN_DEPTH}, got {MAX_SCAN_DEPTH + 1}"):
+        random_continuity_source(MAX_SCAN_DEPTH + 1, exp1, rng=rng)
+    with pytest.raises(ValueError, match=f"depth must lie in 0..{MAX_SCAN_DEPTH}, got {MAX_SCAN_DEPTH + 1}"):
+        random_hypercube_source(MAX_SCAN_DEPTH + 1, 0.1, rng=rng)
+    with pytest.raises(ValueError, match="depth must lie in 1.."):
+        random_continuity_source(0, exp1, rng=rng)
+    with pytest.raises(ValueError, match="depth must lie in 0.."):
+        random_hypercube_source(-1, 0.1, rng=rng)
+    for max_tries in (0, -3):
+        with pytest.raises(ValueError, match=f"max_tries must be at least 1, got {max_tries}"):
+            random_continuity_source(4, exp1, rng=rng, max_tries=max_tries)
+    assert rng.bit_generator.state == before
 
 
 def test_generation_error_when_budget_infeasible():
