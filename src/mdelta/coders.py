@@ -27,6 +27,7 @@ from . import _kernels
 from .source import (
     ENUMERATION_CAP,
     MarkovSource,
+    _check_depth,
     _require_cap,
     as_bit_rows,
     as_bits,
@@ -89,11 +90,14 @@ class SequentialCoder:
 
     log2 q(x) is a closed form of the depth-`depth` context counts of x,
     rolled from the context code `state0` of the coder's past; subclasses
-    define that closed form as `log2_prob_counts`.
+    define that closed form as `log2_prob_counts`.  A depth outside 0..16
+    (source.MAX_SCAN_DEPTH) raises ValueError before any state is allocated.
     """
 
-    depth: int
-    state0: int
+    def __init__(self, depth: int, past=""):
+        _check_depth(depth)
+        self.depth = depth
+        self.state0 = state_code(past, depth)
 
     def reset(self) -> None:
         raise NotImplementedError
@@ -151,8 +155,7 @@ class KTCoder(SequentialCoder):
     """
 
     def __init__(self, depth: int, past=""):
-        self.depth = depth
-        self.state0 = state_code(past, depth)
+        super().__init__(depth, past)
         self._mask = (1 << depth) - 1
         self.reset()
 
@@ -301,9 +304,8 @@ class SourceCoder(SequentialCoder):
     """Codes with the exact conditionals of a known source (zero regret)."""
 
     def __init__(self, source: MarkovSource, past=""):
+        super().__init__(source.memory, past)
         self.source = source
-        self.depth = source.memory
-        self.state0 = state_code(past, self.depth)
         self._past = past
         # the source is frozen: its per-state conditionals as plain floats
         self._theta = source.state_theta.tolist()
@@ -381,10 +383,10 @@ class NMLCoder(SequentialCoder):
     """
 
     def __init__(self, depth: int, past="", horizon: int = 1):
-        self.depth = depth
+        _require_cap(horizon)  # before the past
+        super().__init__(depth, past)
         self.horizon = horizon
         probs, self._total = _ml_masses(depth, past, horizon)
-        self.state0 = state_code(past, depth)
         self.log2_sum = math.log2(self._total)
         probs /= self._total
         self._levels = [probs]

@@ -65,6 +65,7 @@ _TRIAL_BUDGET_BYTES = 64 << 20  # float64 uniforms drawn at once for Monte Carlo
 # slower than one try at a time
 _CONTINUITY_FIRST_BATCH = 8
 _CONTINUITY_BATCH_BYTES = 256 << 10
+_CONTINUITY_TRIES = 200  # tries drawn before the generator gives up
 
 
 # longest horizon enumerated exhaustively (2^n sequences)
@@ -150,7 +151,8 @@ def _exact_bits(x, ndim: int, what: str) -> np.ndarray:
 
 
 def bits_to_str(bits) -> str:
-    return "".join("1" if b else "0" for b in np.asarray(bits).ravel())
+    """The bits, raveled, as a string of 0/1: any nonzero value is a 1."""
+    return ((np.asarray(bits).ravel() != 0).view(np.uint8) + ord("0")).tobytes().decode()
 
 
 def state_code(history, depth: int) -> int:
@@ -369,12 +371,12 @@ class MarkovSource:
 
     # -- sampling -----------------------------------------------------------
 
-    def sample(self, past, n: int, seed: int | None = None, rng=None) -> np.ndarray:
-        """Draw n bits continuing the past; deterministic given the seed."""
+    def sample(self, past, n: int, seed: int | None = None) -> np.ndarray:
+        """Draw n bits continuing the past from np.random.default_rng(seed),
+        one row of its uniforms: an integer seed always gives the same bits,
+        and seed=None draws fresh OS entropy, so it is not reproducible."""
         _check_horizon(n, 0)
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        ((_, bits),) = self._sample_chunks(past, n, 1, rng)
+        ((_, bits),) = self._sample_chunks(past, n, 1, np.random.default_rng(seed))
         return bits[0]
 
     def _sample_chunks(self, past, n: int, trials: int, rng):
@@ -620,26 +622,24 @@ def _class_depths(L: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_generator_depth(ell: int, least: int) -> None:
-    """Reject a generator depth outside least..MAX_SCAN_DEPTH before any
-    draw: a depth-ell source holds 2**ell parameters."""
+def _check_depth(ell: int, least: int = 0) -> None:
+    """Reject a context depth outside least..MAX_SCAN_DEPTH before anything
+    is drawn or allocated: a depth-ell source or coder holds 2**ell states."""
     if not least <= ell <= MAX_SCAN_DEPTH:
         raise ValueError(f"depth must lie in {least}..{MAX_SCAN_DEPTH}, got {ell}")
 
 
-def random_hypercube_source(ell: int, half_width: float, seed: int | None = None, rng=None) -> MarkovSource:
+def random_hypercube_source(ell: int, half_width: float, seed: int | None = None) -> MarkovSource:
     """Full depth-ell source with every parameter uniform in 1/2 +- half_width.
 
     These near-fair sources dominate the redundancy of the class while
     mixing fast.  The exact pairwise ratio band they satisfy is
     4h/(1-2h) at every common-suffix depth, which is asserted here.
     """
-    _check_generator_depth(ell, 0)
+    _check_depth(ell)
     if not 0.0 <= half_width < 0.25:
         raise ValueError("half_width must lie in [0, 1/4)")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    vals = 0.5 + rng.uniform(-half_width, half_width, size=1 << ell)
+    vals = 0.5 + np.random.default_rng(seed).uniform(-half_width, half_width, size=1 << ell)
     src = MarkovSource(full_tree(ell), vals.tolist())
     if ell > 0 and half_width > 0.0:
         band = 4.0 * half_width / (1.0 - 2.0 * half_width)
@@ -650,28 +650,20 @@ def random_hypercube_source(ell: int, half_width: float, seed: int | None = None
     return src
 
 
-def random_continuity_source(
-    ell: int,
-    delta: DeltaSpec,
-    seed: int | None = None,
-    rng=None,
-    max_tries: int = 200,
-) -> MarkovSource:
+def random_continuity_source(ell: int, delta: DeltaSpec, seed: int | None = None) -> MarkovSource:
     """Full depth-ell source satisfying the continuity condition for delta.
 
     Built by multiplicative refinement: the root parameter is drawn
     near 1/2 and each depth-d refinement perturbs both children within
     a multiplicative band of half-width delta(d)/3, so cumulative
     products stay inside the delta envelope with high probability; the
-    draw is verified and rejection-resampled on failure, up to
-    `max_tries` draws.
+    draw is verified and rejection-resampled on failure, up to 200 tries
+    (_CONTINUITY_TRIES) from np.random.default_rng(seed).
 
     Tries are drawn and checked a batch at a time: eight, then twice as
     many each batch, up to _CONTINUITY_BATCH_BYTES of uniforms and never
-    past max_tries.  The source returned, and the state rng is left in,
-    are those of drawing and checking one try after another: after an
-    admissible try that is not its batch's last, rng is reset to before
-    the batch and redraws the tries used.
+    past the try budget.  The source returned is the first admissible
+    try, the one drawing and checking one try after another would return.
 
     The band budget shrinks with depth: for delta = exp:1 generation
     succeeds up to depth 12 (seeds 0-4 all pass at 12, four of five at
@@ -679,32 +671,24 @@ def random_continuity_source(
     ContinuityGenerationError: the median call over seeds 0-4 in fresh
     processes on a 2-core x86_64 machine).
     """
-    _check_generator_depth(ell, 1)
-    if max_tries < 1:
-        raise ValueError(f"max_tries must be at least 1, got {max_tries}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    _check_depth(ell, 1)
+    rng = np.random.default_rng(seed)
     low, span, dmin = _refinement_plan(ell, delta)
     width = low.size
     cap = max(1, _CONTINUITY_BATCH_BYTES // (8 * width))
     size = done = 0
-    while done < max_tries:
-        size = min(max(_CONTINUITY_FIRST_BATCH, 2 * size), cap, max_tries - done)
-        state = rng.bit_generator.state
+    while done < _CONTINUITY_TRIES:
+        size = min(max(_CONTINUITY_FIRST_BATCH, 2 * size), cap, _CONTINUITY_TRIES - done)
         vals = _refine(rng.random((size, width)), low, span, ell)
         # a full tree's sorted leaves are the state codes in order, so each
         # row is already the state-ordered theta check_continuity would test
         bad = _full_tree_excesses(vals, dmin, CONTINUITY_TOL)[1].reshape(size, -1).any(axis=1)
         first = int(bad.argmin())
         if not bad[first]:
-            used = first + 1
-            if used < size:
-                rng.bit_generator.state = state
-                rng.random(used * width)
-            return MarkovSource(full_tree(ell), vals[used - 1])
+            return MarkovSource(full_tree(ell), vals[first])
         done += size
     raise ContinuityGenerationError(
-        f"no admissible source after {max_tries} draws; band budget too wide for {delta.describe()}"
+        f"no admissible source after {_CONTINUITY_TRIES} draws; band budget too wide for {delta.describe()}"
     )
 
 

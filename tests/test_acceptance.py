@@ -94,8 +94,9 @@ def test_criterion_3_codec_round_trip(capsys):
         past = "0" * max(ell, 1)
         for trial in range(200):
             n = int(rng.integers(16, 513))
-            src = random_hypercube_source(ell, 0.2, rng=rng)
-            x = src.sample(past, n, rng=rng)
+            # a hypercube source and its sample, both drawn from the one rng
+            src = MarkovSource(full_tree(ell), (0.5 + rng.uniform(-0.2, 0.2, size=1 << ell)).tolist())
+            x = _kernels.sample_batch(src.state_theta, state_code(past, ell), ell, rng.random((1, n)))[0]
             pick = trial % 3
             if pick == 0:
                 coder = KTCoder(ell, past)

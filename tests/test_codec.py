@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdelta import _kernels
 from mdelta.codec import MAGIC, VERSION, CodecError, decode, encode, pack_stream, unpack_stream
 from mdelta.coders import KTCoder, MixtureCoder, NMLCoder, SourceCoder
-from mdelta.source import MarkovSource, full_tree, random_hypercube_source
+from mdelta.source import MarkovSource, full_tree, state_code
 
 
 def all_sequences(n):
@@ -61,9 +62,10 @@ def test_seeded_random_roundtrips():
     for trial in range(100):
         ell = int(rng.integers(0, 5))
         n = int(rng.integers(1, 400))
-        src = random_hypercube_source(ell, 0.2, rng=rng)
+        # a hypercube source and its sample, both drawn from the one rng
+        src = MarkovSource(full_tree(ell), (0.5 + rng.uniform(-0.2, 0.2, size=1 << ell)).tolist())
         past = "0" * max(ell, 1)
-        x = src.sample(past, n, rng=rng)
+        x = _kernels.sample_batch(src.state_theta, state_code(past, ell), ell, rng.random((1, n)))[0]
         coder = KTCoder(ell, past=past)
         ok, nbits = roundtrip_ok(coder, x)
         assert ok

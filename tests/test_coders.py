@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -22,6 +23,7 @@ from mdelta.coders import (
 from mdelta.delta import DeltaSpec
 from mdelta.redundancy import mc_avg_redundancy
 from mdelta.source import (
+    ContextTree,
     MarkovSource,
     count_table,
     full_tree,
@@ -34,6 +36,34 @@ from mdelta.source import (
 def all_sequences(n):
     for xi in range(1 << n):
         yield np.array([(xi >> (n - 1 - i)) & 1 for i in range(n)], np.uint8)
+
+
+@pytest.mark.parametrize("depth", [17, -1])
+@pytest.mark.parametrize(
+    "make",
+    [KTCoder, lambda d, past: MixtureCoder(d, past, horizon=4), lambda d, past: NMLCoder(d, past, horizon=4)],
+    ids=["kt", "mixture", "nml"],
+)
+def test_coders_refuse_a_depth_outside_the_cap_before_allocating(make, depth):
+    # a coder holds 2**depth context states: at depth 17 the KT coder used
+    # to allocate 2 MB of counts before anything checked the depth, and at
+    # -1 it failed inside numpy
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^depth must lie in 0\.\.16, got {depth}$"):
+            make(depth, "0" * max(depth, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def test_source_coder_refuses_a_source_deeper_than_the_cap():
+    # the comb tree 1, 10, ..., 0^17 has memory 17 with only 18 leaves
+    leaves = ["1" + "0" * k for k in range(17)] + ["0" * 17]
+    src = MarkovSource(ContextTree(leaves), [0.5] * len(leaves))
+    with pytest.raises(ValueError, match=r"^depth must lie in 0\.\.16, got 17$"):
+        SourceCoder(src, "0" * 17)
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +499,10 @@ def test_conditionals_equal_the_replay(kind):
 
 
 def test_kt_conditionals_at_wide_contexts():
-    # contexts past 8 and 16 bits take the uint16 and uint32 codes
+    # 8-bit contexts are the widest uint8 codes, and 9 to 16 bits take
+    # uint16 ones; 16 is the deepest a coder accepts
     x = np.random.default_rng(3).integers(0, 2, 3000).astype(np.uint8)
-    for depth in (8, 16, 17):
+    for depth in (8, 9, 16):
         coder = KTCoder(depth, past="01" * 9)
         assert np.array_equal(coder.conditionals(x), _replay(coder, x))
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -270,28 +271,25 @@ def test_sample_chunks_equal_one_sample_batch(trials, monkeypatch):
                 assert np.array_equal(occ, want_occ) and np.array_equal(ones, want_ones)
 
 
-def test_sample_settled_or_row_by_row_leaves_the_rng_after_one_row():
+def test_sample_settled_or_row_by_row_is_the_loop_over_one_row():
     # one n = 4096 row settles on a near-fair source and falls back to the
     # row loop on a wide one; either way it is the loop over positions on
-    # rng.random((1, n)), and the rng is left where that draw leaves it
+    # default_rng(seed).random((1, n))
     wide = MarkovSource(full_tree(6), np.random.default_rng(2).uniform(0.01, 0.99, 64))
     for src in (random_hypercube_source(6, 1 / 16, seed=1), wide):
         for past in ("000000", "101101"):
-            rng, ref = np.random.default_rng(17), np.random.default_rng(17)
-            bits = src.sample(past, 4096, rng=rng)
+            bits = src.sample(past, 4096, seed=17)
             want = np.empty((1, 4096), np.uint8)
-            _kernels._sample_loop(src.state_theta, state_code(past, 6), 6, ref.random((1, 4096)), want)
+            u = np.random.default_rng(17).random((1, 4096))
+            _kernels._sample_loop(src.state_theta, state_code(past, 6), 6, u, want)
             assert np.array_equal(bits, want[0])
-            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_empty():
-    # an empty sample is an empty uint8 row and draws nothing from the rng
+    # an empty sample is an empty uint8 row
     for src, past in ((fair(), ""), (random_hypercube_source(3, 0.2, seed=4), "101")):
-        rng, ref = np.random.default_rng(1), np.random.default_rng(1)
-        bits = src.sample(past, 0, rng=rng)
+        bits = src.sample(past, 0, seed=1)
         assert bits.dtype == np.uint8 and bits.shape == (0,)
-        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_sample_refuses_a_negative_length():
@@ -517,81 +515,93 @@ def string_hypercube(ell, half_width, seed):
     return MarkovSource(tree, {w: float(vals[state_code(w, ell) if ell else 0]) for w in tree.leaves})
 
 
-def string_continuity(ell, delta, rng, max_tries=200):
-    """The continuity generator drawn and checked one try at a time from a
-    caller's Generator, with string-keyed leaves: the source and the
-    number of tries it took."""
+@functools.lru_cache(maxsize=None)
+def string_tree(ell):
+    """The depth-ell tree built from its leaf strings, and each leaf's code."""
     tree = ContextTree("".join(p) for p in itertools.product("01", repeat=ell))
-    for tries in range(1, max_tries + 1):
+    return tree, {w: state_code(w, ell) for w in tree.leaves}
+
+
+def string_continuity(ell, delta, seed):
+    """The continuity generator drawn and checked one try at a time, up to
+    200 tries, with string-keyed leaves: the source (None when every try
+    fails) and the number of tries it took."""
+    rng = np.random.default_rng(seed)
+    tree, codes = string_tree(ell)
+    for tries in range(1, 201):
         vals = np.array([rng.uniform(0.45, 0.55)])
         for d in range(ell):
             band = delta(d) / 3.0
             u = rng.uniform(-band, band, size=2 * len(vals))
             vals = np.concatenate([vals, vals]) * (1.0 + u)
         vals = np.clip(vals, 1e-4, 1.0 - 1e-4)
-        src = MarkovSource(tree, {w: float(vals[state_code(w, ell)]) for w in tree.leaves})
+        src = MarkovSource(tree, {w: float(vals[c]) for w, c in codes.items()})
         if not check_continuity(src, delta):
             return src, tries
-    raise ContinuityGenerationError("no admissible source")
+    return None, tries
 
 
-@pytest.mark.parametrize("ell", range(1, 9))
-def test_generators_and_truncation_match_string_keyed_construction(ell):
-    delta = DeltaSpec.parse("exp:1")
-    for seed in range(20):
-        src = random_continuity_source(ell, delta, seed=seed)
-        ref, _ = string_continuity(ell, delta, np.random.default_rng(seed))
-        assert src.probs == ref.probs and src.tree == ref.tree
-        for depth in range(ell + 2):
-            cut = src.truncate(depth)
-            want = string_truncate(ref, depth)
-            assert cut.probs == want.probs and cut.tree == want.tree
-        cube = random_hypercube_source(ell, 1 / 8, seed=seed)
-        assert cube.probs == string_hypercube(ell, 1 / 8, seed).probs
-
-
-def test_continuity_generator_leaves_rng_where_one_try_at_a_time_does(monkeypatch):
-    # the generator draws and checks tries in batches and, when it accepts
-    # before a batch's last try, winds the caller's rng back to just after
-    # the accepted one; each outcome, and the rng state after it, must be
-    # those of drawing and checking one try at a time.  The batch sizes are
-    # observed, so the cases reached can be asserted: acceptance on the
-    # first and on the last try of a batch, in a batch after the first,
-    # and failure at max_tries 1, 3 and 13, none a multiple of the first batch
+def recorded_batches(monkeypatch):
+    """The number of tries in each batch the continuity generator draws,
+    appended as it draws them."""
     from mdelta import source
 
     sizes = []
     refine = source._refine
     monkeypatch.setattr(source, "_refine", lambda u, *rest: sizes.append(len(u)) or refine(u, *rest))
+    return sizes
+
+
+# per depth, where in its batches each continuity source of
+# test_generators_and_truncation_match_string_keyed_construction was
+# accepted: on a batch's first, last or another try, after the first batch,
+# or not at all; the batches hold 8, 16, 32, ... tries, so a "last" needs
+# eight tries and a "later batch" nine or more
+BATCH_CASES = {
+    1: {"first"},
+    2: {"first", "inside"},
+    3: {"first", "inside"},
+    4: {"first", "inside"},
+    5: {"first", "inside", "later batch"},
+    6: {"first", "inside", "last", "later batch"},
+    7: {"first", "inside", "last", "later batch"},
+    8: {"first", "inside", "last", "later batch", "failure"},
+}
+
+
+@pytest.mark.parametrize("ell", range(1, 9))
+def test_generators_and_truncation_match_string_keyed_construction(ell, monkeypatch):
+    # the generator draws and checks tries a batch at a time, yet each
+    # source, or failure, is that of drawing and checking one try at a time
+    sizes = recorded_batches(monkeypatch)
     reached = set()
-    for spec in ("exp:1", "poly:2", "exp:0.5"):
+    for spec, seeds in (("exp:1", range(20)), ("poly:2", range(2)), ("exp:0.5", range(2))):
         delta = DeltaSpec.parse(spec)
-        for ell in range(1, 9):
-            for seed in range(12):
-                for max_tries in (1, 3, 13, 40):
-                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                    sizes.clear()
-                    try:
-                        src = random_continuity_source(ell, delta, rng=rng, max_tries=max_tries)
-                    except ContinuityGenerationError:
-                        src = None
-                    try:
-                        ref, tries = string_continuity(ell, delta, ref_rng, max_tries)
-                    except ContinuityGenerationError:
-                        ref = None
-                    assert rng.bit_generator.state == ref_rng.bit_generator.state
-                    if ref is None:
-                        assert src is None and sum(sizes) == max_tries
-                        reached.add(("failure", max_tries))
-                        continue
-                    assert src.probs == ref.probs
-                    start = sum(sizes[:-1])  # tries before the accepting batch
-                    assert start < tries <= start + sizes[-1]
-                    if sizes[-1] > 1:
-                        reached.add({1: "first", sizes[-1]: "last"}.get(tries - start, "inside"))
-                    if len(sizes) > 1:
-                        reached.add("later batch")
-    assert reached >= {"first", "last", "later batch", ("failure", 1), ("failure", 3), ("failure", 13)}
+        for seed in seeds:
+            sizes.clear()
+            try:
+                src = random_continuity_source(ell, delta, seed=seed)
+            except ContinuityGenerationError:
+                src = None
+            ref, tries = string_continuity(ell, delta, seed)
+            if ref is None:
+                assert src is None and sum(sizes) == tries
+                reached.add("failure")
+                continue
+            assert src.probs == ref.probs and src.tree == ref.tree
+            start = sum(sizes[:-1])  # tries before the accepting batch
+            assert start < tries <= start + sizes[-1]
+            reached.add({1: "first", sizes[-1]: "last"}.get(tries - start, "inside"))
+            if start:
+                reached.add("later batch")
+            for depth in range(ell + 2):
+                cut = src.truncate(depth)
+                want = string_truncate(ref, depth)
+                assert cut.probs == want.probs and cut.tree == want.tree
+    assert reached == BATCH_CASES[ell]
+    for seed in range(20):
+        cube = random_hypercube_source(ell, 1 / 8, seed=seed)
+        assert cube.probs == string_hypercube(ell, 1 / 8, seed).probs
 
 
 def test_truncation_ratio_within_band():
@@ -848,35 +858,38 @@ def test_full_tree_excesses_of_a_batch_equal_its_rows_one_at_a_time():
 def test_generators_reject_a_depth_over_the_cap_before_drawing():
     from mdelta.source import MAX_SCAN_DEPTH
 
+    # the depth is checked before the seed reaches np.random.default_rng,
+    # which would refuse a negative seed
     exp1 = DeltaSpec.parse("exp:1")
-    rng = np.random.default_rng(5)
-    before = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"depth must lie in 1..{MAX_SCAN_DEPTH}, got {MAX_SCAN_DEPTH + 1}"):
-        random_continuity_source(MAX_SCAN_DEPTH + 1, exp1, rng=rng)
+        random_continuity_source(MAX_SCAN_DEPTH + 1, exp1, seed=-1)
     with pytest.raises(ValueError, match=f"depth must lie in 0..{MAX_SCAN_DEPTH}, got {MAX_SCAN_DEPTH + 1}"):
-        random_hypercube_source(MAX_SCAN_DEPTH + 1, 0.1, rng=rng)
+        random_hypercube_source(MAX_SCAN_DEPTH + 1, 0.1, seed=-1)
     with pytest.raises(ValueError, match="depth must lie in 1.."):
-        random_continuity_source(0, exp1, rng=rng)
+        random_continuity_source(0, exp1, seed=-1)
     with pytest.raises(ValueError, match="depth must lie in 0.."):
-        random_hypercube_source(-1, 0.1, rng=rng)
-    for max_tries in (0, -3):
-        with pytest.raises(ValueError, match=f"max_tries must be at least 1, got {max_tries}"):
-            random_continuity_source(4, exp1, rng=rng, max_tries=max_tries)
-    assert rng.bit_generator.state == before
+        random_hypercube_source(-1, 0.1, seed=-1)
 
 
-def test_generation_error_when_budget_infeasible():
-    # wide deep bands under a near-zero shallow allowance cannot pass
+def test_generation_error_when_budget_infeasible(monkeypatch):
+    # wide deep bands under a near-zero shallow allowance cannot pass; the
+    # generator gives up after exactly its 200 tries, the last batch cut
+    # short of the 128 the schedule would draw next, as one try at a time does
+    from mdelta import source
+
+    sizes = recorded_batches(monkeypatch)
     spec = DeltaSpec("table", values=(1e-9, 0.24, 0.24))
-    with pytest.raises(ContinuityGenerationError):
-        random_continuity_source(4, spec, seed=0, max_tries=5)
+    with pytest.raises(ContinuityGenerationError, match="^no admissible source after 200 draws; "):
+        random_continuity_source(4, spec, seed=0)
+    assert sizes == [8, 16, 32, 64, 80] and sum(sizes) == source._CONTINUITY_TRIES
+    assert string_continuity(4, spec, 0) == (None, 200)
 
 
-# one sha256 over the generator's output, recorded while every draw still
-# built its source before the check: format_source at three specs, four
-# depths and 40 seeds, then a caller's rng after one source and after a
-# ContinuityGenerationError
-CONTINUITY_DIGEST = "839da0ab8b226eee30b23ec23a22296e39448ac97187419a718d485d8d925859"
+# one sha256 over the generator's output, recorded before the generator
+# stopped taking a caller's Generator: format_source at three specs, four
+# depths and 40 seeds, then one more source and a ContinuityGenerationError's
+# message
+CONTINUITY_DIGEST = "c247b67609586d502d3a05450e01dba6f71d7147491948b04de6addeefd4cb3a"
 
 
 def test_continuity_generator_matches_its_recorded_digest():
@@ -886,14 +899,10 @@ def test_continuity_generator_matches_its_recorded_digest():
         for ell in (1, 2, 4, 6):
             for seed in range(40):
                 h.update(format_source(random_continuity_source(ell, delta, seed=seed)).encode())
-    rng = np.random.default_rng(11)
-    exp1 = DeltaSpec.parse("exp:1")
-    h.update(format_source(random_continuity_source(5, exp1, rng=rng)).encode())
-    h.update(repr(rng.bit_generator.state).encode())
+    h.update(format_source(random_continuity_source(5, DeltaSpec.parse("exp:1"), seed=11)).encode())
     with pytest.raises(ContinuityGenerationError) as err:
-        random_continuity_source(14, exp1, rng=rng, max_tries=3)
+        random_continuity_source(8, DeltaSpec.parse("exp:0.5"), seed=11)
     h.update(str(err.value).encode())
-    h.update(repr(rng.bit_generator.state).encode())
     assert h.hexdigest() == CONTINUITY_DIGEST
 
 
@@ -947,6 +956,23 @@ def test_as_bits_validation():
     for bits in ([True, False, True], np.array([1, 0, 1]), [1.0, 0.0, 1.0], np.array([1, 0, 1], np.uint8)):
         assert as_bits(bits).dtype == np.uint8
         assert bits_to_str(as_bits(bits)) == "101"
+
+
+def test_bits_to_str_is_the_per_bit_join():
+    # any nonzero value is a "1", and the input is raveled
+    rng = np.random.default_rng(8)
+    cases = [
+        np.zeros(0, np.uint8),
+        np.zeros((0, 3), np.int64),
+        rng.integers(0, 2, 37).astype(np.uint8),
+        np.array([0, 2, 255, 1], np.uint8),
+        rng.integers(0, 2, (4, 9)).astype(bool),
+        rng.integers(-2, 3, (3, 5)),
+        [1, 0, 0, 1],
+        (True, False),
+    ]
+    for bits in cases:
+        assert bits_to_str(bits) == "".join("1" if b else "0" for b in np.asarray(bits).ravel())
 
 
 @pytest.mark.parametrize("x", [[0.0, 1.5], np.array([0, 256]), [0, -1], ["0", "1"]])
