@@ -231,7 +231,7 @@ def _cmd_prob(args) -> int:
     if args.infile is None and args.x is None:
         raise ValueError("prob needs --in FILE or --x BITS")
     bits = _read_bits_file(args.infile) if args.infile else as_bits(args.x)
-    lp = src.log_prob(past, bits)
+    lp = coders.SourceCoder(src, past).log2_prob(bits)
     print(f"log2 p(x | past) = {lp!r}")
     if args.coder:
         coder = _build_coder(args.coder, args.ell, past, len(bits), src)

@@ -13,7 +13,9 @@ Every coder (KT, mixture, known source, NML) has a code length that is a
 closed form of the per-context counts of the whole sequence, rolled from
 its past, so each defines only `log2_prob_counts`, and single-sequence
 and batched log probabilities both count the bits and apply it rather
-than replaying the sequence.
+than replaying the sequence.  Every log probability in the package comes
+from a coder, the source's included: `SourceCoder(source, past)` scores
+log2 p(x | past) as any coder scores log2 q(x).
 """
 
 from __future__ import annotations
@@ -301,14 +303,20 @@ def _logaddexp2(x: float, y: float) -> float:
 
 
 class SourceCoder(SequentialCoder):
-    """Codes with the exact conditionals of a known source (zero regret)."""
+    """Codes with the exact conditionals of a known source (zero regret).
+
+    This is how a source scores a sequence: log2 p(x | past) is
+    `SourceCoder(source, past).log2_prob(x)`, row 0 of its batch.
+    """
 
     def __init__(self, source: MarkovSource, past=""):
         super().__init__(source.memory, past)
         self.source = source
-        self._past = past
-        # the source is frozen: its per-state conditionals as plain floats
-        self._theta = source.state_theta.tolist()
+        # the source is frozen: its per-state conditionals as plain floats,
+        # and the per-state log2 weights of a 1 and a 0
+        th = source.state_theta
+        self._theta = th.tolist()
+        self._lt1, self._lt0 = np.log2(th), np.log2(1.0 - th)
         self._mask = (1 << self.depth) - 1
         self.reset()
 
@@ -329,10 +337,11 @@ class SourceCoder(SequentialCoder):
         return self.source.state_theta[_contexts(as_bits(bits), self.state0, self.depth)]
 
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        return self.source.log2_prob_counts(occ, ones)
+        return _kernels._source_log2(occ, ones, self._lt1, self._lt0)
 
     def log2_prob_all(self, n: int) -> np.ndarray:
-        return self.source.log2_prob_all(self._past, n)
+        _require_cap(n)
+        return _kernels.enum_source_log2(self._lt1, self._lt0, self.state0, self.depth, n)
 
 
 # ---------------------------------------------------------------------------

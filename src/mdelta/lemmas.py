@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import _kernels
-from .coders import ml_log2_from_counts
+from .coders import SourceCoder, ml_log2_from_counts
 from .delta import DeltaSpec
 from .source import (
     MarkovSource,
@@ -416,7 +416,7 @@ def verify_truncation(
 
     def log2_prob(src):
         at_occ, at_ones = _fold(occ, src.memory), _fold(ones, src.memory)
-        return float(src.log2_prob_counts(at_occ[None], at_ones[None])[0])
+        return float(SourceCoder(src, past).log2_prob_counts(at_occ[None], at_ones[None])[0])
 
     log_p = log2_prob(source)
     margin = log_p - log2_prob(truncated)

@@ -3,9 +3,11 @@ estimation, and the closed-form bound evaluators with optimal-depth scans.
 
 All quantities are in bits (log base 2), including the constants inside
 the bound formulas; reports flag wherever the continuity rate was
-clamped by admissibility.  Every coder scores a sequence from its
-context counts, so a Monte Carlo estimate counts each sampled chunk once
-for the source and the coder alike when their pasts agree.
+clamped by admissibility.  Both sides of a regret are coders: the
+source's log2 p is scored by its `SourceCoder`.  Every coder scores a
+sequence from its context counts, so a Monte Carlo estimate counts each
+sampled chunk once for the source and the coder alike when their pasts
+agree.
 
 The refined upper bound and its comparison radius exist in two
 arithmetic variants, "plain" and "doubled" (factor 2 on the quadratic
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coders import SequentialCoder
+from .coders import SequentialCoder, SourceCoder
 from .delta import DeltaSpec
 from .source import MAX_SCAN_DEPTH, MarkovSource, _check_horizon, _fold, _require_cap, as_bits, state_code
 
@@ -52,14 +54,15 @@ __all__ = [
 
 
 def regret_bits(source: MarkovSource, past, coder: SequentialCoder, x) -> float:
-    """Per-sequence regret log2 p(x | past) - log2 q(x)."""
-    return source.log_prob(past, x) - coder.log2_prob(x)
+    """Per-sequence regret log2 p(x | past) - log2 q(x), each side scored
+    by its coder: the source's is SourceCoder(source, past)."""
+    return SourceCoder(source, past).log2_prob(x) - coder.log2_prob(x)
 
 
 def exact_avg_redundancy(source: MarkovSource, past, coder: SequentialCoder, n: int) -> float:
     """Expected regret by exhaustive enumeration of all 2^n sequences."""
     _require_cap(n)
-    lp = source.log2_prob_all(past, n)
+    lp = SourceCoder(source, past).log2_prob_all(n)
     lq = coder.log2_prob_all(n)
     # reduced in lp, a fresh array; lq may be one the coder keeps
     d = lp - lq
@@ -104,15 +107,16 @@ def mc_avg_redundancy(
     rng = np.random.default_rng(seed)
     logp = np.empty(trials)
     logq = np.empty(trials)
+    scorers = ((logp, SourceCoder(source, past)), (logq, coder))
     if _shared_count(source, past, coder):
         depth = max(source.memory, coder.depth)
         for rows, occ, ones in source._count_chunks(past, n, trials, rng, depth):
-            logp[rows] = source.log2_prob_counts(_fold(occ, source.memory), _fold(ones, source.memory))
-            logq[rows] = coder.log2_prob_counts(_fold(occ, coder.depth), _fold(ones, coder.depth))
+            for out, c in scorers:
+                out[rows] = c.log2_prob_counts(_fold(occ, c.depth), _fold(ones, c.depth))
     else:
         for rows, bits in source._sample_chunks(past, n, trials, rng):
-            logp[rows] = source.log2_prob_batch(past, bits)
-            logq[rows] = coder.log2_prob_batch(bits)
+            for out, c in scorers:
+                out[rows] = c.log2_prob_batch(bits)
     r = logp - logq
     mean = float(r.sum()) / trials
     var = max(float((r * r).sum()) / trials - mean * mean, 0.0)

@@ -203,6 +203,7 @@ class ContextTree:
         memory = max((len(s) for s in self.leaves), default=None)
         if memory is None:
             raise ValueError("empty leaf set")
+        _check_depth(memory)  # before any 2**memory array is built
         # a depth-k leaf with code c is the suffix of the words c + j * 2**k;
         # when every length-`memory` word is hit exactly once, the leaves are
         # a complete suffix-free cover and each of them is reachable
@@ -257,8 +258,7 @@ def full_tree(ell: int) -> ContextTree:
     Its sorted leaves are the codes 0 .. 2**ell - 1 in order.  Trees are
     frozen, so each depth is built once and shared.
     """
-    if ell < 0:
-        raise ValueError("depth must be non-negative")
+    _check_depth(ell)
     if ell == 0:
         return ContextTree(("",))
     return ContextTree("".join(p) for p in itertools.product("01", repeat=ell))
@@ -340,35 +340,6 @@ class MarkovSource:
         vals.setflags(write=False)
         return vals
 
-    @cached_property
-    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        th = self.state_theta
-        return np.log2(th), np.log2(1.0 - th)
-
-    def _past_code(self, past) -> int:
-        return state_code(past, self.memory)
-
-    # -- probabilities ------------------------------------------------------
-
-    def log_prob(self, past, x) -> float:
-        """log2 probability of x given the past, by the chain rule."""
-        return float(self.log2_prob_batch(past, as_bits(x)[None, :])[0])
-
-    def log2_prob_batch(self, past, bits: np.ndarray) -> np.ndarray:
-        counts = _kernels.count_batch(as_bit_rows(bits), self._past_code(past), self.memory)
-        return self.log2_prob_counts(*counts)
-
-    def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        """Per-trial log2 probability from depth-`memory` count tables of
-        whole samples, counted from the past."""
-        return _kernels._source_log2(occ, ones, *self._log_tables)
-
-    def log2_prob_all(self, past, n: int) -> np.ndarray:
-        """log2 probability of every length-n sequence (lexicographic)."""
-        _require_cap(n)
-        lt1, lt0 = self._log_tables
-        return _kernels.enum_source_log2(lt1, lt0, self._past_code(past), self.memory, n)
-
     # -- sampling -----------------------------------------------------------
 
     def sample(self, past, n: int, seed: int | None = None) -> np.ndarray:
@@ -393,7 +364,7 @@ class MarkovSource:
         at once.  Every bit and the rng state afterwards equal one
         sample_batch call on rng.random((trials, n)).
         """
-        s0 = self._past_code(past)
+        s0 = state_code(past, self.memory)
         done = 0
         for t in _chunk_sizes(trials, n):
             bits = _kernels._sample_rows(

@@ -130,6 +130,14 @@ def test_decode_depth_mismatch_fails(tmp_path):
                  "--ell", "3"]) == 2
 
 
+def test_encode_with_the_source_coder_needs_a_source(tmp_path, capsys):
+    bits, enc = tmp_path / "bits.txt", tmp_path / "enc.bin"
+    bits.write_text("0110\n")
+    assert main(["encode", "--in", str(bits), "--out", str(enc), "--coder", "source"]) == 2
+    assert capsys.readouterr().err == "error: --coder source needs --source FILE\n"
+    assert not enc.exists()
+
+
 def test_encode_length_outside_header_exits_two(monkeypatch, tmp_path):
     from mdelta import cli, codec
 
@@ -154,6 +162,13 @@ def test_bounds_row_count_and_metadata(tmp_path):
     header = [l for l in lines if l.startswith("n,")]
     assert header == ["n,ell,delta,lb_t1,ub_prop,ub_t12,r_ell,clamped"]
     assert len(read_data_lines(out)) == 13  # header + 12 rows
+
+
+def test_bounds_evaluates_a_listed_depth_grid(tmp_path):
+    out = tmp_path / "bounds.csv"
+    assert main(["bounds", "--n", "4096", "--delta", "exp:1", "--ell", "2,3,5", "--out", str(out)]) == 0
+    header, *rows = (line.split(",") for line in read_data_lines(out))
+    assert [row[header.index("ell")] for row in rows] == ["2", "3", "5"]
 
 
 # sha256 of the data lines (header and rows, no `#` lines) of `bounds`
@@ -209,6 +224,14 @@ def test_verify_csv_byte_identical(tmp_path):
     assert main(argv + [str(a)]) == 0
     assert main(argv + [str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_verify_domination_takes_its_own_q(tmp_path):
+    out = tmp_path / "v.csv"
+    assert main(["verify", "domination", "--q", "0.2", "--out", str(out)]) == 0
+    header, *rows = (line.split(",") for line in read_data_lines(out))
+    assert [row[0] for row in rows] == ["domination-q0.2"]
+    assert ";q=0.2;" in rows[0][1] and rows[0][-1] == "pass"
 
 
 def test_verify_rows_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
@@ -395,7 +418,7 @@ def test_redundancy_regret_rows_are_the_library_estimate(tmp_path):
     assert np.mean([float(r[5]) for r in rows]) == est.mean
 
 
-@pytest.mark.parametrize("coder", ["kt", "mixture", "source"])
+@pytest.mark.parametrize("coder", ["kt", "mixture", "source", "nml"])
 def test_redundancy_exact_writes_its_value(tmp_path, capsys, coder):
     src = tmp_path / "src.txt"
     out = tmp_path / "exact.csv"

@@ -59,11 +59,11 @@ def test_coders_refuse_a_depth_outside_the_cap_before_allocating(make, depth):
 
 
 def test_source_coder_refuses_a_source_deeper_than_the_cap():
-    # the comb tree 1, 10, ..., 0^17 has memory 17 with only 18 leaves
+    # the comb tree 1, 10, ..., 0^17 has memory 17 with only 18 leaves; the
+    # tree itself is refused, so no such source reaches a coder
     leaves = ["1" + "0" * k for k in range(17)] + ["0" * 17]
-    src = MarkovSource(ContextTree(leaves), [0.5] * len(leaves))
     with pytest.raises(ValueError, match=r"^depth must lie in 0\.\.16, got 17$"):
-        SourceCoder(src, "0" * 17)
+        SourceCoder(MarkovSource(ContextTree(leaves), [0.5] * len(leaves)), "0" * 17)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +215,6 @@ def test_count_scored_code_lengths_are_one_closed_form(depth):
             for coder in models:
                 want = coder.log2_prob_counts(*counts)[0]
                 assert coder.log2_prob(x) == coder.log2_prob_batch(x[None, :])[0] == want
-            want = src.log2_prob_counts(*counts)[0]
-            assert src.log_prob(past, x) == src.log2_prob_batch(past, x[None, :])[0] == want
 
 
 @pytest.mark.parametrize("rows", [[[0, 2, 1, 0], [0, 0, 0, 0]], [[0, 2, 1, 0]], [[0, 1], [1, -1]], [0, 1]])
@@ -228,8 +226,6 @@ def test_batch_scores_reject_rows_that_are_not_bits(rows):
     for score in (KTCoder(1, "0").log2_prob_batch, SourceCoder(src, "0").log2_prob_batch):
         with pytest.raises(ValueError, match="bit rows"):
             score(bits)
-    with pytest.raises(ValueError, match="bit rows"):
-        src.log2_prob_batch("0", bits)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +273,6 @@ def test_enumerations_refuse_a_negative_horizon():
         lambda n: NMLCoder(1, "0", horizon=n),
         lambda n: KTCoder(1, "0").log2_prob_all(n),
         lambda n: SourceCoder(src, "0").log2_prob_all(n),
-        lambda n: src.log2_prob_all("0", n),
     ]
     for call in calls:
         for n in (-1, -5):
@@ -286,9 +281,9 @@ def test_enumerations_refuse_a_negative_horizon():
     # n = 0 is the one empty sequence, of probability 1
     assert shtarkov_sum(1, "0", 0).log2_sum == 0.0
     assert KTCoder(1, "0").log2_prob_all(0).tolist() == [0.0]
-    assert src.log2_prob_all("0", 0).tolist() == [0.0]
+    assert SourceCoder(src, "0").log2_prob_all(0).tolist() == [0.0]
     with pytest.raises(ValueError, match="refused"):
-        src.log2_prob_all("0", ENUMERATION_CAP + 1)
+        SourceCoder(src, "0").log2_prob_all(ENUMERATION_CAP + 1)
 
 
 def test_ml_dominates_every_source():
@@ -301,7 +296,7 @@ def test_ml_dominates_every_source():
         for trial in range(40):
             theta = {w: float(rng.uniform(0.05, 0.95)) for w in tree.leaves}
             src = MarkovSource(tree, theta)
-            lp = src.log2_prob_all(past, n)
+            lp = SourceCoder(src, past).log2_prob_all(n)
             if ml is None:
                 from mdelta._kernels import enum_ml_log2
                 from mdelta.source import state_code
@@ -455,7 +450,9 @@ def test_source_coder_probabilities():
     src = random_hypercube_source(2, 0.1, seed=8)
     coder = SourceCoder(src, past="00")
     x = src.sample("00", 30, seed=9)
-    assert coder.log2_prob(x) == pytest.approx(src.log_prob("00", x), abs=1e-12)
+    p1 = coder.conditionals(x)
+    chain = float(np.log2(np.where(x == 1, p1, 1.0 - p1)).sum())
+    assert coder.log2_prob(x) == pytest.approx(chain, abs=1e-12)
     coder.reset()
     assert coder.prob_one() == src.state_theta[0]  # the past "00" is state 0
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdelta import _kernels
-from mdelta.coders import NMLCoder
+from mdelta.coders import NMLCoder, SourceCoder
 from mdelta.delta import DeltaSpec
 from mdelta.lemmas import (
     AZUMA_KINDS,
@@ -413,8 +413,8 @@ def truncation_by_three_counts(source, past, ell, x, delta):
     from mdelta.lemmas import TruncationCheck
 
     n, d = len(x), delta(ell)
-    log_p = source.log_prob(past, x)
-    margin = log_p - source.truncate(ell).log_prob(past, x)
+    log_p = SourceCoder(source, past).log2_prob(x)
+    margin = log_p - SourceCoder(source.truncate(ell), past).log2_prob(x)
     occ, ones = _kernels.count_batch(np.asarray(x, np.uint8)[None, :], state_code(past, ell), ell)
     margin_ml = log_p - float(ml_log2_from_counts(occ[0], ones[0]))
     bound_log, bound_linear = n * math.log2(1.0 + d), 2.0 * n * d
@@ -468,6 +468,20 @@ def test_chaining_batch_passes():
     rep = verify_chaining_batch(count=10, ell=2, n=512, seed=8)
     assert rep.verdict
     assert rep.failures == 0
+
+
+@pytest.mark.parametrize("batch,excess", [(verify_truncation_batch, 375.7), (verify_chaining_batch, 37.5)])
+def test_exact_batches_fail_every_source_outside_the_continuity_class(batch, excess, monkeypatch):
+    # memory-6 hypercube sources of half-width 0.2 lie far outside the exp:3
+    # continuity class, so every check of both batches fails, and the verdict
+    from mdelta import lemmas
+
+    monkeypatch.setattr(lemmas, "random_continuity_source",
+                        lambda ell, delta, seed: random_hypercube_source(ell, 0.2, seed=seed))
+    rep = batch(count=4, ell=3, delta=DeltaSpec.parse("exp:3"), seed=1)
+    assert rep.failures == rep.trials == 4
+    assert rep.empirical == pytest.approx(excess, abs=0.05)
+    assert not rep.verdict
 
 
 @pytest.mark.parametrize("batch", [verify_truncation_batch, verify_chaining_batch])

@@ -107,7 +107,7 @@ def test_exact_redundancy_equals_the_out_of_place_sum():
         NMLCoder(1, "00", horizon=n),
     )
     for coder in coders:
-        lp = src.log2_prob_all("00", n)
+        lp = SourceCoder(src, "00").log2_prob_all(n)
         lq = coder.log2_prob_all(n)
         assert exact_avg_redundancy(src, "00", coder, n) == float(np.sum(np.exp2(lp) * (lp - lq)))
 
@@ -150,7 +150,7 @@ def test_mc_estimate_carries_per_trial_values():
     assert est.logp.shape == est.logq.shape == (50,)
     assert est.mean == pytest.approx(float(np.mean(est.logp - est.logq)), abs=1e-12)
     # trial 0 is row 0 of the seed's stream, the one sample draws
-    assert est.logp[0] == pytest.approx(src.log_prob("00", src.sample("00", 64, seed=3)), abs=1e-9)
+    assert est.logp[0] == pytest.approx(SourceCoder(src, "00").log2_prob(src.sample("00", 64, seed=3)), abs=1e-9)
     assert est == mc_avg_redundancy(src, "00", coder, 64, trials=50, seed=3)
     assert "logp" not in repr(est)
     with pytest.raises(ValueError):
@@ -175,7 +175,7 @@ def two_count_estimate(src, past, coder, n, trials, seed):
     rng = np.random.default_rng(seed)
     logp, logq = np.empty(trials), np.empty(trials)
     for rows, bits in src._sample_chunks(past, n, trials, rng):
-        logp[rows] = src.log2_prob_batch(past, bits)
+        logp[rows] = SourceCoder(src, past).log2_prob_batch(bits)
         logq[rows] = coder.log2_prob_batch(bits)
     return logp, logq
 
@@ -188,8 +188,6 @@ SHARED_COUNT_CASES = [(4, 2, "0110", None), (2, 4, "0110", None), (3, 3, "101", 
 
 @pytest.mark.parametrize("memory,depth,past,coder_past", SHARED_COUNT_CASES)
 def test_mc_shared_count_equals_two_counts(memory, depth, past, coder_past, monkeypatch):
-    from mdelta.source import MarkovSource as Source
-
     def no_bits(*args):
         raise AssertionError("the source scored the bits")
 
@@ -201,7 +199,7 @@ def test_mc_shared_count_equals_two_counts(memory, depth, past, coder_past, monk
     for seed, coder in enumerate(coders):
         logp, logq = two_count_estimate(src, past, coder, n, trials, seed)
         with monkeypatch.context() as m:
-            m.setattr(Source, "log2_prob_batch", no_bits)
+            m.setattr(SourceCoder, "log2_prob_batch", no_bits)
             est = mc_avg_redundancy(src, past, coder, n, trials, seed=seed)
         assert est.logp.tobytes() == logp.tobytes()
         assert est.logq.tobytes() == logq.tobytes()
@@ -210,8 +208,6 @@ def test_mc_shared_count_equals_two_counts(memory, depth, past, coder_past, monk
 
 @pytest.mark.parametrize("depth,past", [(0, "01"), (1, "01"), (2, "101"), (3, "0110")])
 def test_mc_shares_the_count_with_an_nml_coder(depth, past, monkeypatch):
-    from mdelta.source import MarkovSource as Source
-
     def no_bits(*args):
         raise AssertionError("the source scored the bits")
 
@@ -219,7 +215,7 @@ def test_mc_shares_the_count_with_an_nml_coder(depth, past, monkeypatch):
     n, trials = 10, 40
     coder = NMLCoder(depth, past, horizon=n)
     logp, logq = two_count_estimate(src, past, coder, n, trials, depth)
-    monkeypatch.setattr(Source, "log2_prob_batch", no_bits)
+    monkeypatch.setattr(SourceCoder, "log2_prob_batch", no_bits)
     est = mc_avg_redundancy(src, past, coder, n, trials, seed=depth)
     assert est.logp.tobytes() == logp.tobytes()
     assert est.logq.tobytes() == logq.tobytes()
@@ -388,6 +384,17 @@ def test_optimal_ell_lower_regime_exp():
     choice = optimal_ell(2**15, DeltaSpec.parse("exp:1"), "lower")
     assert choice.prescribed == 5  # (1/3) log2 n
     assert choice.scanned_value >= choice.prescribed_value - 1e-9
+
+
+@pytest.mark.parametrize("regime,factor,prescribed", [("lower", 4.0, 3), ("refined", 4.0, 3), ("truncation", 2.0, 11)])
+def test_optimal_ell_poly_prescription(regime, factor, prescribed):
+    # poly:c prescribes log2 n - 2c log2 log2 n for the lower and refined
+    # bounds and log2 n - c log2 log2 n for truncation: 2.71 and 11.36 here
+    from mdelta.redundancy import _prescribed_ell
+
+    n, spec = 2**20, DeltaSpec.parse("poly:2")
+    assert _prescribed_ell(n, spec, regime) == 20.0 - factor * math.log2(20.0)
+    assert optimal_ell(n, spec, regime).prescribed == prescribed
 
 
 def test_optimal_ell_validation():

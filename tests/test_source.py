@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdelta import _kernels
+from mdelta.coders import SourceCoder
 from mdelta.delta import DeltaSpec
 from mdelta.source import (
     ContextTree,
@@ -68,6 +70,24 @@ def test_invalid_trees_rejected():
         ContextTree([])
     with pytest.raises(ValueError, match="is not a 0/1 string"):
         ContextTree(["0", "1x"])
+
+
+def comb(m):
+    """The comb tree 1, 10, ..., 10^(m-1), 0^m: memory m with m + 1 leaves."""
+    return ["1" + "0" * k for k in range(m)] + ["0" * m]
+
+
+def test_tree_deeper_than_the_cap_is_refused_before_allocating():
+    # its state tables take about 24 * 2**m bytes: 24 MB at m = 20, 24 GB at 30
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^depth must lie in 0\.\.16, got 17$"):
+            ContextTree(comb(17))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+    assert ContextTree(comb(16)).memory == 16
 
 
 def string_state_leaf(leaves, memory):
@@ -156,17 +176,17 @@ def test_completeness_random_histories_full_tree():
 
 
 def test_log_prob_fair_coin():
-    assert fair().log_prob("", "0110") == pytest.approx(-4.0, abs=1e-12)
+    assert SourceCoder(fair(), "").log2_prob("0110") == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_log_prob_memory_one():
     src = MarkovSource(full_tree(1), {"0": 0.25, "1": 0.75})
-    assert src.log_prob("0", "11") == pytest.approx(math.log2(0.25 * 0.75), abs=1e-12)
+    assert SourceCoder(src, "0").log2_prob("11") == pytest.approx(math.log2(0.25 * 0.75), abs=1e-12)
 
 
 def test_log_prob_empty_sequence():
     src = MarkovSource(full_tree(2), {"00": 0.2, "01": 0.4, "10": 0.6, "11": 0.8})
-    assert src.log_prob("01", "") == 0.0
+    assert SourceCoder(src, "01").log2_prob("") == 0.0
 
 
 @settings(max_examples=50, deadline=None)
@@ -174,15 +194,15 @@ def test_log_prob_empty_sequence():
 def test_chain_rule_consistency(x, y):
     src = MarkovSource(full_tree(2), {"00": 0.2, "01": 0.4, "10": 0.6, "11": 0.8})
     past = "01"
-    joint = src.log_prob(past, x + y)
-    split = src.log_prob(past, x) + src.log_prob(past + x, y)
+    joint = SourceCoder(src, past).log2_prob(x + y)
+    split = SourceCoder(src, past).log2_prob(x) + SourceCoder(src, past + x).log2_prob(y)
     assert joint == pytest.approx(split, abs=1e-10)
 
 
 def test_brute_force_total_mass():
     src = MarkovSource(full_tree(2), {"00": 0.2, "01": 0.4, "10": 0.6, "11": 0.8})
     for past in ("00", "11", "10"):
-        total = np.exp2(src.log2_prob_all(past, 8)).sum()
+        total = np.exp2(SourceCoder(src, past).log2_prob_all(8)).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
@@ -488,7 +508,7 @@ def test_truncate_noop_at_full_memory():
     src = MarkovSource(full_tree(2), {"00": 0.2, "01": 0.4, "10": 0.6, "11": 0.8})
     same = src.truncate(5)
     x = src.sample("00", 64, seed=1)
-    assert same.log_prob("00", x) == src.log_prob("00", x)
+    assert SourceCoder(same, "00").log2_prob(x) == SourceCoder(src, "00").log2_prob(x)
 
 
 def test_truncate_zero_extension_convention():
@@ -938,9 +958,8 @@ def test_parse_source_caps_memory_before_building_the_tree():
     from mdelta import redundancy, source
 
     assert redundancy.MAX_SCAN_DEPTH == source.MAX_SCAN_DEPTH == 16
-    # the comb tree 1, 10, 100, ..., 0^17: a memory-17 source with 18 leaves
-    leaves = ["1" + "0" * k for k in range(17)] + ["0" * 17]
-    text = "memory 17\n" + "".join(f"{w} 0.5\n" for w in leaves)
+    # the comb tree at m = 17: a memory-17 source with 18 leaves
+    text = "memory 17\n" + "".join(f"{w} 0.5\n" for w in comb(17))
     start = time.perf_counter()
     with pytest.raises(ValueError, match="memory 17 exceeds the cap 16"):
         parse_source(text)
