@@ -29,7 +29,6 @@ from .delta import DeltaSpec
 from .source import (
     ContinuityGenerationError,
     MarkovSource,
-    StationaryConvergenceError,
     as_bits,
     bits_to_str,
     format_source,
@@ -46,10 +45,13 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 
 
-def _worker_count(tasks: int) -> int:
+def _map(fn, items: list) -> list:
+    """fn over items on a thread pool of up to MDELTA_THREADS workers (default:
+    the CPU count), the results in item order."""
     cap = os.environ.get("MDELTA_THREADS")
     limit = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(limit, tasks))
+    with ThreadPoolExecutor(max_workers=max(1, min(limit, len(items)))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _parse_ells(text: str) -> list[int]:
@@ -99,20 +101,15 @@ def _config_hash(args: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _meta(args: argparse.Namespace) -> dict:
-    return {
-        "version": __version__,
-        "seed": getattr(args, "seed", 0),
-        "config": _config_hash(args),
-    }
+def _write_artifact(path: str, args: argparse.Namespace, body: str, **extra) -> None:
+    """`# key=value` lines (version, seed, config hash, then `extra`), then the body."""
+    meta = {"version": __version__, "seed": getattr(args, "seed", 0), "config": _config_hash(args), **extra}
+    Path(path).write_text("".join(f"# {k}={v}\n" for k, v in meta.items()) + body)
 
 
-def _write_csv(path: str, meta: dict, header: list[str], rows: list[list]) -> None:
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_csv(path: str, args: argparse.Namespace, header: list[str], rows: list[list], **extra) -> None:
+    lines = [",".join(header), *(",".join(_cell(v) for v in row) for row in rows)]
+    _write_artifact(path, args, "\n".join(lines) + "\n", **extra)
 
 
 def _cell(v) -> str:
@@ -140,33 +137,31 @@ def _read_bits_file(path: str) -> np.ndarray:
     return as_bits("".join(chunks))
 
 
-def _write_bits_file(path: str, bits, meta: dict) -> None:
-    lines = [f"# {k}={v}" for k, v in meta.items()]
-    lines.append(bits_to_str(bits))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _load_source(path: str) -> MarkovSource:
     return parse_source(_read_text(path))
 
 
 def _past(args: argparse.Namespace, *depths: int) -> str:
-    """--past, or else zeros enough for the deepest of the source and coder."""
+    """--past, or else zeros enough for the deepest of the given depths."""
     return args.past if args.past is not None else "0" * max(depths)
 
 
-def _build_coder(kind: str, ell: int, past: str, n: int, source: MarkovSource | None):
-    if kind == "kt":
-        return coders.KTCoder(ell, past)
-    if kind == "mixture":
-        return coders.MixtureCoder(ell, past, horizon=n)
-    if kind == "nml":
-        return coders.NMLCoder(ell, past, horizon=n)
-    if kind == "source":
-        if source is None:
-            raise ValueError("--coder source needs --source FILE")
-        return coders.SourceCoder(source, past)
-    raise ValueError(f"unknown coder kind {kind!r}")
+# `--coder` kind -> constructor(ell, past, n, source)
+_CODERS = {
+    "kt": lambda ell, past, n, source: coders.KTCoder(ell, past),
+    "mixture": lambda ell, past, n, source: coders.MixtureCoder(ell, past, horizon=n),
+    "nml": lambda ell, past, n, source: coders.NMLCoder(ell, past, horizon=n),
+    "source": lambda ell, past, n, source: coders.SourceCoder(source, past),
+}
+
+
+def _coder(args: argparse.Namespace, kind: str, ell: int, n: int, source: MarkovSource | None):
+    """The past, for the deeper of the source and the depth `ell`, and a
+    coder of `kind` for length-n input."""
+    if kind == "source" and source is None:
+        raise ValueError("--coder source needs --source FILE")
+    past = _past(args, ell, source.memory if source else 0)
+    return past, _CODERS[kind](ell, past, n, source)
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -175,6 +170,8 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return
     sub = getattr(args, "subparser", parser)
     actions = {action.dest: action for action in sub._actions}
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    known = {action.dest for command in commands.values() for action in command._actions}
     for lineno, raw in enumerate(_read_text(args.config).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -183,9 +180,11 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
             raise ValueError(f"{args.config}:{lineno}: expected key=value")
         key, value = (part.strip() for part in line.split("=", 1))
         dest = key.replace("-", "_")
+        if dest not in known:
+            raise ValueError(f"{args.config}:{lineno}: unknown key {key!r}")
         action = actions.get(dest)
         if action is None or not hasattr(args, dest):
-            continue  # keys for other subcommands are ignored
+            continue  # keys for other subcommands are ignored, so one file serves several
         if getattr(args, dest) == action.default:
             # the flag's own type and choices, as if the value were typed on the command line
             value = _parse_bool(value) if isinstance(action.default, bool) else (action.type or str)(value)
@@ -210,8 +209,7 @@ def _cmd_gen_source(args) -> int:
         if delta is None:
             raise ValueError("continuity generation needs --delta")
         src = random_continuity_source(args.ell, delta, seed=args.seed)
-    header = "".join(f"# {k}={v}\n" for k, v in _meta(args).items())
-    Path(args.out).write_text(header + format_source(src))
+    _write_artifact(args.out, args, format_source(src))
     print(f"gen-source: wrote memory-{src.memory} source with {len(src.tree.leaves)} leaves to {args.out}")
     return 0
 
@@ -220,22 +218,20 @@ def _cmd_sample(args) -> int:
     src = _load_source(args.source)
     past = _past(args, src.memory)
     bits = src.sample(past, args.n, seed=args.seed)
-    _write_bits_file(args.out, bits, _meta(args))
+    _write_artifact(args.out, args, bits_to_str(bits) + "\n")
     print(f"sample: wrote {args.n} bits to {args.out} ({int(bits.sum())} ones)")
     return 0
 
 
 def _cmd_prob(args) -> int:
     src = _load_source(args.source)
-    past = _past(args, src.memory, args.ell)
     if args.infile is None and args.x is None:
         raise ValueError("prob needs --in FILE or --x BITS")
     bits = _read_bits_file(args.infile) if args.infile else as_bits(args.x)
-    lp = coders.SourceCoder(src, past).log2_prob(bits)
+    lp = _coder(args, "source", args.ell, len(bits), src)[1].log2_prob(bits)
     print(f"log2 p(x | past) = {lp!r}")
     if args.coder:
-        coder = _build_coder(args.coder, args.ell, past, len(bits), src)
-        lq = coder.log2_prob(bits)
+        lq = _coder(args, args.coder, args.ell, len(bits), src)[1].log2_prob(bits)
         print(f"log2 q(x) = {lq!r}")
         print(f"regret = {lp - lq!r} bits")
     return 0
@@ -244,10 +240,9 @@ def _cmd_prob(args) -> int:
 def _cmd_encode(args) -> int:
     bits = _read_bits_file(args.infile)
     src = _load_source(args.source) if args.source else None
-    past = _past(args, args.ell, src.memory if src else 0)
-    coder = _build_coder(args.coder, args.ell, past, len(bits), src)
+    _, coder = _coder(args, args.coder, args.ell, len(bits), src)
     code = codec.encode(coder, bits)
-    Path(args.out).write_bytes(codec.pack_stream(code, args.ell, len(bits)))
+    Path(args.out).write_bytes(codec.pack_stream(code, coder.depth, len(bits)))
     ideal = -coder.log2_prob(bits)
     print(f"encode: {len(bits)} bits -> {len(code)} code bits (ideal {ideal:.2f}) in {args.out}")
     return 0
@@ -259,10 +254,9 @@ def _cmd_decode(args) -> int:
     if args.ell is not None and args.ell != depth:
         raise codec.CodecError(f"stream says depth {depth}, flags say {args.ell}")
     src = _load_source(args.source) if args.source else None
-    past = _past(args, depth, src.memory if src else 0)
-    coder = _build_coder(args.coder, depth, past, n, src)
+    _, coder = _coder(args, args.coder, depth, n, src)
     bits = codec.decode(coder, code, n)
-    _write_bits_file(args.out, bits, _meta(args))
+    _write_artifact(args.out, args, bits_to_str(bits) + "\n")
     print(f"decode: recovered {n} bits into {args.out}")
     return 0
 
@@ -275,8 +269,8 @@ def _cmd_bounds(args) -> int:
         [args.n, r.ell, report.delta, r.lower, r.upper_truncation, r.upper_refined, r.r_ell, r.clamped]
         for r in report.rows
     ]
-    meta = _meta(args) | {"log_base": 2, "ub_t12_variant": "doubled"}
-    _write_csv(args.out, meta, ["n", "ell", "delta", "lb_t1", "ub_prop", "ub_t12", "r_ell", "clamped"], rows)
+    _write_csv(args.out, args, ["n", "ell", "delta", "lb_t1", "ub_prop", "ub_t12", "r_ell", "clamped"], rows,
+               log_base=2, ub_t12_variant="doubled")
     best_l = report.best_lower
     best_p = report.best_upper_truncation
     best_r = report.best_upper_refined
@@ -291,8 +285,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_redundancy(args) -> int:
     src = _load_source(args.source)
-    past = _past(args, src.memory, args.ell)
-    coder = _build_coder(args.coder, args.ell, past, args.n, src)
+    past, coder = _coder(args, args.coder, args.ell, args.n, src)
     if args.exact:
         value = redundancy.exact_avg_redundancy(src, past, coder, args.n)
         header, rows = ["n", "ell", "exact_avg_redundancy"], [[args.n, args.ell, value]]
@@ -305,7 +298,7 @@ def _cmd_redundancy(args) -> int:
                 for lp, lq in zip(est.logp.tolist(), est.logq.tolist())]
         print(f"mc average redundancy = {est.mean!r} +- {est.se!r} bits ({args.trials} trials)")
     if args.out:
-        _write_csv(args.out, _meta(args), header, rows)
+        _write_csv(args.out, args, header, rows)
         print(f"redundancy: wrote {len(rows)} rows -> {args.out}")
     return 0
 
@@ -387,8 +380,7 @@ def _run_harness(harness: str, kwargs: dict):
 
 def _cmd_verify(args) -> int:
     tasks = _verify_tasks(args)
-    with ThreadPoolExecutor(max_workers=_worker_count(len(tasks))) as pool:
-        reports = list(pool.map(lambda t: t[1](), tasks))
+    reports = _map(lambda t: t[1](), tasks)
     rows = []
     all_ok = True
     for (name, _), rep in zip(tasks, reports):
@@ -404,18 +396,13 @@ def _cmd_verify(args) -> int:
         )
         all_ok &= rep.verdict
     if args.out:
-        _write_csv(
-            args.out, _meta(args),
-            ["lemma", "params", "trials", "failures", "empirical", "bound", "slack", "verdict"],
-            rows,
-        )
+        header = ["lemma", "params", "trials", "failures", "empirical", "bound", "slack", "verdict"]
+        _write_csv(args.out, args, header, rows)
         print(f"verify: wrote {len(rows)} rows -> {args.out}")
     return 0 if all_ok else 1
 
 
 def _cmd_experiment(args) -> int:
-    if args.name != "redundancy-vs-n":
-        raise ValueError(f"unknown experiment {args.name!r}")
     delta = DeltaSpec.parse(args.delta)
     ns = _parse_ns(args.n)
     if sorted(ns) != ns:
@@ -443,9 +430,7 @@ def _cmd_experiment(args) -> int:
     for n in ns:
         choice = redundancy.optimal_ell(n, delta, "refined")
         tasks = [(n, choice.scanned, choice.scanned_value, i) for i in range(args.sources)]
-        workers = _worker_count(len(tasks))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(run_source, tasks))
+        out = _map(run_source, tasks)
         rows.extend(out)
         mean_regret = float(np.mean([r[3] for r in out]))
         means.append(mean_regret)
@@ -457,11 +442,8 @@ def _cmd_experiment(args) -> int:
         logn = np.log2(ns)
         slope = float(np.polyfit(logn, np.log2(means), 1)[0])
         print(f"experiment: slope of log2(regret) vs log2(n) = {slope:.3f} (reported, not asserted)")
-    _write_csv(
-        args.out, _meta(args),
-        ["n", "ell", "source", "regret_mean", "regret_se", "bound_t12", "within_bound"],
-        rows,
-    )
+    header = ["n", "ell", "source", "regret_mean", "regret_se", "bound_t12", "within_bound"]
+    _write_csv(args.out, args, header, rows)
     print(f"experiment: wrote {len(rows)} rows -> {args.out}")
     return 0
 
@@ -501,14 +483,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--past", default=None)
     p.add_argument("--in", dest="infile", default=None)
     p.add_argument("--x", default=None, help="inline bit string")
-    p.add_argument("--coder", choices=("kt", "mixture", "nml", "source"), default=None)
+    p.add_argument("--coder", choices=tuple(_CODERS), default=None)
     p.add_argument("--ell", type=_depth, default=0)
     p.set_defaults(func=_cmd_prob, subparser=p)
 
     p = sub.add_parser("encode", help="arithmetic-encode an ASCII bits file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--coder", choices=("kt", "mixture", "nml", "source"), default="kt")
+    p.add_argument("--coder", choices=tuple(_CODERS), default="kt")
     p.add_argument("--ell", type=_depth, default=0)
     p.add_argument("--past", default=None)
     p.add_argument("--source", default=None)
@@ -517,7 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a stream back to bits")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--coder", choices=("kt", "mixture", "nml", "source"), default="kt")
+    p.add_argument("--coder", choices=tuple(_CODERS), default="kt")
     p.add_argument("--ell", type=_depth, default=None)
     p.add_argument("--past", default=None)
     p.add_argument("--source", default=None)
@@ -532,7 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("redundancy", help="measure regret of a coder against a source")
     p.add_argument("--source", required=True)
-    p.add_argument("--coder", choices=("kt", "mixture", "nml", "source"), default="kt")
+    p.add_argument("--coder", choices=tuple(_CODERS), default="kt")
     p.add_argument("--ell", type=_depth, default=0)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--past", default=None)
@@ -580,7 +562,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         ValueError, IndexError, OverflowError, OSError, codec.CodecError, argparse.ArgumentTypeError,
-        ContinuityGenerationError, StationaryConvergenceError,
+        ContinuityGenerationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -312,10 +312,8 @@ class SourceCoder(SequentialCoder):
     def __init__(self, source: MarkovSource, past=""):
         super().__init__(source.memory, past)
         self.source = source
-        # the source is frozen: its per-state conditionals as plain floats,
-        # and the per-state log2 weights of a 1 and a 0
+        # the source is frozen: its per-state log2 weights of a 1 and a 0
         th = source.state_theta
-        self._theta = th.tolist()
         self._lt1, self._lt0 = np.log2(th), np.log2(1.0 - th)
         self._mask = (1 << self.depth) - 1
         self.reset()
@@ -324,7 +322,15 @@ class SourceCoder(SequentialCoder):
         self._state = self.state0
 
     def prob_one(self) -> float:
-        return self._theta[self._state]
+        try:
+            return self._theta[self._state]
+        except AttributeError:
+            # the per-state conditionals as plain floats, made on the first
+            # call because scoring never reads them; a class-level lazy
+            # attribute (functools.cached_property) would keep CPython from
+            # specializing this per-bit read and double its cost
+            self._theta = self.source.state_theta.tolist()
+            return self._theta[self._state]
 
     def push(self, bit: int) -> None:
         try:

@@ -157,9 +157,9 @@ def bits_to_str(bits) -> str:
 
 def state_code(history, depth: int) -> int:
     """Encode the last `depth` bits of a history as a context code."""
+    bits = as_bits(history)
     if depth == 0:
         return 0
-    bits = as_bits(history)
     if len(bits) < depth:
         raise ValueError(f"history of length {len(bits)} is shorter than depth {depth}")
     tail = bits[-depth:]

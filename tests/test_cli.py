@@ -13,7 +13,7 @@ from mdelta import lemmas
 from mdelta.cli import main
 from mdelta.delta import DeltaSpec
 from mdelta.redundancy import refined_upper_bound
-from mdelta.source import ContinuityGenerationError, StationaryConvergenceError
+from mdelta.source import ContinuityGenerationError
 
 
 def read_data_lines(path):
@@ -136,6 +136,29 @@ def test_encode_with_the_source_coder_needs_a_source(tmp_path, capsys):
     assert main(["encode", "--in", str(bits), "--out", str(enc), "--coder", "source"]) == 2
     assert capsys.readouterr().err == "error: --coder source needs --source FILE\n"
     assert not enc.exists()
+
+
+def test_source_coder_stream_carries_the_source_memory(tmp_path, capsys):
+    from mdelta import codec, coders
+    from mdelta.source import parse_source
+
+    src, bits, enc, dec = (tmp_path / name for name in ("src.txt", "bits.txt", "enc.bin", "dec.txt"))
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "4", "--delta-at", "0.1",
+                 "--seed", "5", "--out", str(src)]) == 0
+    assert main(["sample", "--source", str(src), "--n", "300", "--seed", "6", "--out", str(bits)]) == 0
+    assert main(["encode", "--in", str(bits), "--out", str(enc), "--coder", "source",
+                 "--source", str(src)]) == 0
+    assert codec.unpack_stream(enc.read_bytes())[1] == 4
+    assert main(["decode", "--in", str(enc), "--out", str(dec), "--coder", "source",
+                 "--source", str(src), "--ell", "4"]) == 0
+    assert read_data_lines(dec) == read_data_lines(bits)
+    # a stream whose header says depth 0 for the source coder, as older encoders wrote, still decodes
+    x = np.array([int(b) for b in read_data_lines(bits)[0]], np.uint8)
+    old = codec.encode(coders.SourceCoder(parse_source(src.read_text()), "0000"), x)
+    enc.write_bytes(codec.pack_stream(old, 0, len(x)))
+    assert main(["decode", "--in", str(enc), "--out", str(dec), "--coder", "source",
+                 "--source", str(src)]) == 0
+    assert read_data_lines(dec) == read_data_lines(bits)
 
 
 def test_encode_length_outside_header_exits_two(monkeypatch, tmp_path):
@@ -311,6 +334,25 @@ def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed):
     assert capsys.readouterr().err.endswith(f"error: argument --seed: seed {seed} is outside 0..2^64-1\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["prob", "--source", "SRC"], "prob needs --in FILE or --x BITS"),
+    (["gen-source", "--kind", "continuity", "--ell", "2", "--delta", "", "--out", "OUT"],
+     "continuity generation needs --delta"),
+    (["gen-source", "--kind", "hypercube", "--ell", "2", "--delta", "", "--out", "OUT"],
+     "hypercube generation needs --delta-at or --delta"),
+    (["nml", "--ell", "0", "--past", "abc", "--n", "2"], "bit string may contain only 0/1, got 'abc'"),
+])
+def test_missing_inputs_exit_two_with_their_own_message(tmp_path, capsys, argv, message):
+    src, out = tmp_path / "src.txt", tmp_path / "out.txt"
+    assert main(["gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+                 "--out", str(src)]) == 0
+    capsys.readouterr()
+    argv = [{"SRC": str(src), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_validation_errors_exit_two(tmp_path):
     assert main(["bounds", "--n", "64", "--delta", "gauss:1"]) == 2
     # an n too large to convert to float raises OverflowError
@@ -322,7 +364,6 @@ def test_validation_errors_exit_two(tmp_path):
 
 @pytest.mark.parametrize("error", [
     ContinuityGenerationError("no admissible source in 200 tries"),
-    StationaryConvergenceError(1e-3, 10),
 ])
 def test_generation_errors_exit_two(monkeypatch, tmp_path, capsys, error):
     from mdelta import cli
@@ -544,6 +585,24 @@ def test_config_booleans_are_strict(tmp_path):
     assert main(argv) == 2
 
 
+def test_config_keys_no_subcommand_defines_exit_two(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "s.txt"
+    argv = ["--config", str(cfg), "gen-source", "--kind", "hypercube", "--ell", "1", "--delta-at", "0.1",
+            "--out", str(out)]
+    cfg.write_text("# a misspelt trials\ntrails=5\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'trails'\n"
+    assert not out.exists()
+    cfg.write_text("ell\n")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:1: expected key=value\n"
+    # a key another subcommand defines is ignored, so one file serves several
+    cfg.write_text("count=3\n")
+    assert main(["--config", str(cfg), "nml", "--ell", "0", "--n", "2"]) == 0
+    assert float(capsys.readouterr().out) == math.log2(2.5)
+
+
 def test_config_values_take_the_flag_type_and_choices(tmp_path):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "s.txt"
@@ -600,3 +659,82 @@ def test_verify_all_rows_are_pinned(tmp_path):
         # floats within the exact-check tolerances, so another kernel backend also passes
         got = [float(v) for v in row[4:7]]
         assert got == pytest.approx([empirical, bound, slack], rel=1e-9, abs=1e-12)
+
+
+# A small run of every command, in order: (name, argv). Each command's stdout
+# is pinned as `<name>.out`, and each file it writes by its own name.
+PINNED_RUN = [
+    ("gen-continuity", ["gen-source", "--kind", "continuity", "--ell", "2", "--delta", "exp:1",
+                        "--seed", "4", "--out", "c.txt"]),
+    ("gen-hypercube", ["gen-source", "--kind", "hypercube", "--ell", "3", "--delta-at", "0.1",
+                       "--seed", "1", "--out", "h.txt"]),
+    ("sample", ["sample", "--source", "h.txt", "--n", "200", "--seed", "2", "--out", "x.txt"]),
+    ("sample-short", ["sample", "--source", "c.txt", "--n", "12", "--seed", "3", "--out", "y.txt"]),
+    ("prob", ["prob", "--source", "h.txt", "--in", "x.txt", "--coder", "mixture", "--ell", "2"]),
+    *((f"encode-{kind}", ["encode", "--in", bits, "--out", f"{kind}.bin", "--coder", kind,
+                          "--ell", "2", "--source", "h.txt"])
+      for kind, bits in (("kt", "x.txt"), ("mixture", "x.txt"), ("nml", "y.txt"))),
+    ("encode-source", ["encode", "--in", "x.txt", "--out", "source.bin", "--coder", "source",
+                       "--source", "h.txt"]),
+    *((f"decode-{kind}", ["decode", "--in", f"{kind}.bin", "--out", f"{kind}.txt", "--coder", kind,
+                          "--source", "h.txt"])
+      for kind in ("kt", "mixture", "nml", "source")),
+    ("bounds", ["bounds", "--n", "1024", "--delta", "exp:1", "--ell", "1..6", "--out", "b.csv"]),
+    ("redundancy-mc", ["redundancy", "--source", "h.txt", "--coder", "kt", "--ell", "2", "--n", "64",
+                       "--trials", "16", "--seed", "3", "--out", "r.csv"]),
+    ("redundancy-exact", ["redundancy", "--source", "c.txt", "--coder", "nml", "--ell", "1", "--n", "8",
+                          "--exact", "--out", "re.csv"]),
+    ("nml", ["nml", "--ell", "2", "--n", "6"]),
+    ("experiment", ["experiment", "redundancy-vs-n", "--n", "256,512", "--sources", "2", "--trials", "8",
+                    "--seed", "9", "--out", "e.csv"]),
+]
+
+# the first 16 hex digits of the sha256 of each artifact and of each command's stdout
+PINNED_DIGESTS = {
+    "b.csv": "28feb77fe678a12b",
+    "bounds.out": "14956c50345d1241",
+    "c.txt": "ef17a970ca8844f8",
+    "decode-kt.out": "02c6b46c389ab044",
+    "decode-mixture.out": "df56483c0d2dbd8c",
+    "decode-nml.out": "10fd66f104fd26d6",
+    "decode-source.out": "b4d9b3aaa902fa82",
+    "e.csv": "040976687a796911",
+    "encode-kt.out": "1d416d347ee6a5dd",
+    "encode-mixture.out": "24f6d96f110de325",
+    "encode-nml.out": "4b97e7e5990d4812",
+    "encode-source.out": "1575238ebd62828c",
+    "experiment.out": "cf188a97406ae189",
+    "gen-continuity.out": "d920cac93edb7c74",
+    "gen-hypercube.out": "5434dbef3db522d1",
+    "h.txt": "6df531a0f6d8f6be",
+    "kt.bin": "5f68cee501bfa4a3",
+    "kt.txt": "c64a3afecb310078",
+    "mixture.bin": "d5e2932937b0e80c",
+    "mixture.txt": "249db313f3f813fc",
+    "nml.bin": "6ce26ca398435f07",
+    "nml.out": "38f4eafe389593cf",
+    "nml.txt": "1a3dc5437a69326c",
+    "prob.out": "4903c17dd08a7ff4",
+    "r.csv": "a371d34b46d3ba0e",
+    "re.csv": "467f128287c210d0",
+    "redundancy-exact.out": "009e51676e4282ba",
+    "redundancy-mc.out": "2f269011222727ba",
+    "sample-short.out": "bd83009b774cf4e0",
+    "sample.out": "39eb289daff02ee6",
+    "source.bin": "0f6c00f547992d1a",  # header depth 3, the source's memory
+    "source.txt": "fbd5ea105516a2e1",
+    "x.txt": "54754e7c0d1acb99",
+    "y.txt": "a229e423c838ed5e",
+}
+
+
+def test_cli_artifacts_are_pinned(tmp_path, monkeypatch, capsys):
+    # relative paths, so the config hash in each header does not depend on tmp_path
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for name, argv in PINNED_RUN:
+        assert main(argv) == 0, name
+        digests[f"{name}.out"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    for path in sorted(tmp_path.iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert digests == PINNED_DIGESTS

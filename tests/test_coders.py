@@ -651,3 +651,23 @@ def test_mixture_decode_asks_the_add_half_coder_once_per_bit(monkeypatch):
     monkeypatch.setattr(KTCoder, "prob_one", counted)
     assert np.array_equal(decode(coder, code, n), x)
     assert 0 < calls <= n + 2
+
+
+def test_source_coder_builds_its_per_bit_list_on_first_use():
+    # scoring reads only the two 512 KB log2 tables of a memory-16 source;
+    # the per-state float list (2 MB) is made for the first prob_one
+    rng = np.random.default_rng(53)
+    src = MarkovSource(full_tree(16), rng.uniform(0.01, 0.99, 1 << 16))
+    past = "".join(rng.choice(["0", "1"], 16))
+    x = src.sample(past, 300, seed=54)
+    tracemalloc.start()
+    try:
+        coder = SourceCoder(src, past)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 1.5 * 2**20
+    assert "_theta" not in vars(coder)
+    assert decode(coder, encode(coder, x), len(x)).tolist() == x.tolist()
+    assert type(vars(coder)["_theta"]) is list
+    assert np.array_equal(_replay(coder, x), coder.conditionals(x))

@@ -999,3 +999,10 @@ def test_as_bits_rejects_values_that_are_not_exactly_0_or_1(x):
     # 1.5 used to truncate to 1, 256 to wrap to 0, and -1 raised OverflowError
     with pytest.raises(ValueError, match="only 0/1"):
         as_bits(x)
+
+
+def test_state_code_checks_the_history_at_depth_zero():
+    # depth 0 reads no bit of the history but still refuses one that is not bits
+    with pytest.raises(ValueError, match="only 0/1, got 'abc'"):
+        state_code("abc", 0)
+    assert state_code("", 0) == state_code("0110", 0) == 0
