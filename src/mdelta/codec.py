@@ -7,13 +7,13 @@ ceil(-log2 q(x)) + 2 bits (the classic renormalization argument; the
 quantization loss is far below a bit at the lengths this library
 handles).
 
-Encoding knows the whole sequence, so it takes every conditional at
-once from `coder.conditionals(bits)` and runs the range coder on plain
-ints.  Decoding is sequential, one prob_one()/push() per bit, and its
-range decoder runs on plain ints too: the code bits come from one list,
-the decoded bits go to a bytearray.  A read deeper than any valid code of
-that length reaches (a truncated stream, or the wrong coder) raises
-CodecError.
+Encoder and decoder drive the coder the same way: reset, then one
+prob_one()/push() per bit, then reset again.  Each end quantizes the float
+that the same call returned, so the two agree by construction for any
+coder.  Both range coders run on plain ints: the decoder reads the code
+bits from one list and writes the decoded bits to a bytearray.  A read
+deeper than any valid code of that length reaches (a truncated stream, or
+the wrong coder) raises CodecError.
 
 Streams carry an 8-byte header (magic, version, depth, length) followed
 by the code bits packed big-endian; the sequence length travels in the
@@ -48,25 +48,23 @@ class CodecError(ValueError):
 _PAST_THE_END = "read past the end of the code: stream truncated or decoded with the wrong coder"
 
 
-def _quantize(p1: np.ndarray) -> np.ndarray:
-    """P(bit = 1) as a count out of _TOTAL, clipped to [1, _TOTAL - 1]; decode
-    quantizes each conditional with the same float operations."""
-    return np.clip((p1 * _TOTAL + 0.5).astype(np.int64), 1, _TOTAL - 1)
-
-
 def encode(coder: SequentialCoder, x) -> np.ndarray:
     """Arithmetic-encode x under the coder's model; returns code bits.
 
-    The sequence is known, so every conditional comes from one
-    `coder.conditionals` call and the range-coder loop runs on plain ints.
+    The coder is asked bit by bit, as decode() asks it: each conditional
+    comes from prob_one() after the bits before it were pushed.
     """
     bits = as_bits(x)
-    c0s = _TOTAL - _quantize(coder.conditionals(bits))
+    prob_one, push = coder.prob_one, coder.push
+    coder.reset()
     low, high = 0, _FULL - 1
     pending = 0
     out: list[int] = []
-    for bit, c0 in zip(bits.tolist(), c0s.tolist()):
-        split = low + ((high - low + 1) * c0 >> _TOTAL_BITS)  # first value of the 1-region
+    for bit in bits.tolist():
+        c1 = int(prob_one() * _TOTAL + 0.5)
+        c1 = 1 if c1 < 1 else _TOTAL - 1 if c1 >= _TOTAL else c1
+        split = low + ((high - low + 1) * (_TOTAL - c1) >> _TOTAL_BITS)  # first value of the 1-region
+        push(bit)
         if bit:
             low = split
         else:
@@ -92,6 +90,7 @@ def encode(coder: SequentialCoder, x) -> np.ndarray:
                 break
             low <<= 1
             high = (high << 1) | 1
+    coder.reset()
     last = 0 if low < _QUARTER else 1
     out.append(last)
     out += [last ^ 1] * (pending + 1)

@@ -4,10 +4,11 @@ A coder is a deterministic state machine exposing the conditional
 probability of the next bit; pushing bits advances it.  Next-bit
 probabilities are strictly inside (0,1) and the pair (p0, p1) sums to 1
 exactly by construction, so a coder doubles as the probability model of
-the arithmetic codec.  `conditionals(bits)` gives every next-bit
-probability of a known sequence at once, equal (`==`) to the
-reset/`prob_one`/`push` replay; count-based coders compute it from the
-sequence in one pass.
+the arithmetic codec.  Encoder and decoder both replay the coder:
+reset, then one `prob_one` and one `push` per bit, so the two ends
+quantize the same float from the same call.  The KT coder keeps its
+per-context counts in plain int lists, which a per-bit read and write
+reach far faster than numpy scalars.
 
 Every coder (KT, mixture, known source, NML) has a code length that is a
 closed form of the per-context counts of the whole sequence, rolled from
@@ -86,9 +87,9 @@ class SequentialCoder:
     reset; `push(bit)` takes the next bit as 0 or 1 of any integer kind
     (Python or numpy ints, bools), so a bit array's elements can be pushed
     as they are, and raises ValueError, changing nothing, for a value not
-    equal to 0 or 1.  A sequential decode asks `prob_one` once per bit,
-    and each coder computes that conditional once: what `push` needs of
-    it is kept, not recomputed.
+    equal to 0 or 1.  The codec asks `prob_one` once per bit, encoding and
+    decoding alike, and each coder computes that conditional once: what
+    `push` needs of it is kept, not recomputed.
 
     log2 q(x) is a closed form of the depth-`depth` context counts of x,
     rolled from the context code `state0` of the coder's past; subclasses
@@ -110,21 +111,6 @@ class SequentialCoder:
     def push(self, bit: int) -> None:
         raise NotImplementedError
 
-    def conditionals(self, bits) -> np.ndarray:
-        """Every next-bit probability of a known sequence: entry t is what
-        prob_one() returns after a reset and bits[:t] pushed.
-
-        This default replays the sequence and leaves the coder reset.
-        """
-        bits = as_bits(bits)
-        self.reset()
-        out = np.empty(len(bits))
-        for t, bit in enumerate(bits.tolist()):
-            out[t] = self.prob_one()
-            self.push(bit)
-        self.reset()
-        return out
-
     def log2_prob(self, x) -> float:
         return float(self.log2_prob_batch(as_bits(x)[None, :])[0])
 
@@ -140,20 +126,12 @@ class SequentialCoder:
         raise NotImplementedError
 
 
-def _contexts(bits: np.ndarray, state0: int, depth: int) -> np.ndarray:
-    """Context code before each bit of a sequence that continues the past
-    encoded by state0, in the narrowest unsigned type that holds it."""
-    ext = np.empty(depth + len(bits), np.uint8)
-    ext[:depth] = (int(state0) >> np.arange(depth - 1, -1, -1)) & 1
-    ext[depth:] = bits
-    return _kernels._windows(ext, depth, len(bits))
-
-
 class KTCoder(SequentialCoder):
     """Per-context add-half rule: q(1 | history) = (a + 1/2) / (a + b + 1)
 
     with (a, b) the 1/0 counts seen so far in the current depth-`depth`
-    context; contexts roll through past then the pushed bits.
+    context, kept in plain int lists; contexts roll through past then the
+    pushed bits.
     """
 
     def __init__(self, depth: int, past=""):
@@ -163,8 +141,8 @@ class KTCoder(SequentialCoder):
 
     def reset(self) -> None:
         m = 1 << self.depth
-        self._ones = np.zeros(m, np.int64)
-        self._occ = np.zeros(m, np.int64)
+        self._ones = [0] * m
+        self._occ = [0] * m
         self._state = self.state0
 
     def prob_one(self) -> float:
@@ -180,27 +158,6 @@ class KTCoder(SequentialCoder):
         self._occ[s] += 1
         self._ones[s] += bit
         self._state = ((s << 1) | bit) & self._mask
-
-    def conditionals(self, bits) -> np.ndarray:
-        # one stable sort by context puts each context's positions in
-        # sequence order; the counts before a position are its rank in its
-        # group and the ones its group saw before it
-        bits = as_bits(bits)
-        n = len(bits)
-        ctx = _contexts(bits, self.state0, self.depth)
-        order = np.argsort(ctx, kind="stable")
-        ctx = ctx[order]
-        seen = bits[order]
-        ones = np.cumsum(seen, dtype=np.int64)
-        ones -= seen
-        pos = np.arange(n)
-        start = np.empty(n, bool)
-        start[:1] = True
-        np.not_equal(ctx[1:], ctx[:-1], out=start[1:])
-        first = np.maximum.accumulate(np.where(start, pos, 0))
-        out = np.empty(n)
-        out[order] = (ones - ones[first] + 0.5) / (pos - first + 1.0)
-        return out
 
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
         return np.asarray(kt_log2_from_counts(occ, ones))
@@ -249,21 +206,6 @@ class MixtureCoder(SequentialCoder):
         self._log_qkt += math.log2(p1_kt if bit else 1.0 - p1_kt)
         self._p1_kt = kt.prob_one()
         self._t += 1
-
-    def conditionals(self, bits) -> np.ndarray:
-        # the add-half conditionals at once, then the prefix mass walk with
-        # the same scalar calls as prob_one/push: array log2/power loops may
-        # round differently, and one ulp moves a quantized probability
-        bits = as_bits(bits)
-        if len(bits) > self.horizon:
-            raise IndexError(f"mixture coder queried past its horizon n={self.horizon}")
-        p_kt = self._kt.conditionals(bits).tolist()
-        out = [0.0] * len(p_kt)
-        log_qkt = 0.0
-        for t, (bit, p1_kt) in enumerate(zip(bits.tolist(), p_kt)):
-            out[t] = _mix_conditional(log_qkt, p1_kt, t)
-            log_qkt += math.log2(p1_kt if bit else 1.0 - p1_kt)
-        return np.array(out)
 
     def _mix(self, log_qkt):
         return np.logaddexp2(log_qkt, -float(self.horizon)) - 1.0
@@ -338,9 +280,6 @@ class SourceCoder(SequentialCoder):
         except (KeyError, TypeError):
             raise _not_a_bit(bit) from None
         self._state = ((self._state << 1) | bit) & self._mask
-
-    def conditionals(self, bits) -> np.ndarray:
-        return self.source.state_theta[_contexts(as_bits(bits), self.state0, self.depth)]
 
     def log2_prob_counts(self, occ: np.ndarray, ones: np.ndarray) -> np.ndarray:
         return _kernels._source_log2(occ, ones, self._lt1, self._lt0)

@@ -113,7 +113,7 @@ class DeltaSpec:
     # -- text form ----------------------------------------------------------
 
     @classmethod
-    def parse(cls, text: str, cap0: float = 1.0) -> "DeltaSpec":
+    def parse(cls, text: str) -> "DeltaSpec":
         """Parse ``poly:c`` / ``exp:c`` / ``dexp:c`` / ``table:v1,v2,...``."""
         kind, _, arg = text.strip().partition(":")
         kind = kind.lower()
@@ -121,9 +121,9 @@ class DeltaSpec:
             raise ValueError(f"malformed delta spec {text!r}")
         if kind == "table":
             vals = tuple(float(v) for v in arg.split(","))
-            return cls("table", values=vals, cap0=cap0)
+            return cls("table", values=vals)
         if kind in ("poly", "exp", "dexp"):
-            return cls(kind, c=float(arg), cap0=cap0)
+            return cls(kind, c=float(arg))
         raise ValueError(f"unknown delta kind {kind!r}")
 
     def describe(self) -> str:

@@ -73,10 +73,10 @@ def test_seeded_random_roundtrips():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.binary(min_size=0, max_size=60), st.integers(0, 2))
+@given(st.binary(min_size=0, max_size=60), st.integers(0, 16))
 def test_roundtrip_property(blob, ell):
     bits = np.frombuffer(blob, np.uint8) % 2
-    coder = KTCoder(ell, past="00")
+    coder = KTCoder(ell, past="0110" * 4)
     ok, _ = roundtrip_ok(coder, bits)
     assert ok
 
@@ -144,6 +144,64 @@ def test_encoded_streams_are_pinned(kind):
             code = encode(_coder(kind, depth, past, n, src), src.sample(past, n, seed=1000 + n))
             digest.update(len(code).to_bytes(4, "big") + np.packbits(code).tobytes())
     assert digest.hexdigest() == PINNED_STREAMS[kind]
+
+
+class _Recording:
+    """A coder that forwards reset/prob_one/push and records every call."""
+
+    def __init__(self, coder):
+        self.coder = coder
+        self.calls = []
+
+    def reset(self):
+        self.calls.append(("reset",))
+        self.coder.reset()
+
+    def prob_one(self):
+        p = self.coder.prob_one()
+        self.calls.append(("prob_one", p))
+        return p
+
+    def push(self, bit):
+        self.calls.append(("push", bit))
+        self.coder.push(bit)
+
+
+def _asked(calls, name):
+    return [c[1] for c in calls if c[0] == name]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_STREAMS))
+def test_encode_and_decode_ask_the_coder_the_same_questions(kind):
+    n = 12 if kind == "nml" else 600
+    src = MarkovSource(full_tree(3), np.random.default_rng(5).uniform(0.02, 0.98, 8))
+    past = "101"
+    x = src.sample(past, n, seed=6)
+    coder = _Recording(_coder(kind, 3, past, n, src))
+    code = encode(coder, x)
+    asked_by_encode, coder.calls = coder.calls, []
+    assert np.array_equal(decode(coder, code, n), x)
+    asked_by_decode = coder.calls
+    for calls in (asked_by_encode, asked_by_decode):
+        assert len(_asked(calls, "prob_one")) == n
+        assert _asked(calls, "push") == x.tolist()
+        assert calls[0] == calls[-1] == ("reset",)
+    assert _asked(asked_by_encode, "prob_one") == _asked(asked_by_decode, "prob_one")
+    assert asked_by_encode == asked_by_decode
+
+
+def test_a_source_at_both_ends_of_the_quantization_clamp_roundtrips():
+    # theta 1e-12 quantizes to 0 of 2^32 and theta 1 - 1e-15 to 2^32, so each
+    # count is clamped, to 1 and to 2^32 - 1; the bits go against the source
+    # half of the time
+    src = MarkovSource(full_tree(1), [1e-12, 1.0 - 1e-15])
+    x = np.random.default_rng(7).integers(0, 2, 300).astype(np.uint8)
+    coder = _Recording(SourceCoder(src, "0"))
+    code = encode(coder, x)
+    counts = [int(p * 2**32 + 0.5) for p in _asked(coder.calls, "prob_one")]
+    assert min(counts) == 0 and max(counts) == 2**32
+    assert np.array_equal(decode(coder, code, len(x)), x)
+    assert len(code) <= math.ceil(-coder.coder.log2_prob(x)) + 2
 
 
 def test_encode_past_the_mixture_horizon_raises():

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import re
@@ -180,7 +181,7 @@ def test_mixture_horizon_errors():
     with pytest.raises(ValueError):
         coder.log2_prob("101")
     with pytest.raises(IndexError):
-        coder.conditionals("101")
+        encode(coder, "101")
     with pytest.raises(ValueError):
         MixtureCoder(0, horizon=0)
 
@@ -450,7 +451,8 @@ def test_source_coder_probabilities():
     src = random_hypercube_source(2, 0.1, seed=8)
     coder = SourceCoder(src, past="00")
     x = src.sample("00", 30, seed=9)
-    p1 = coder.conditionals(x)
+    p1 = _replay(coder, x)
+    assert np.array_equal(p1, _source_reference(src, "00", x))
     chain = float(np.log2(np.where(x == 1, p1, 1.0 - p1)).sum())
     assert coder.log2_prob(x) == pytest.approx(chain, abs=1e-12)
     coder.reset()
@@ -458,7 +460,7 @@ def test_source_coder_probabilities():
 
 
 # ---------------------------------------------------------------------------
-# every conditional at once
+# each conditional against an independent reference
 # ---------------------------------------------------------------------------
 
 
@@ -471,16 +473,76 @@ def _replay(coder, x):
     return np.array(out, dtype=np.float64)
 
 
+def _context_codes(past, x, depth):
+    """state_code of past + x[:t], for each t, from the last depth bits."""
+    hist = past + "".join(map(str, x.tolist()))
+    return [state_code(hist[len(past) + t - depth : len(past) + t], depth) for t in range(len(x))]
+
+
+def _kt_reference(past, x, depth):
+    """KT's (a + 1/2) / (a + b + 1) before each bit of x, with (a, b) the 1/0
+    counts of the current context that count_table takes of the prefix."""
+    out = []
+    for t, s in enumerate(_context_codes(past, x, depth)):
+        occ, ones = count_table(x[:t], past, depth)
+        a, b = int(ones[s]), int(occ[s] - ones[s])
+        out.append((a + 0.5) / (a + b + 1))
+    return np.array(out)
+
+
+def _mixture_reference(x, p_kt):
+    """The mixture's p1 from prefix masses (q_kt(prefix) + 2^-t) / 2, one
+    step per bit on numpy's scalar logaddexp2."""
+    out, log_qkt = [], 0.0
+    for t, (bit, p1) in enumerate(zip(x.tolist(), p_kt.tolist())):
+        num = np.logaddexp2(log_qkt + math.log2(p1), -(t + 1.0))
+        den = np.logaddexp2(log_qkt, -float(t))
+        out.append(float(2.0 ** (num - den)))
+        log_qkt += math.log2(p1 if bit else 1.0 - p1)
+    return np.array(out)
+
+
+def _source_reference(src, past, x):
+    """The source's theta at the context before each bit."""
+    return src.state_theta[_context_codes(past, x, src.memory)]
+
+
+def _reference(kind, coder, past, x, src=None):
+    """Every prob_one of a replay over x, computed without the coder, or
+    (NML) the replay over plain ints."""
+    if kind == "kt":
+        return _kt_reference(past, x, coder.depth)
+    if kind == "mixture":
+        return _mixture_reference(x, _kt_reference(past, x, coder.depth))
+    if kind == "source":
+        return _source_reference(src, past, x)
+    return _replay(coder, x)
+
+
+def _nml_reference(coder, x):
+    """NML's p1 before each bit: the mass of the prefix's 1-extensions over
+    the prefix's mass, both summed from the whole-sequence code lengths."""
+    n = coder.horizon
+    mass = np.exp2(coder.log2_prob_all(n))
+    out, prefix = [], 0
+    for t, bit in enumerate(x.tolist()):
+        span = mass.reshape(1 << t, 2, -1)[prefix]
+        out.append(span[1].sum() / span.sum())
+        prefix = 2 * prefix + bit
+    return np.array(out)
+
+
 @pytest.mark.parametrize("kind", ["kt", "mixture", "source", "nml"])
 def test_conditionals_equal_the_replay(kind):
-    # == on float64: the codec quantizes these, so one ulp would change a stream
+    # every prob_one of a replay against its reference, == on float64 (the
+    # codec quantizes these, so one ulp would change a stream); contexts of 9
+    # to 16 bits pass 255, and 16 is the deepest a coder accepts
     rng = np.random.default_rng(41)
-    depths = (0, 1, 2, 3, 5, 9) if kind != "nml" else (0, 1, 2, 3)
+    depths = range(17) if kind != "nml" else (0, 1, 2, 3)
     for depth in depths:
-        theta = rng.uniform(0.01, 0.99, 1 << depth)
-        src = MarkovSource(full_tree(depth), theta)
-        past = "".join(rng.choice(["0", "1"], depth + 1))
-        for n in (0, 1, 7, 200, 1500) if kind != "nml" else (0, 1, 7, 12):
+        src = MarkovSource(full_tree(depth), rng.uniform(0.01, 0.99, 1 << depth))
+        past = "".join(rng.choice(["0", "1"], 17))
+        for n in (0, 1, 7, 120) if kind != "nml" else (1, 7, 12):
             x = src.sample(past, n, seed=int(rng.integers(1 << 30)))
             if kind == "kt":
                 coder = KTCoder(depth, past)
@@ -489,19 +551,28 @@ def test_conditionals_equal_the_replay(kind):
             elif kind == "source":
                 coder = SourceCoder(src, past)
             else:
-                coder = NMLCoder(depth, past, horizon=max(n, 1))
-            got = coder.conditionals(x)
-            assert got.dtype == np.float64 and got.shape == (n,)
-            assert np.array_equal(got, _replay(coder, x)), (depth, n)
+                coder = NMLCoder(depth, past, horizon=n)
+            got = _replay(coder, x)
+            assert got.shape == (n,)
+            if kind == "nml":
+                assert got == pytest.approx(_nml_reference(coder, x), rel=1e-12)
+                continue
+            assert np.array_equal(got, _reference(kind, coder, past, x, src)), (depth, n)
+            assert type(coder.prob_one()) is float  # no numpy scalar in the per-bit state
+            assert np.array_equal(_replay(coder, x), got)  # reset starts over
 
 
 def test_kt_conditionals_at_wide_contexts():
-    # 8-bit contexts are the widest uint8 codes, and 9 to 16 bits take
-    # uint16 ones; 16 is the deepest a coder accepts
-    x = np.random.default_rng(3).integers(0, 2, 3000).astype(np.uint8)
+    # 8-bit contexts are the widest that fit a byte, and 9 to 16 bits take
+    # two; a 23-bit pattern repeated with a few flips makes each deep context
+    # recur, so its counts grow well past 1
+    rng = np.random.default_rng(3)
+    x = np.tile(rng.integers(0, 2, 23), 14) ^ (rng.random(23 * 14) < 0.03)
+    x = x.astype(np.uint8)
+    past = "01" * 9
     for depth in (8, 9, 16):
-        coder = KTCoder(depth, past="01" * 9)
-        assert np.array_equal(coder.conditionals(x), _replay(coder, x))
+        coder = KTCoder(depth, past)
+        assert np.array_equal(_replay(coder, x), _reference("kt", coder, past, x))
 
 
 def test_logaddexp2_helper_equals_numpy_scalar():
@@ -530,20 +601,13 @@ def test_mixture_conditionals_at_the_codec_shape():
     # n = 4096 from a memory-6 continuity source under a depth-4 mixture, as in
     # the codec benchmark; the reference is the step on numpy's scalar logaddexp2
     n = 4096
+    past = "0" * 6
     for seed in (1, 2):
         src = random_continuity_source(6, DeltaSpec.parse("exp:1"), seed=seed)
-        x = src.sample("0" * 6, n, seed=100 + seed)
-        coder = MixtureCoder(4, "0" * 6, horizon=n)
-        got = coder.conditionals(x)
-        assert np.array_equal(got, _replay(coder, x))
-        p_kt = KTCoder(4, "0" * 6).conditionals(x).tolist()
-        want, log_qkt = [], 0.0
-        for t, (bit, p1) in enumerate(zip(x.tolist(), p_kt)):
-            num = np.logaddexp2(log_qkt + math.log2(p1), -(t + 1.0))
-            den = np.logaddexp2(log_qkt, -float(t))
-            want.append(float(2.0 ** (num - den)))
-            log_qkt += math.log2(p1 if bit else 1.0 - p1)
-        assert np.array_equal(got, np.array(want))
+        x = src.sample(past, n, seed=100 + seed)
+        p_kt = _kt_reference(past, x, 4)
+        assert np.array_equal(_replay(KTCoder(4, past), x), p_kt)
+        assert np.array_equal(_replay(MixtureCoder(4, past, horizon=n), x), _mixture_reference(x, p_kt))
 
 
 # ---------------------------------------------------------------------------
@@ -551,19 +615,31 @@ def test_mixture_conditionals_at_the_codec_shape():
 # ---------------------------------------------------------------------------
 
 
-def _wide_coder(kind):
-    """A coder whose context codes pass 255, and a uint8 sequence for it."""
+@functools.cache
+def _wide_case(kind):
     rng = np.random.default_rng(47)
     past = "".join(rng.choice(["0", "1"], 10))
     n = 12 if kind == "nml" else 700
     x = rng.integers(0, 2, n).astype(np.uint8)
+    src = None
     if kind == "kt":
-        return KTCoder(9, past), x
-    if kind == "mixture":
-        return MixtureCoder(9, past, horizon=n), x
-    if kind == "source":
-        return SourceCoder(MarkovSource(full_tree(10), rng.uniform(0.01, 0.99, 1 << 10)), past), x
-    return NMLCoder(1, "0", horizon=n), x
+        make = functools.partial(KTCoder, 9, past)
+    elif kind == "mixture":
+        make = functools.partial(MixtureCoder, 9, past, horizon=n)
+    elif kind == "source":
+        src = MarkovSource(full_tree(10), rng.uniform(0.01, 0.99, 1 << 10))
+        make = functools.partial(SourceCoder, src, past)
+    else:
+        past = "0"
+        make = functools.partial(NMLCoder, 1, past, horizon=n)
+    return make, x, _reference(kind, make(), past, x, src)
+
+
+def _wide_coder(kind):
+    """A coder whose context codes pass 255, a uint8 sequence for it, and
+    the reference of its every prob_one over that sequence."""
+    make, x, want = _wide_case(kind)
+    return make(), x, want
 
 
 @pytest.mark.parametrize("kind", ["kt", "mixture", "source", "nml"])
@@ -571,8 +647,7 @@ def test_replay_over_any_integer_kind_of_bits_equals_conditionals(kind):
     # first a bit array's uint8 elements pushed as they are (a uint8 context
     # state would overflow at depth 9, or wrap NML's prefix past 8 bits), then
     # every integer kind in turn
-    coder, x = _wide_coder(kind)
-    want = coder.conditionals(x)
+    coder, x, want = _wide_coder(kind)
     kinds = [int, bool, np.uint8, np.int64, np.bool_]
     for bits in (x, [kinds[t % len(kinds)](b) for t, b in enumerate(x.tolist())]):
         coder.reset()
@@ -586,8 +661,7 @@ def test_replay_over_any_integer_kind_of_bits_equals_conditionals(kind):
 @pytest.mark.parametrize("bad", [2, -1, 0.5, np.int64(3), None, "1"])
 @pytest.mark.parametrize("kind", ["kt", "mixture", "source", "nml"])
 def test_push_rejects_anything_but_a_bit_and_keeps_its_state(kind, bad):
-    coder, x = _wide_coder(kind)
-    want = coder.conditionals(x)
+    coder, x, want = _wide_coder(kind)
     coder.reset()
     got = []
     for t, b in enumerate(x.tolist()):
@@ -604,7 +678,7 @@ def test_mixture_keeps_its_add_half_conditional_through_odd_call_orders():
     n = 400
     x = rng.integers(0, 2, n).astype(np.uint8)
     coder = MixtureCoder(3, "101", horizon=n)
-    want = coder.conditionals(x)
+    want = _reference("mixture", coder, "101", x)
     bits = x.tolist()
 
     coder.reset()  # push with no prob_one before it, every third bit
@@ -613,12 +687,13 @@ def test_mixture_keeps_its_add_half_conditional_through_odd_call_orders():
             assert coder.prob_one() == want[t]
         coder.push(b)
 
-    coder.reset()  # prob_one twice, and conditionals in mid-sequence
+    coder.reset()  # prob_one twice, and scoring in mid-sequence
+    log2_q = coder.log2_prob(x)
     for t, b in enumerate(bits):
         assert coder.prob_one() == want[t]
         assert coder.prob_one() == want[t]
         if t == n // 2:
-            assert np.array_equal(coder.conditionals(x), want)
+            assert coder.log2_prob(x) == log2_q
         coder.push(b)
     with pytest.raises(IndexError):
         coder.push(0)
@@ -670,4 +745,4 @@ def test_source_coder_builds_its_per_bit_list_on_first_use():
     assert "_theta" not in vars(coder)
     assert decode(coder, encode(coder, x), len(x)).tolist() == x.tolist()
     assert type(vars(coder)["_theta"]) is list
-    assert np.array_equal(_replay(coder, x), coder.conditionals(x))
+    assert np.array_equal(_replay(coder, x), _source_reference(src, past, x))

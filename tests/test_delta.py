@@ -38,7 +38,7 @@ def test_clamp_invariant_up_to_64():
 
 def test_depth_zero_uses_cap():
     assert DeltaSpec.parse("poly:2")(0) == 1.0
-    assert DeltaSpec.parse("exp:1", cap0=0.3)(0) == 0.3
+    assert DeltaSpec("exp", c=1.0, cap0=0.3)(0) == 0.3
     # the formula may undercut the cap at depth 0
     assert DeltaSpec.parse("dexp:1")(0) == 0.5
 
@@ -78,7 +78,7 @@ def test_non_finite_parameters_raise_their_own_error(text):
     with pytest.raises(ValueError, match="finite"):
         DeltaSpec.parse(text)
     with pytest.raises(ValueError, match="cap0 must be positive and finite"):
-        DeltaSpec.parse("exp:1", cap0=math.nan)
+        DeltaSpec("exp", c=1.0, cap0=math.nan)
 
 
 def test_values_positive_and_deterministic():
